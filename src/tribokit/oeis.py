@@ -12,9 +12,12 @@ import re
 import urllib.request
 from dataclasses import dataclass
 from importlib import resources
+from itertools import count
 from typing import Callable
 
-from .seqcore import SequenceKind, term
+from . import seqcore
+# ``term`` stays bound here for perfbench/tracing.py, which wraps it by this name.
+from .seqcore import SequenceKind, term  # noqa: F401
 
 OEIS_IDS: dict[SequenceKind, str] = {
     SequenceKind.TRIBONACCI: "A000073",
@@ -23,6 +26,9 @@ OEIS_IDS: dict[SequenceKind, str] = {
 }
 
 _ID_PATTERN = re.compile(r"\AA\d{6}\Z")
+
+# Seconds a live b-file fetch may wait on the server before it fails.
+FETCH_TIMEOUT_S = 30.0
 
 
 class BFileError(ValueError):
@@ -102,7 +108,7 @@ def format_bfile(kind: SequenceKind, lo: int, hi: int) -> str:
         raise ValueError(f"b-file indices must be >= 0, got lo={lo}")
     if lo > hi:
         raise ValueError(f"empty range: lo={lo} exceeds hi={hi}")
-    lines = [f"{n} {term(kind, n)}" for n in range(lo, hi + 1)]
+    lines = [f"{n} {value}" for n, value in seqcore.sequence_range(kind, lo, hi)]
     return "\n".join(lines) + "\n"
 
 
@@ -112,13 +118,19 @@ def crosscheck(kind: SequenceKind, bfile: BFile, max_rows: int) -> CrosscheckRep
     Alignment is by the b-file's own indices (its first index is
     recorded as offset_used), so a file following a different offset
     convention shows up as explicit mismatches, never as silent skew.
+    Local terms come from one ladder call at the first row, then one
+    recurrence step per index up to the last row, in constant memory.
     """
     if max_rows < 1:
         raise ValueError(f"max_rows must be >= 1, got {max_rows}")
     selected = bfile.rows[:max_rows]
+    first = selected[0][0]
+    local_terms = zip(count(first), seqcore.iter_terms(kind, first))
     mismatches = []
     for index, listed in selected:
-        local = term(kind, index)
+        n, local = next(pair for pair in local_terms if pair[0] >= index)
+        if n != index:
+            raise BFileStructureError(f"row index {index} does not increase past {n - 1}")
         if local != listed:
             mismatches.append((index, local, listed))
     return CrosscheckReport(
@@ -145,7 +157,7 @@ def http_transport(base_url: str = "https://oeis.org") -> Callable[[str], str]:
 
     def fetch(sequence_id: str) -> str:
         url = f"{base_url}/{sequence_id}/b{sequence_id[1:]}.txt"
-        with urllib.request.urlopen(url) as response:
+        with urllib.request.urlopen(url, timeout=FETCH_TIMEOUT_S) as response:
             return response.read().decode("utf-8")
 
     return fetch

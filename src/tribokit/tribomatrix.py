@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .seqcore import tribonacci
+from . import seqcore
+# ``tribonacci`` stays bound here for perfbench/tracing.py, which wraps it by this name.
+from .seqcore import SequenceKind, tribonacci  # noqa: F401
 
 Row = tuple[int, int, int]
 Matrix3 = tuple[Row, Row, Row]
@@ -65,12 +67,12 @@ def entries_from_tribonacci(n: int) -> Matrix3:
 
     Rows: (T(n+1), T(n), T(n-1)),
           (T(n)+T(n-1), T(n-1)+T(n-2), T(n-2)+T(n-3)),
-          (T(n), T(n-1), T(n-2)); negative indices use the reversed
-    recurrence, so n = 0 reproduces the identity matrix.
+          (T(n), T(n-1), T(n-2)), read from one range of T; T at
+    negative indices makes n = 0 reproduce the identity matrix.
     """
     if n < 0:
         raise ValueError(f"entry formula requires n >= 0, got {n}")
-    t = {k: tribonacci(k) for k in range(n - 3, n + 2)}
+    t = dict(seqcore.sequence_range(SequenceKind.TRIBONACCI, n - 3, n + 1))
     return (
         (t[n + 1], t[n], t[n - 1]),
         (t[n] + t[n - 1], t[n - 1] + t[n - 2], t[n - 2] + t[n - 3]),

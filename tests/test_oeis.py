@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import urllib.request
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,10 +11,12 @@ from tribokit.oeis import (
     BFileFetchError,
     BFileParseError,
     BFileStructureError,
+    FETCH_TIMEOUT_S,
     bundled_fixture_text,
     crosscheck,
     fetch_bfile,
     format_bfile,
+    http_transport,
     parse_bfile,
 )
 from tribokit.seqcore import SequenceKind, term
@@ -114,6 +118,44 @@ def test_crosscheck_reports_offset():
     report = crosscheck(SequenceKind.GENERALIZED_LUCAS, bfile, 2)
     assert report.offset_used == 3
     assert report.ok
+
+
+def test_crosscheck_steps_through_index_gaps():
+    sequence_id = OEIS_IDS[SequenceKind.TRIBONACCI]
+    rows = tuple((n, term(SequenceKind.TRIBONACCI, n)) for n in (-4, 0, 1, 9, 300))
+    report = crosscheck(SequenceKind.TRIBONACCI, BFile(sequence_id, rows), 10)
+    assert report.offset_used == -4
+    assert report.rows_compared == 5
+    assert report.ok
+
+
+def test_crosscheck_rejects_rows_out_of_order():
+    bfile = BFile("A001644", ((0, 3), (2, 3), (1, 1)))
+    with pytest.raises(BFileStructureError):
+        crosscheck(SequenceKind.GENERALIZED_LUCAS, bfile, 3)
+
+
+def test_http_transport_passes_a_timeout(monkeypatch):
+    seen = {}
+
+    class Response:
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def read(self):
+            return b"0 3\n"
+
+    def fake_urlopen(url, *args, **kwargs):
+        seen["url"], seen["timeout"] = url, kwargs.get("timeout")
+        return Response()
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    assert http_transport("https://example.invalid")("A001644") == "0 3\n"
+    assert seen == {"url": "https://example.invalid/A001644/b001644.txt", "timeout": FETCH_TIMEOUT_S}
+    assert 0 < FETCH_TIMEOUT_S < float("inf")
 
 
 def test_fetch_with_canned_transport():

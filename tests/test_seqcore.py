@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import time
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import oracle_c, oracle_s, oracle_t
 from tribokit.seqcore import (
@@ -17,6 +19,7 @@ from tribokit.seqcore import (
     term,
     tribonacci,
 )
+from tribokit.tribomatrix import mat_pow, minors_of, trace
 
 # frozen from the brute-force oracles in conftest
 T_FIRST = [0, 1, 1, 2, 4, 7, 13, 24, 44, 81, 149, 274, 504]
@@ -105,6 +108,43 @@ def test_c_even_matches_full_sequence():
     assert c_even(3) == 11
     for k in range(101):
         assert c_even(k) == c_seq(2 * k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(list(SequenceKind)),
+    n=st.integers(min_value=-10**4, max_value=10**4),
+)
+def test_ladder_matches_range_pass_and_matrix_power(kind, n):
+    value = term(kind, n)
+    assert sequence_range(kind, n - 5, n)[-1] == (n, value)
+    if n >= 0:
+        power = mat_pow(n)
+        by_matrix = {
+            SequenceKind.TRIBONACCI: power[0][1],
+            SequenceKind.GENERALIZED_LUCAS: trace(power),
+            SequenceKind.MINOR_SUM: minors_of(power).total,
+        }[kind]
+        assert value == by_matrix
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(min_value=-10**4, max_value=10**4), k=st.integers(min_value=0, max_value=10**4))
+def test_ladder_negation_and_even_index(n, k):
+    assert c_seq(n) == s_lucas(-n)
+    assert c_even(k) == c_seq(2 * k)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [lambda: s_lucas(10**5), lambda: c_from_t(10**5, CForm.SQUARE)],
+    ids=["term_S", "c_from_t_square"],
+)
+def test_single_values_at_1e5_within_a_second(evaluate):
+    start = time.perf_counter()
+    evaluate()
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"took {elapsed:.2f}s, budget 1.0s"
 
 
 def test_c_even_rejects_negative():
