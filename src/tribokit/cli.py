@@ -8,6 +8,9 @@ error, 3 a verification or crosscheck reported mismatches.
 
 Sequence values are arbitrary-precision integers; json and csv output
 renders them as decimal strings so nothing is ever truncated.
+Recurrence ranges (``eval --strategy recurrence`` and ``expand``) print
+from a decimal pass, linear in the digits of each row; the matrix and
+Binet strategies print their own values through str(int).
 """
 from __future__ import annotations
 
@@ -146,22 +149,24 @@ def _matrix_term(kind: SequenceKind, power: tribomatrix.Matrix3) -> int:
     return tribomatrix.minors_of(power).total
 
 
-def _eval_pairs(
+def _eval_texts(
     kind: SequenceKind, lo: int, hi: int, strategy: str, precision: int
-) -> list[tuple[int, int]]:
+) -> Callable[[], list[str]]:
+    """Check the request and run the matrix or Binet strategy; returns the
+    renderer of the value column, so format checks can run before it."""
     if lo > hi:
         raise CommandError(f"empty range: {lo} exceeds {hi}")
     if strategy == "recurrence":
-        return seqcore.sequence_range(kind, lo, hi)
+        return lambda: seqcore.range_text(kind, lo, hi)
     if strategy == "matrix":
         if lo < 0:
             raise CommandError("matrix strategy requires lo >= 0")
-        pairs = []
+        values = []
         power = tribomatrix.mat_pow(lo)
-        for n in range(lo, hi + 1):
-            pairs.append((n, _matrix_term(kind, power)))
+        for _ in range(lo, hi + 1):
+            values.append(_matrix_term(kind, power))
             power = tribomatrix.mat_mul(power, tribomatrix.tribomatrix())
-        return pairs
+        return lambda: [str(value) for value in values]
     if kind is SequenceKind.TRIBONACCI:
         raise CommandError("binet strategy applies to S and C only")
     cap = analytic.binet_index_cap(precision)
@@ -170,28 +175,34 @@ def _eval_pairs(
             f"binet strategy is certified only for |n| <= {cap} at precision {precision}"
         )
     roots = analytic.char_roots(precision)
-    return [(n, analytic.binet_round(kind, n, roots)) for n in range(lo, hi + 1)]
+    values = [analytic.binet_round(kind, n, roots) for n in range(lo, hi + 1)]
+    return lambda: [str(value) for value in values]
+
+
+def _table(fmt: str, header: str, texts: list[str], start: int = 0) -> str:
+    """``n value`` lines, or csv rows under ``header``, for consecutive
+    indices from ``start``.  The fields are integers, which csv never quotes."""
+    if fmt == "csv":
+        return header + "\n" + "".join(f"{n},{text}\n" for n, text in enumerate(texts, start))
+    return "\n".join(f"{n} {text}" for n, text in enumerate(texts, start))
 
 
 def cmd_eval(args: argparse.Namespace, config: CliConfig) -> int:
     kind = _kind(args.kind)
-    pairs = _eval_pairs(kind, args.lo, args.hi, args.strategy, config.precision)
+    render = _eval_texts(kind, args.lo, args.hi, args.strategy, config.precision)
     fmt = _format(args, config)
-    if fmt == "plain":
-        _emit("\n".join(f"{n} {value}" for n, value in pairs))
-    elif fmt == "bfile":
-        if args.lo < 0:
-            raise CommandError("bfile format requires lo >= 0")
-        _emit("\n".join(f"{n} {value}" for n, value in pairs))
-    elif fmt == "json":
+    if fmt == "bfile" and args.lo < 0:
+        raise CommandError("bfile format requires lo >= 0")
+    texts = render()
+    if fmt == "json":
         _emit(json.dumps({
             "command": "eval",
             "kind": kind.value,
             "strategy": args.strategy,
-            "values": [{"n": n, "value": str(value)} for n, value in pairs],
+            "values": [{"n": n, "value": text} for n, text in enumerate(texts, args.lo)],
         }))
     else:
-        _emit(_csv(["n", "value"], [[n, str(value)] for n, value in pairs]))
+        _emit(_table(fmt, "n,value", texts, args.lo))
     return EXIT_OK
 
 
@@ -275,23 +286,20 @@ def cmd_expand(args: argparse.Namespace, config: CliConfig) -> int:
             raise CommandError(str(exc)) from exc
     else:
         raise CommandError("expand needs a builtin name (S, C, CEven) or both --num and --den")
-    try:
-        coefficients = genfunc.expand(ogf, args.count)
-    except ValueError as exc:
-        raise CommandError(str(exc)) from exc
+    if args.count < 1:  # reported before a wrong format, and nothing is rendered until both pass
+        raise CommandError(f"count must be >= 1, got {args.count}")
     fmt = _format(args, config)
     _no_bfile(fmt, "expand")
-    if fmt == "plain":
-        _emit("\n".join(f"{n} {value}" for n, value in enumerate(coefficients)))
-    elif fmt == "json":
+    texts = genfunc.expand_text(ogf, args.count)
+    if fmt == "json":
         _emit(json.dumps({
             "command": "expand",
             "numerator": list(ogf.numerator),
             "denominator": list(ogf.denominator),
-            "coefficients": [str(value) for value in coefficients],
+            "coefficients": texts,
         }))
     else:
-        _emit(_csv(["n", "coefficient"], [[n, str(v)] for n, v in enumerate(coefficients)]))
+        _emit(_table(fmt, "n,coefficient", texts))
     return EXIT_OK
 
 

@@ -7,11 +7,16 @@ convolution
 
     a(n) = num(n) - sum_{k>=1} den(k) * a(n-k)
 
-entirely in exact integer arithmetic.
+entirely in exact integer arithmetic.  ``expand_text`` prints the
+expansion: past the seed window it runs that recurrence in decimal
+radix (``seqcore``'s range kernel), linear in the digits of each term.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+
+from . import seqcore
 
 
 def _trim(coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -83,3 +88,16 @@ def recurrence_of(ogf: RationalOGF) -> tuple[tuple[int, ...], tuple[int, ...]]:
     coeffs = tuple(-c for c in den[1:])
     seed_count = max(len(ogf.numerator), len(den) - 1)
     return coeffs, tuple(expand(ogf, seed_count))
+
+
+def expand_text(ogf: RationalOGF, count: int) -> list[str]:
+    """Decimal text of the first ``count`` coefficients, equal to str() of
+    each value of ``expand``: the head before the recurrence takes over
+    from ``expand``, the rest from one decimal pass."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    coeffs, seeds = recurrence_of(ogf)
+    head = len(seeds) - len(coeffs)
+    texts = [str(value) for value in seeds[:min(head, count)]]
+    texts.extend(islice(seqcore._text_terms(coeffs, seeds[head:]), count - len(texts)))
+    return texts

@@ -41,9 +41,12 @@ def _memo_sequence(
                 fwd.append(c1 * fwd[-1] + c2 * fwd[-2] + c3 * fwd[-3])
             return fwd[n]
         while len(bwd) < -n:
-            j = -len(bwd) - 1  # next index to fill, walking downward
-            above = [at(j + 1), at(j + 2), at(j + 3)]
-            bwd.append(c3 * (above[2] - c1 * above[1] - c2 * above[0]))
+            # The three terms above the next index, -len(bwd) - 1, read from
+            # the lists: calling ``at`` here would tie each memo into a
+            # reference cycle that only the cyclic garbage collector frees.
+            top = -len(bwd)
+            up1, up2, up3 = (fwd[i] if i >= 0 else bwd[-i - 1] for i in range(top, top + 3))
+            bwd.append(c3 * (up3 - c1 * up2 - c2 * up1))
         return bwd[-n - 1]
 
     return at

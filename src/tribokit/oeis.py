@@ -108,8 +108,7 @@ def format_bfile(kind: SequenceKind, lo: int, hi: int) -> str:
         raise ValueError(f"b-file indices must be >= 0, got lo={lo}")
     if lo > hi:
         raise ValueError(f"empty range: lo={lo} exceeds hi={hi}")
-    lines = [f"{n} {value}" for n, value in seqcore.sequence_range(kind, lo, hi)]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{n} {text}\n" for n, text in enumerate(seqcore.range_text(kind, lo, hi), lo))
 
 
 def crosscheck(kind: SequenceKind, bfile: BFile, max_rows: int) -> CrosscheckReport:

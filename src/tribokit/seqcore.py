@@ -13,12 +13,18 @@ Three integer sequences share the cubic x^3 - x^2 - x - 1:
 A single term a(n) needs only x^n modulo the recurrence's cubic: an
 O(log |n|) ladder of squarings (Fiduccia's method), at any integer n, as
 the trailing coefficients +-1 make x invertible.  A range runs the ladder
-once for its first terms, then one linear pass over its rows.  Every
-function is pure and exact, with no caching shared between calls.
+once for its first terms, then one linear pass over its rows.  A range
+that is to be printed runs that pass in decimal radix instead
+(``range_text``), so each row costs O(digits) to add and to print where
+CPython's int-to-str conversion is quadratic.  Every function is pure
+and exact, with no caching shared between calls.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
+import decimal
+import sys
+from collections.abc import Iterator, Sequence
+from decimal import Decimal
 from enum import Enum, unique
 from itertools import islice
 
@@ -119,14 +125,19 @@ def _dot(r: Coeffs, seeds: Coeffs) -> int:
     return r[0] * seeds[0] + r[1] * seeds[1] + r[2] * seeds[2]
 
 
+def _window(coeffs: Coeffs, seeds: Coeffs, lo: int) -> Coeffs:
+    """a(lo), a(lo+1), a(lo+2) from one ladder call and two shifts."""
+    r0 = _power(coeffs, lo)
+    r1 = _times_x(coeffs, r0)
+    return _dot(r0, seeds), _dot(r1, seeds), _dot(_times_x(coeffs, r1), seeds)
+
+
 def iter_terms(kind: SequenceKind, lo: int) -> Iterator[int]:
     """a(lo), a(lo+1), ... without end, in constant memory: one ladder call
     for the window a(lo), a(lo+1), a(lo+2), then one recurrence step a term."""
     coeffs, seeds = _RECURRENCES[kind]
     c1, c2, c3 = coeffs
-    r0 = _power(coeffs, lo)
-    r1 = _times_x(coeffs, r0)
-    a, b, c = _dot(r0, seeds), _dot(r1, seeds), _dot(_times_x(coeffs, r1), seeds)
+    a, b, c = _window(coeffs, seeds, lo)
     while True:
         yield a
         a, b, c = b, c, c1 * c + c2 * b + c3 * a
@@ -169,6 +180,59 @@ def sequence_range(kind: SequenceKind, lo: int, hi: int) -> list[tuple[int, int]
     if lo > hi:
         raise ValueError(f"empty range: lo={lo} exceeds hi={hi}")
     return list(zip(range(lo, hi + 1), islice(iter_terms(kind, lo), hi - lo + 1)))
+
+
+# Exact decimal arithmetic that reads no thread-local context: integer sums
+# and small multiples never round, and any inexact step would raise.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC, rounding=decimal.ROUND_HALF_EVEN,
+    Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow],
+)
+_STR_LIMIT_MESSAGE = (
+    "Exceeds the limit ({} digits) for integer string conversion; "
+    "use sys.set_int_max_str_digits() to increase the limit"
+)
+
+
+def _text_terms(coeffs: Sequence[int], window: Sequence[int]) -> Iterator[str]:
+    """Decimal text of the window values, then of each later term
+    a(n) = coeffs[0]*a(n-1) + ... + coeffs[d-1]*a(n-d), d = len(window), without end.
+
+    Window values go through str(int) one at a time, as they are asked for.
+    Later terms are summed in decimal radix, so a term costs O(digits) to
+    compute and to print.  Each obeys the digit limit str(int) obeys
+    (sys.get_int_max_str_digits, sign not counted) and fails with its message.
+    """
+    last = []
+    for value in window:
+        text = str(value)
+        yield text
+        last.append(Decimal(text))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before 3.10.7
+    add, subtract, multiply = _EXACT.add, _EXACT.subtract, _EXACT.multiply
+    steps = [(-k, c > 0, None if abs(c) == 1 else Decimal(abs(c)))
+             for k, c in enumerate(coeffs, start=1) if c]
+    zero = Decimal(0)
+    while True:
+        value = zero  # subtracting never yields -0 under ROUND_HALF_EVEN
+        for back, positive, scale in steps:
+            x = last[back] if scale is None else multiply(scale, last[back])
+            value = add(value, x) if positive else subtract(value, x)
+        if limit and value.adjusted() >= limit:
+            raise ValueError(_STR_LIMIT_MESSAGE.format(limit))
+        yield _EXACT.to_sci_string(value)
+        last.append(value)
+        del last[0]
+
+
+def range_text(kind: SequenceKind, lo: int, hi: int) -> list[str]:
+    """Decimal text of a(lo)..a(hi), equal to str() of each value of
+    ``sequence_range``: one ladder call, then one decimal pass."""
+    if lo > hi:
+        raise ValueError(f"empty range: lo={lo} exceeds hi={hi}")
+    coeffs, seeds = _RECURRENCES[kind]
+    return list(islice(_text_terms(coeffs, _window(coeffs, seeds, lo)), hi - lo + 1))
 
 
 def s_from_t(n: int, form: SForm) -> int:

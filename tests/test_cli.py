@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -56,6 +57,24 @@ def test_eval_bfile_rejects_negative_lo(capsys):
     code, _, err = run(capsys, "eval", "C", "-1", "3", "--format", "bfile")
     assert code == 2
     assert "bfile" in err
+
+
+def test_eval_format_checks_come_before_rendering(capsys):
+    # T(-40000) has more digits than str(int) may print
+    code, out, err = run(capsys, "eval", "--format", "bfile", "T", "--", "-40000", "-39990")
+    assert (code, out) == (2, "")
+    assert err == "tribokit: bfile format requires lo >= 0\n"
+
+
+def test_eval_csv_of_16001_rows_within_a_second(capsys):
+    start = time.perf_counter()
+    code = cli.main(["eval", "--format", "csv", "T", "0", "16000"])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 0
+    assert elapsed < 1.0, f"took {elapsed:.2f}s, budget 1.0s"
+    assert out.count("\n") == 16002
+    assert out.startswith("n,value\n0,0\n1,1\n2,1\n3,2\n")
 
 
 def test_eval_matrix_strategy(capsys):
@@ -138,6 +157,19 @@ def test_expand_custom(capsys):
     code, out, _ = run(capsys, "expand", "--num", "3,2,3", "--den", "1,1,3,-1", "4")
     assert code == 0
     assert out.splitlines() == ["0 3", "1 -1", "2 -5", "3 11"]
+
+
+def test_expand_format_checks_come_before_rendering(capsys):
+    # S(17000) has more digits than str(int) may print
+    code, out, err = run(capsys, "expand", "--format", "bfile", "S", "17000")
+    assert (code, out) == (2, "")
+    assert err == "tribokit: bfile format does not apply to expand\n"
+
+
+def test_expand_csv(capsys):
+    code, out, _ = run(capsys, "expand", "--format", "csv", "--num", "1", "--den", "1,-3", "4")
+    assert code == 0
+    assert out == "n,coefficient\n0,1\n1,3\n2,9\n3,27\n"
 
 
 def test_expand_rejects_bad_denominator(capsys):

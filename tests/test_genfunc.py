@@ -1,9 +1,9 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from tribokit.genfunc import RationalOGF, builtin_ogf, expand, recurrence_of
+from tribokit.genfunc import RationalOGF, builtin_ogf, expand, expand_text, recurrence_of
 from tribokit.seqcore import SequenceKind, c_even, sequence_range
 
 
@@ -106,3 +106,27 @@ def test_recurrence_of_high_degree_numerator():
     assert coeffs == (1,)
     assert len(seeds) == 5
     assert seeds == tuple(expand(ogf, 5))
+
+
+@pytest.mark.parametrize("name", ["S", "C", "CEven"])
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 400])
+def test_expand_text_of_builtins_is_str_of_expand(name, count):
+    ogf = builtin_ogf(name)
+    assert expand_text(ogf, count) == [str(value) for value in expand(ogf, count)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    num=st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=8),
+    den_tail=st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=5).filter(any),
+    count=st.integers(min_value=1, max_value=60),
+)
+def test_expand_text_is_str_of_expand(num, den_tail, count):
+    # coefficients past +-1 and zeros; counts inside and past the seed window
+    ogf = RationalOGF(tuple(num), (1, *den_tail))
+    assert expand_text(ogf, count) == [str(value) for value in expand(ogf, count)]
+
+
+def test_expand_text_count_validation():
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        expand_text(builtin_ogf("S"), 0)

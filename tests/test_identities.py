@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from tribokit.identities import (
@@ -59,6 +62,20 @@ def test_backend_memoization_is_bi_infinite():
     assert backend.c(-2) == 3
     assert backend.s(40) == s_lucas(40)
     assert backend.c(-40) == c_seq(-40)
+
+
+def test_backend_memo_is_freed_without_the_garbage_collector():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        backend = SequenceBackend.default()
+        assert all(report.ok for report in verify_all((-20, 20), backend=backend))
+        memos = [weakref.ref(backend.t), weakref.ref(backend.s), weakref.ref(backend.c)]
+        del backend
+        assert [memo() for memo in memos] == [None, None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_verify_cn2():

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import decimal
+import sys
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import oracle_c, oracle_s, oracle_t
 from tribokit.seqcore import (
@@ -13,6 +15,7 @@ from tribokit.seqcore import (
     c_even,
     c_from_t,
     c_seq,
+    range_text,
     s_from_t,
     s_lucas,
     sequence_range,
@@ -101,6 +104,85 @@ def test_sequence_range_matches_single_terms(kind, lo, width):
     pairs = sequence_range(kind, lo, lo + width)
     assert [n for n, _ in pairs] == list(range(lo, lo + width + 1))
     assert all(value == term(kind, n) for n, value in pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(list(SequenceKind)),
+    lo=st.integers(min_value=-400, max_value=400),
+    width=st.integers(min_value=0, max_value=60),
+)
+@example(kind=SequenceKind.TRIBONACCI, lo=-6, width=8)  # zero rows T(-4), T(-1), T(0)
+@example(kind=SequenceKind.MINOR_SUM, lo=-300, width=0)
+def test_range_text_is_str_of_the_range_pass(kind, lo, width):
+    expected = [str(value) for _, value in sequence_range(kind, lo, lo + width)]
+    assert range_text(kind, lo, lo + width) == expected
+
+
+def test_range_text_rejects_empty():
+    with pytest.raises(ValueError, match="empty range"):
+        range_text(SequenceKind.TRIBONACCI, 1, 0)
+
+
+def _str_error(value: int) -> str:
+    with pytest.raises(ValueError) as info:
+        str(value)
+    return str(info.value)
+
+
+# |a(n)| passes 4300 digits near n = 16250 for T and S and near n = 32490
+# for C.  Each range starts below the limit, so its first row past the
+# limit is summed in decimal, not converted by str(int).
+LIMIT_CROSSINGS = [
+    (SequenceKind.TRIBONACCI, 16230, 16270),
+    (SequenceKind.GENERALIZED_LUCAS, 16230, 16270),
+    (SequenceKind.MINOR_SUM, 32470, 32560),
+]
+needs_digit_limit = pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+    reason="needs the default 4300-digit int-to-str limit",
+)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("kind, lo, hi", LIMIT_CROSSINGS, ids=["T", "S", "C"])
+def test_range_text_fails_past_the_digit_limit_as_str_does(kind, lo, hi):
+    values = [value for _, value in sequence_range(kind, lo, hi)]
+    assert all(len(str(abs(value))) <= 4300 for value in values[:3])
+    with pytest.raises(ValueError) as info:
+        range_text(kind, lo, hi)
+    assert str(info.value) == _str_error(values[-1])
+
+
+@needs_digit_limit
+def test_range_text_does_not_count_the_sign_against_the_limit():
+    # C(32488) is negative with exactly 4300 digits, the longest row here
+    values = [value for _, value in sequence_range(SequenceKind.MINOR_SUM, 32470, 32488)]
+    assert values[-1] < 0 and len(str(values[-1])) == 4301
+    assert range_text(SequenceKind.MINOR_SUM, 32470, 32488) == [str(value) for value in values]
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("kind, lo, hi", LIMIT_CROSSINGS, ids=["T", "S", "C"])
+def test_range_text_under_a_raised_limit_is_str(kind, lo, hi):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        expected = [str(value) for _, value in sequence_range(kind, lo, hi)]
+        assert range_text(kind, lo, hi) == expected
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_range_text_ignores_and_keeps_the_callers_decimal_context():
+    kind = SequenceKind.GENERALIZED_LUCAS
+    with decimal.localcontext() as context:
+        context.prec = 5
+        before = (context.prec, context.rounding, dict(context.flags), dict(context.traps))
+        texts = range_text(kind, -200, 200)
+        assert decimal.getcontext() is context
+        assert (context.prec, context.rounding, dict(context.flags), dict(context.traps)) == before
+    assert texts == [str(value) for _, value in sequence_range(kind, -200, 200)]
 
 
 def test_c_even_matches_full_sequence():
