@@ -14,10 +14,13 @@ identities hold by construction up to rounding.
 Precision is a decimal digit count (>= 15).  All arithmetic runs under
 an mpmath working precision with guard digits; because the working
 precision is a process-global context, callers that mix precisions
-across threads should serialize calls.
+across threads should serialize calls.  The power terms of the last
+Binet evaluation are kept in a one-entry cache keyed by kind, index and
+roots, so the value and the error bound of one rounding share them.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -81,12 +84,11 @@ def char_roots(precision: int) -> RootSet:
             else:
                 break
             nxt = x - fx / _poly_deriv(x)
-            if not lo < nxt < hi:
-                nxt = (lo + hi) / 2
-            done = abs(nxt - x) <= tol
-            x = nxt
-            if done:
+            if abs(nxt - x) <= tol:
+                # Converged; a step this small may sit on the bracket end x.
+                x = nxt
                 break
+            x = nxt if lo < nxt < hi else (lo + hi) / 2
         else:
             raise RuntimeError(
                 f"Newton iteration did not converge within {_NEWTON_MAX_ITER} steps"
@@ -100,8 +102,10 @@ def char_roots(precision: int) -> RootSet:
 
 
 def vieta_check(roots: RootSet) -> VietaResiduals:
-    """Residuals of the three Vieta identities (sum 1, pairs -1, product 1)."""
-    with mpmath.workdps(roots.precision + _GUARD_DIGITS):
+    """Residuals of the three Vieta identities (sum 1, pairs -1, product 1),
+    with twice the roots' guard digits, so they measure the roots and not
+    the rounding of the check itself."""
+    with mpmath.workdps(roots.precision + 2 * _GUARD_DIGITS):
         a, b, g = roots.alpha, roots.beta, roots.gamma
         return VietaResiduals(
             sum_res=float(abs(a + b + g - 1)),
@@ -124,6 +128,14 @@ def _power_terms_c(n: int, roots: RootSet) -> tuple[Any, Any, Any]:
     return (a * b) ** n, (a * g) ** n, (b * g) ** n
 
 
+@functools.lru_cache(maxsize=1)
+def _powers(terms: Callable[[int, RootSet], tuple], n: int, roots: RootSet) -> tuple:
+    """terms(n, roots); the last call is kept, so ``binet_round`` computes
+    its power terms once for the value and the bound."""
+    with mpmath.workdps(roots.precision + _GUARD_DIGITS):
+        return terms(n, roots)
+
+
 def _binet_value(n: int, roots: RootSet, terms: Callable[[int, RootSet], tuple]) -> Any:
     cap = binet_index_cap(roots.precision)
     if abs(n) > cap:
@@ -133,7 +145,7 @@ def _binet_value(n: int, roots: RootSet, terms: Callable[[int, RootSet], tuple])
         )
     with mpmath.workdps(roots.precision + _GUARD_DIGITS):
         total = mpmath.mpc(0)
-        for t in terms(n, roots):
+        for t in _powers(terms, n, roots):
             total += t
         real, imag = total.real, abs(total.imag)
         if imag > mpmath.mpf("1e-6") * max(1, abs(real)):
@@ -162,7 +174,7 @@ def binet_error_bound(kind: SequenceKind, n: int, roots: RootSet) -> float:
     """
     terms = _terms_for(kind)
     with mpmath.workdps(roots.precision + _GUARD_DIGITS):
-        magnitude = sum(abs(t) for t in terms(n, roots))
+        magnitude = sum(abs(t) for t in _powers(terms, n, roots))
         bound = magnitude * (abs(n) + 1) * _BOUND_SAFETY * mpmath.mpf(10) ** (-roots.precision)
         return float(bound)
 

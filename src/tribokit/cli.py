@@ -141,14 +141,6 @@ def _no_bfile(fmt: str, command: str) -> None:
 
 # ---------------------------------------------------------------- eval
 
-def _matrix_term(kind: SequenceKind, power: tribomatrix.Matrix3) -> int:
-    if kind is SequenceKind.TRIBONACCI:
-        return power[0][1]
-    if kind is SequenceKind.GENERALIZED_LUCAS:
-        return tribomatrix.trace(power)
-    return tribomatrix.minors_of(power).total
-
-
 def _eval_texts(
     kind: SequenceKind, lo: int, hi: int, strategy: str, precision: int
 ) -> Callable[[], list[str]]:
@@ -164,7 +156,7 @@ def _eval_texts(
         values = []
         power = tribomatrix.mat_pow(lo)
         for _ in range(lo, hi + 1):
-            values.append(_matrix_term(kind, power))
+            values.append(tribomatrix.term_of(kind, power))
             power = tribomatrix.mat_mul(power, tribomatrix.tribomatrix())
         return lambda: [str(value) for value in values]
     if kind is SequenceKind.TRIBONACCI:
@@ -488,15 +480,10 @@ def bench_strategies(
             best = elapsed if best is None else min(best, elapsed)
         return best, value
 
-    if kind is SequenceKind.GENERALIZED_LUCAS:
-        matrix_fn = lambda: tribomatrix.trace_pow(n)
-    else:
-        matrix_fn = lambda: tribomatrix.minor_sum(n).total
-
     rows: list[dict[str, Any]] = []
     rec_seconds, rec_value = best_of(lambda: seqcore.term(kind, n))
     rows.append({"strategy": "recurrence", "seconds": rec_seconds, "value": rec_value})
-    mat_seconds, mat_value = best_of(matrix_fn)
+    mat_seconds, mat_value = best_of(lambda: tribomatrix.term_of(kind, tribomatrix.mat_pow(n)))
     rows.append({"strategy": "matrix", "seconds": mat_seconds, "value": mat_value})
 
     roots = analytic.char_roots(precision)

@@ -8,48 +8,22 @@ or refuted with concrete counterexamples.  Nothing is ever compared in
 floating point.
 
 Records evaluate through a SequenceBackend, a triple of pure
-int -> int functions for T, S and C.  The default backend runs the
-canonical seeds with per-backend memoization; alternative seeds can be
-injected to prove the checks are actually sensitive to faults.
+int -> int functions for T, S and C.  The default backend memoizes
+``seqcore.RECURRENCES`` per backend; alternative seeds on the same
+recurrences can be injected to prove the checks are actually sensitive
+to faults.  The S_T_FORMS and C_T_FORMS records sweep every entry of
+``seqcore.T_FORMS``, the formulas ``s_from_t`` and ``c_from_t`` run.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
+
+from .seqcore import RECURRENCES, T_FORMS, CForm, SequenceKind, SForm
 
 Bounds = tuple[int, int]
 Counterexample = tuple[tuple[int, ...], int, int]
-
-_CANONICAL_SEEDS = {
-    "t": ((1, 1, 1), (0, 1, 1)),
-    "s": ((1, 1, 1), (3, 1, 3)),
-    "c": ((-1, -1, 1), (3, -1, -1)),
-}
-
-
-def _memo_sequence(
-    coeffs: tuple[int, int, int], seeds: tuple[int, int, int]
-) -> Callable[[int], int]:
-    """Bi-infinite order-3 recurrence with extend-on-demand caching."""
-    c1, c2, c3 = coeffs
-    fwd: list[int] = list(seeds)
-    bwd: list[int] = []  # bwd[k] holds the term at index -(k+1)
-
-    def at(n: int) -> int:
-        if n >= 0:
-            while len(fwd) <= n:
-                fwd.append(c1 * fwd[-1] + c2 * fwd[-2] + c3 * fwd[-3])
-            return fwd[n]
-        while len(bwd) < -n:
-            # The three terms above the next index, -len(bwd) - 1, read from
-            # the lists: calling ``at`` here would tie each memo into a
-            # reference cycle that only the cyclic garbage collector frees.
-            top = -len(bwd)
-            up1, up2, up3 = (fwd[i] if i >= 0 else bwd[-i - 1] for i in range(top, top + 3))
-            bwd.append(c3 * (up3 - c1 * up2 - c2 * up1))
-        return bwd[-n - 1]
-
-    return at
+Seeds = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -63,16 +37,16 @@ class SequenceBackend:
     @classmethod
     def with_seeds(
         cls,
-        t_seeds: tuple[int, int, int] = (0, 1, 1),
-        s_seeds: tuple[int, int, int] = (3, 1, 3),
-        c_seeds: tuple[int, int, int] = (3, -1, -1),
+        t_seeds: Seeds | None = None,
+        s_seeds: Seeds | None = None,
+        c_seeds: Seeds | None = None,
     ) -> "SequenceBackend":
-        """Backend over possibly mutated seed triples (fault injection)."""
-        return cls(
-            t=_memo_sequence(_CANONICAL_SEEDS["t"][0], t_seeds),
-            s=_memo_sequence(_CANONICAL_SEEDS["s"][0], s_seeds),
-            c=_memo_sequence(_CANONICAL_SEEDS["c"][0], c_seeds),
-        )
+        """Backend over possibly mutated seed triples (fault injection);
+        a triple left out keeps its sequence's own seeds."""
+        return cls(*(  # SequenceKind lists T, S, C in this order
+            replace(RECURRENCES[kind], seeds=seeds or RECURRENCES[kind].seeds).memo()
+            for kind, seeds in zip(SequenceKind, (t_seeds, s_seeds, c_seeds))
+        ))
 
     @classmethod
     def default(cls) -> "SequenceBackend":
@@ -106,38 +80,12 @@ def registry(backend: SequenceBackend | None = None) -> list[IdentityRecord]:
     b = backend if backend is not None else SequenceBackend.default()
     t, s, c = b.t, b.s, b.c
 
-    def s_minor(n: int) -> int:
-        return t(n) + 2 * t(n - 1) + 3 * t(n - 2)
-
-    def s_ogf(n: int) -> int:
-        return 3 * t(n + 1) - 2 * t(n) - t(n - 1)
-
-    def c_minor_expansion(n: int) -> int:
-        return (
-            2 * t(n + 1) * t(n - 2)
-            + t(n + 1) * t(n - 1)
-            - t(n) ** 2
-            - 2 * t(n) * t(n - 1)
-            - t(n - 1) * t(n - 3)
-            + t(n - 2) ** 2
-        )
-
-    def c_square(n: int) -> int:
-        return (
-            -t(n) ** 2
-            + 2 * t(n - 1) ** 2
-            + 3 * t(n - 2) ** 2
-            - 2 * t(n) * t(n - 1)
-            + 2 * t(n) * t(n - 2)
-            + 4 * t(n - 1) * t(n - 2)
-        )
-
     def s_forms_residual(n: int) -> int:
-        # zero exactly when both linear T-forms reproduce S(n)
-        return (s_minor(n) - s(n)) ** 2 + (s_ogf(n) - s(n)) ** 2
+        # zero exactly when every linear T-form reproduces S(n)
+        return sum((T_FORMS[form](t, n) - s(n)) ** 2 for form in SForm)
 
     def c_forms_residual(n: int) -> int:
-        return (c_minor_expansion(n) - c(n)) ** 2 + (c_square(n) - c(n)) ** 2
+        return sum((T_FORMS[form](t, n) - c(n)) ** 2 for form in CForm)
 
     return [
         IdentityRecord(

@@ -10,6 +10,11 @@ Three integer sequences share the cubic x^3 - x^2 - x - 1:
   C(n) = -C(n-1) - C(n-2) + C(n-3).  C(n) is the power sum of the
   pairwise root products.
 
+``RECURRENCES`` holds each sequence once, as a ``Recurrence`` of
+coefficients and seeds, which the identity sweeps also memoize (fault
+injection swaps the seeds).  ``T_FORMS`` holds the T-forms of S and C
+once, for ``s_from_t``, ``c_from_t`` and the identity catalogue.
+
 A single term a(n) needs only x^n modulo the recurrence's cubic: an
 O(log |n|) ladder of squarings (Fiduccia's method), at any integer n, as
 the trailing coefficients +-1 make x invertible.  A range runs the ladder
@@ -23,7 +28,8 @@ from __future__ import annotations
 
 import decimal
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum, unique
 from itertools import islice
@@ -75,19 +81,6 @@ class CForm(Enum):
 
 Coeffs = tuple[int, int, int]
 
-# (c1, c2, c3) with a(n) = c1*a(n-1) + c2*a(n-2) + c3*a(n-3), and the
-# seed triple (a(0), a(1), a(2)).  |c3| = 1 keeps the reverse direction
-# integral.
-_RECURRENCES: dict[SequenceKind, tuple[Coeffs, Coeffs]] = {
-    SequenceKind.TRIBONACCI: ((1, 1, 1), (0, 1, 1)),
-    SequenceKind.GENERALIZED_LUCAS: ((1, 1, 1), (3, 1, 3)),
-    SequenceKind.MINOR_SUM: ((-1, -1, 1), (3, -1, -1)),
-}
-
-# C(2k) satisfies an order-3 recurrence of its own in the half index k.
-_EVEN_COEFFS = (-1, -3, 1)
-_EVEN_SEEDS = (3, -1, -5)
-
 
 def _square(coeffs: Coeffs, r: Coeffs) -> Coeffs:
     """r(x)^2 mod x^3 - c1*x^2 - c2*x - c3: six big products, then a fold."""
@@ -125,22 +118,87 @@ def _dot(r: Coeffs, seeds: Coeffs) -> int:
     return r[0] * seeds[0] + r[1] * seeds[1] + r[2] * seeds[2]
 
 
-def _window(coeffs: Coeffs, seeds: Coeffs, lo: int) -> Coeffs:
-    """a(lo), a(lo+1), a(lo+2) from one ladder call and two shifts."""
-    r0 = _power(coeffs, lo)
-    r1 = _times_x(coeffs, r0)
-    return _dot(r0, seeds), _dot(r1, seeds), _dot(_times_x(coeffs, r1), seeds)
+@dataclass(frozen=True)
+class Recurrence:
+    """a(n) = c1*a(n-1) + c2*a(n-2) + c3*a(n-3) for coeffs (c1, c2, c3), from
+    seeds (a(0), a(1), a(2)).  |c3| = 1 keeps the reverse direction integral."""
+
+    coeffs: Coeffs
+    seeds: Coeffs
+
+    def at(self, n: int) -> int:
+        """a(n) at any integer n from one ladder call."""
+        return _dot(_power(self.coeffs, n), self.seeds)
+
+    def window(self, lo: int) -> Coeffs:
+        """a(lo), a(lo+1), a(lo+2) from one ladder call and two shifts."""
+        r0 = _power(self.coeffs, lo)
+        r1 = _times_x(self.coeffs, r0)
+        r2 = _times_x(self.coeffs, r1)
+        return _dot(r0, self.seeds), _dot(r1, self.seeds), _dot(r2, self.seeds)
+
+    def terms(self, lo: int) -> Iterator[int]:
+        """a(lo), a(lo+1), ... without end, in constant memory: one ladder
+        call for the window, then one recurrence step a term."""
+        c1, c2, c3 = self.coeffs
+        a, b, c = self.window(lo)
+        while True:
+            yield a
+            a, b, c = b, c, c1 * c + c2 * b + c3 * a
+
+    def memo(self) -> Callable[[int], int]:
+        """Bi-infinite evaluator with extend-on-demand caching."""
+        c1, c2, c3 = self.coeffs
+        fwd: list[int] = list(self.seeds)
+        bwd: list[int] = []  # bwd[k] holds the term at index -(k+1)
+
+        def at(n: int) -> int:
+            if n >= 0:
+                while len(fwd) <= n:
+                    fwd.append(c1 * fwd[-1] + c2 * fwd[-2] + c3 * fwd[-3])
+                return fwd[n]
+            while len(bwd) < -n:
+                # The three terms above the next index, -len(bwd) - 1, read from
+                # the lists: calling ``at`` here would tie each memo into a
+                # reference cycle that only the cyclic garbage collector frees.
+                top = -len(bwd)
+                up1, up2, up3 = (fwd[i] if i >= 0 else bwd[-i - 1] for i in range(top, top + 3))
+                bwd.append(c3 * (up3 - c1 * up2 - c2 * up1))
+            return bwd[-n - 1]
+
+        return at
+
+
+# The one recurrence table of the package.
+RECURRENCES: dict[SequenceKind, Recurrence] = {
+    SequenceKind.TRIBONACCI: Recurrence((1, 1, 1), (0, 1, 1)),
+    SequenceKind.GENERALIZED_LUCAS: Recurrence((1, 1, 1), (3, 1, 3)),
+    SequenceKind.MINOR_SUM: Recurrence((-1, -1, 1), (3, -1, -1)),
+}
+
+# C(2k) satisfies an order-3 recurrence of its own in the half index k.
+_C_EVEN = Recurrence((-1, -3, 1), (3, -1, -5))
+
+# S(n) and C(n) as combinations of T values, each a function of (t, n)
+# where t(k) is T(k): the paper's T-forms, read by s_from_t, c_from_t and
+# the S_T_FORMS / C_T_FORMS identity sweeps.
+T_FORMS: dict[SForm | CForm, Callable[[Callable[[int], int], int], int]] = {
+    SForm.MINOR: lambda t, n: t(n) + 2 * t(n - 1) + 3 * t(n - 2),
+    SForm.OGF: lambda t, n: 3 * t(n + 1) - 2 * t(n) - t(n - 1),
+    CForm.MINOR_EXPANSION: lambda t, n: (
+        2 * t(n + 1) * t(n - 2) + t(n + 1) * t(n - 1) - t(n) ** 2
+        - 2 * t(n) * t(n - 1) - t(n - 1) * t(n - 3) + t(n - 2) ** 2
+    ),
+    CForm.SQUARE: lambda t, n: (
+        -t(n) ** 2 + 2 * t(n - 1) ** 2 + 3 * t(n - 2) ** 2
+        - 2 * t(n) * t(n - 1) + 2 * t(n) * t(n - 2) + 4 * t(n - 1) * t(n - 2)
+    ),
+}
 
 
 def iter_terms(kind: SequenceKind, lo: int) -> Iterator[int]:
-    """a(lo), a(lo+1), ... without end, in constant memory: one ladder call
-    for the window a(lo), a(lo+1), a(lo+2), then one recurrence step a term."""
-    coeffs, seeds = _RECURRENCES[kind]
-    c1, c2, c3 = coeffs
-    a, b, c = _window(coeffs, seeds, lo)
-    while True:
-        yield a
-        a, b, c = b, c, c1 * c + c2 * b + c3 * a
+    """a(lo), a(lo+1), ... without end (``Recurrence.terms``)."""
+    return RECURRENCES[kind].terms(lo)
 
 
 def tribonacci(n: int) -> int:
@@ -166,13 +224,12 @@ def c_even(k: int) -> int:
     """
     if k < 0:
         raise ValueError(f"half index must be >= 0, got {k}")
-    return _dot(_power(_EVEN_COEFFS, k), _EVEN_SEEDS)
+    return _C_EVEN.at(k)
 
 
 def term(kind: SequenceKind, n: int) -> int:
     """Single term of the selected sequence at any integer index."""
-    coeffs, seeds = _RECURRENCES[kind]
-    return _dot(_power(coeffs, n), seeds)
+    return RECURRENCES[kind].at(n)
 
 
 def sequence_range(kind: SequenceKind, lo: int, hi: int) -> list[tuple[int, int]]:
@@ -180,6 +237,11 @@ def sequence_range(kind: SequenceKind, lo: int, hi: int) -> list[tuple[int, int]
     if lo > hi:
         raise ValueError(f"empty range: lo={lo} exceeds hi={hi}")
     return list(zip(range(lo, hi + 1), islice(iter_terms(kind, lo), hi - lo + 1)))
+
+
+def tribonacci_window(n: int) -> Callable[[int], int]:
+    """k -> T(k) for k in n-3..n+1, read from one range pass."""
+    return dict(sequence_range(SequenceKind.TRIBONACCI, n - 3, n + 1)).__getitem__
 
 
 # Exact decimal arithmetic that reads no thread-local context: integer sums
@@ -231,39 +293,15 @@ def range_text(kind: SequenceKind, lo: int, hi: int) -> list[str]:
     ``sequence_range``: one ladder call, then one decimal pass."""
     if lo > hi:
         raise ValueError(f"empty range: lo={lo} exceeds hi={hi}")
-    coeffs, seeds = _RECURRENCES[kind]
-    return list(islice(_text_terms(coeffs, _window(coeffs, seeds, lo)), hi - lo + 1))
+    recurrence = RECURRENCES[kind]
+    return list(islice(_text_terms(recurrence.coeffs, recurrence.window(lo)), hi - lo + 1))
 
 
 def s_from_t(n: int, form: SForm) -> int:
     """S(n) as a linear combination of Tribonacci numbers."""
-    t = dict(sequence_range(SequenceKind.TRIBONACCI, n - 3, n + 1))
-    if form is SForm.MINOR:
-        return t[n] + 2 * t[n - 1] + 3 * t[n - 2]
-    if form is SForm.OGF:
-        return 3 * t[n + 1] - 2 * t[n] - t[n - 1]
-    raise ValueError(f"unknown S form: {form!r}")
+    return T_FORMS[SForm(form)](tribonacci_window(n), n)
 
 
 def c_from_t(n: int, form: CForm) -> int:
     """C(n) as a quadratic combination of Tribonacci numbers."""
-    t = dict(sequence_range(SequenceKind.TRIBONACCI, n - 3, n + 1))
-    if form is CForm.MINOR_EXPANSION:
-        return (
-            2 * t[n + 1] * t[n - 2]
-            + t[n + 1] * t[n - 1]
-            - t[n] ** 2
-            - 2 * t[n] * t[n - 1]
-            - t[n - 1] * t[n - 3]
-            + t[n - 2] ** 2
-        )
-    if form is CForm.SQUARE:
-        return (
-            -t[n] ** 2
-            + 2 * t[n - 1] ** 2
-            + 3 * t[n - 2] ** 2
-            - 2 * t[n] * t[n - 1]
-            + 2 * t[n] * t[n - 2]
-            + 4 * t[n - 1] * t[n - 2]
-        )
-    raise ValueError(f"unknown C form: {form!r}")
+    return T_FORMS[CForm(form)](tribonacci_window(n), n)

@@ -67,16 +67,16 @@ def entries_from_tribonacci(n: int) -> Matrix3:
 
     Rows: (T(n+1), T(n), T(n-1)),
           (T(n)+T(n-1), T(n-1)+T(n-2), T(n-2)+T(n-3)),
-          (T(n), T(n-1), T(n-2)), read from one range of T; T at
+          (T(n), T(n-1), T(n-2)), read from one window of T; T at
     negative indices makes n = 0 reproduce the identity matrix.
     """
     if n < 0:
         raise ValueError(f"entry formula requires n >= 0, got {n}")
-    t = dict(seqcore.sequence_range(SequenceKind.TRIBONACCI, n - 3, n + 1))
+    t = seqcore.tribonacci_window(n)
     return (
-        (t[n + 1], t[n], t[n - 1]),
-        (t[n] + t[n - 1], t[n - 1] + t[n - 2], t[n - 2] + t[n - 3]),
-        (t[n], t[n - 1], t[n - 2]),
+        (t(n + 1), t(n), t(n - 1)),
+        (t(n) + t(n - 1), t(n - 1) + t(n - 2), t(n - 2) + t(n - 3)),
+        (t(n), t(n - 1), t(n - 2)),
     )
 
 
@@ -119,3 +119,12 @@ def minors_of(m: Matrix3) -> MinorSumReport:
 def minor_sum(n: int) -> MinorSumReport:
     """Principal 2x2 minors of A^n; their sum equals C(n)."""
     return minors_of(mat_pow(n))
+
+
+def term_of(kind: SequenceKind, power: Matrix3) -> int:
+    """T(n), S(n) or C(n) read off power = A^n: an entry, the trace, the minor sum."""
+    if kind is SequenceKind.TRIBONACCI:
+        return power[0][1]
+    if kind is SequenceKind.GENERALIZED_LUCAS:
+        return trace(power)
+    return minors_of(power).total

@@ -37,6 +37,16 @@ def test_rejects_low_precision():
         char_roots(14)
 
 
+@pytest.mark.parametrize("precision", [*range(15, 401), 1500])
+def test_newton_converges_at_every_precision(precision):
+    # a converged Newton step lands on the bracket end it started from; it
+    # must end the iteration, not send the root back to bisection
+    roots = char_roots(precision)
+    with mpmath.workdps(precision + 10):
+        cubic = roots.alpha**3 - roots.alpha**2 - roots.alpha - 1
+        assert abs(cubic) < mpmath.mpf(10) ** (2 - precision)
+
+
 def test_alpha_digits():
     roots = char_roots(15)
     oracle = _alpha_by_bisection()
@@ -153,3 +163,22 @@ def test_bound_certifies_rounding_at_the_cap():
     roots = char_roots(30)
     assert binet_round(SequenceKind.GENERALIZED_LUCAS, 60, roots) == s_lucas(60)
     assert binet_round(SequenceKind.MINOR_SUM, -60, roots) == c_seq(-60)
+
+
+@pytest.mark.parametrize("kind,terms", [
+    (SequenceKind.GENERALIZED_LUCAS, "_power_terms_s"),
+    (SequenceKind.MINOR_SUM, "_power_terms_c"),
+])
+def test_binet_round_computes_its_power_terms_once(monkeypatch, kind, terms):
+    calls = []
+    original = getattr(analytic, terms)
+
+    def counted(n, roots):
+        calls.append(n)
+        return original(n, roots)
+
+    monkeypatch.setattr(analytic, terms, counted)
+    roots = char_roots(40)
+    expected = s_lucas(57) if kind is SequenceKind.GENERALIZED_LUCAS else c_seq(57)
+    assert binet_round(kind, 57, roots) == expected
+    assert calls == [57]

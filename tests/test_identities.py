@@ -12,7 +12,8 @@ from tribokit.identities import (
     verify,
     verify_all,
 )
-from tribokit.seqcore import c_seq, s_lucas
+from tribokit import seqcore
+from tribokit.seqcore import CForm, SequenceKind, SForm, c_seq, s_lucas, term
 
 EXPECTED_NAMES = [
     "REC_C", "REC_CEVEN", "PROD_GE", "PROD_LT", "CONS_1", "CONS_2", "CONS_3",
@@ -62,6 +63,8 @@ def test_backend_memoization_is_bi_infinite():
     assert backend.c(-2) == 3
     assert backend.s(40) == s_lucas(40)
     assert backend.c(-40) == c_seq(-40)
+    for kind, memo in zip(SequenceKind, (backend.t, backend.s, backend.c)):
+        assert [memo(n) for n in range(-50, 51)] == [term(kind, n) for n in range(-50, 51)]
 
 
 def test_backend_memo_is_freed_without_the_garbage_collector():
@@ -184,3 +187,20 @@ def test_faulty_backend_still_satisfies_its_own_recurrence():
     backend = SequenceBackend.with_seeds(c_seeds=(3, 1, -1))
     assert verify("REC_C", (0, 30), backend=backend).ok
     assert not verify_all((0, 30), backend=backend)[11].ok  # CN2
+
+
+@pytest.mark.parametrize("form,record", [
+    (SForm.MINOR, "S_T_FORMS"),
+    (SForm.OGF, "S_T_FORMS"),
+    (CForm.MINOR_EXPANSION, "C_T_FORMS"),
+    (CForm.SQUARE, "C_T_FORMS"),
+])
+def test_t_form_sweeps_check_the_forms_seqcore_runs(monkeypatch, form, record):
+    # one wrong entry in seqcore's T-form table must show in the sweep
+    # over it, as well as in s_from_t / c_from_t
+    right = seqcore.T_FORMS[form]
+    monkeypatch.setitem(seqcore.T_FORMS, form, lambda t, n: right(t, n) + (n == 7))
+    from_t = seqcore.s_from_t if isinstance(form, SForm) else seqcore.c_from_t
+    assert from_t(7, form) == right(seqcore.tribonacci, 7) + 1
+    report = verify(record, (-20, 20))
+    assert [point for point, _, _ in report.counterexamples] == [(7,)]

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from tribokit.seqcore import c_seq, s_lucas
+from tribokit.seqcore import SequenceKind, c_seq, s_lucas, term
 from tribokit.tribomatrix import (
     MinorSumReport,
     determinant,
@@ -15,6 +15,7 @@ from tribokit.tribomatrix import (
     minor_sum,
     minors_of,
     trace,
+    term_of,
     trace_pow,
     tribomatrix,
 )
@@ -107,3 +108,9 @@ def test_minors_of_matches_minor_sum():
 def test_minor_report_total_invariant():
     with pytest.raises(ValueError):
         MinorSumReport(1, 1, 1, 4)
+
+
+def test_term_of_reads_each_kind_off_the_matrix_power():
+    for kind in SequenceKind:
+        for n in range(0, 41):
+            assert term_of(kind, mat_pow(n)) == term(kind, n), (kind, n)
