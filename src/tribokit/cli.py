@@ -3,8 +3,10 @@
 Subcommands: eval, verify, expand, matrix, roots, crosscheck, bench.
 Every subcommand accepts ``--format {plain,json,csv,bfile}`` and
 ``--config PATH`` (also via the TRIBOKIT_CONFIG environment variable;
-an explicit flag wins).  Exit status: 0 success, 2 usage/domain/IO
-error, 3 a verification or crosscheck reported mismatches.
+an explicit flag wins).  Only ``eval`` prints bfile; ``main`` refuses
+it for every other command before any work is done.  Exit status:
+0 success, 2 usage/domain/IO error, 3 a verification or crosscheck
+reported mismatches.
 
 Sequence values are arbitrary-precision integers; json and csv output
 renders them as decimal strings so nothing is ever truncated.
@@ -19,6 +21,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -34,6 +37,7 @@ EXIT_USAGE = 2
 EXIT_FAILED = 3
 
 CONFIG_ENV = "TRIBOKIT_CONFIG"
+_COMMENT = re.compile(r"(?:^|\s)#.*")
 FORMATS = ("plain", "json", "csv", "bfile")
 
 # module-level hook so tests can substitute a canned transport
@@ -69,7 +73,8 @@ def _parse_bounds(text: str) -> tuple[int, int]:
 
 
 def load_config(path: str | None) -> CliConfig:
-    """Defaults, overlaid with ``key = value`` lines from a config file."""
+    """Defaults, overlaid with ``key = value`` lines from a config file;
+    a ``#`` at the start of a line or after whitespace starts a comment."""
     config = CliConfig()
     if path is None:
         path = os.environ.get(CONFIG_ENV) or None
@@ -81,15 +86,18 @@ def load_config(path: str | None) -> CliConfig:
     except OSError as exc:
         raise CommandError(f"cannot read config {path!r}: {exc}") from exc
     for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = _COMMENT.sub("", raw).strip()
+        if not line:
             continue
         key, sep, value = line.partition("=")
         if not sep:
             raise CommandError(f"{path}:{line_number}: expected key = value, got {line!r}")
         key, value = key.strip(), value.strip()
         if key == "default_range":
-            config = replace(config, default_range=_parse_bounds(value))
+            try:
+                config = replace(config, default_range=_parse_bounds(value))
+            except CommandError as exc:
+                raise CommandError(f"{path}:{line_number}: {exc}") from None
         elif key == "precision":
             try:
                 precision = int(value)
@@ -111,17 +119,6 @@ def load_config(path: str | None) -> CliConfig:
     return config
 
 
-def _kind(text: str) -> SequenceKind:
-    try:
-        return SequenceKind.from_string(text)
-    except ValueError as exc:
-        raise CommandError(str(exc)) from exc
-
-
-def _format(args: argparse.Namespace, config: CliConfig) -> str:
-    return args.format if args.format else config.output_format
-
-
 def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -134,22 +131,14 @@ def _csv(header: list[str], rows: list[list[Any]]) -> str:
     return buffer.getvalue()
 
 
-def _no_bfile(fmt: str, command: str) -> None:
-    if fmt == "bfile":
-        raise CommandError(f"bfile format does not apply to {command}")
-
-
 # ---------------------------------------------------------------- eval
 
-def _eval_texts(
-    kind: SequenceKind, lo: int, hi: int, strategy: str, precision: int
-) -> Callable[[], list[str]]:
-    """Check the request and run the matrix or Binet strategy; returns the
-    renderer of the value column, so format checks can run before it."""
+def _eval_texts(kind: SequenceKind, lo: int, hi: int, strategy: str, precision: int) -> list[str]:
+    """Decimal text of a(lo)..a(hi) by the chosen strategy."""
     if lo > hi:
         raise CommandError(f"empty range: {lo} exceeds {hi}")
     if strategy == "recurrence":
-        return lambda: seqcore.range_text(kind, lo, hi)
+        return seqcore.range_text(kind, lo, hi)
     if strategy == "matrix":
         if lo < 0:
             raise CommandError("matrix strategy requires lo >= 0")
@@ -158,7 +147,7 @@ def _eval_texts(
         for _ in range(lo, hi + 1):
             values.append(tribomatrix.term_of(kind, power))
             power = tribomatrix.mat_mul(power, tribomatrix.tribomatrix())
-        return lambda: [str(value) for value in values]
+        return [str(value) for value in values]
     if kind is SequenceKind.TRIBONACCI:
         raise CommandError("binet strategy applies to S and C only")
     cap = analytic.binet_index_cap(precision)
@@ -167,8 +156,7 @@ def _eval_texts(
             f"binet strategy is certified only for |n| <= {cap} at precision {precision}"
         )
     roots = analytic.char_roots(precision)
-    values = [analytic.binet_round(kind, n, roots) for n in range(lo, hi + 1)]
-    return lambda: [str(value) for value in values]
+    return [str(analytic.binet_round(kind, n, roots)) for n in range(lo, hi + 1)]
 
 
 def _table(fmt: str, header: str, texts: list[str], start: int = 0) -> str:
@@ -179,13 +167,11 @@ def _table(fmt: str, header: str, texts: list[str], start: int = 0) -> str:
     return "\n".join(f"{n} {text}" for n, text in enumerate(texts, start))
 
 
-def cmd_eval(args: argparse.Namespace, config: CliConfig) -> int:
-    kind = _kind(args.kind)
-    render = _eval_texts(kind, args.lo, args.hi, args.strategy, config.precision)
-    fmt = _format(args, config)
+def cmd_eval(args: argparse.Namespace, config: CliConfig, fmt: str) -> int:
     if fmt == "bfile" and args.lo < 0:
         raise CommandError("bfile format requires lo >= 0")
-    texts = render()
+    kind = SequenceKind.from_string(args.kind)
+    texts = _eval_texts(kind, args.lo, args.hi, args.strategy, config.precision)
     if fmt == "json":
         _emit(json.dumps({
             "command": "eval",
@@ -213,7 +199,7 @@ def _report_payload(report: identities.VerificationReport) -> dict[str, Any]:
     }
 
 
-def cmd_verify(args: argparse.Namespace, config: CliConfig) -> int:
+def cmd_verify(args: argparse.Namespace, config: CliConfig, fmt: str) -> int:
     n_bounds = _parse_bounds(args.range) if args.range else config.default_range
     m_bounds = _parse_bounds(args.m_range) if args.m_range else n_bounds
     try:
@@ -223,8 +209,6 @@ def cmd_verify(args: argparse.Namespace, config: CliConfig) -> int:
             reports = [identities.verify(args.identity.upper(), n_bounds, m_bounds)]
     except KeyError as exc:
         raise CommandError(exc.args[0]) from exc
-    fmt = _format(args, config)
-    _no_bfile(fmt, "verify")
     if fmt == "plain":
         lines = []
         for report in reports:
@@ -263,25 +247,15 @@ def _parse_coeffs(text: str, option: str) -> tuple[int, ...]:
         raise CommandError(f"{option} must be a comma-separated integer list, got {text!r}") from None
 
 
-def cmd_expand(args: argparse.Namespace, config: CliConfig) -> int:
+def cmd_expand(args: argparse.Namespace, config: CliConfig, fmt: str) -> int:
     if args.source is not None and (args.num or args.den):
         raise CommandError("give either a builtin name or --num/--den, not both")
     if args.source is not None:
-        try:
-            ogf = genfunc.builtin_ogf(args.source)
-        except ValueError as exc:
-            raise CommandError(str(exc)) from exc
+        ogf = genfunc.builtin_ogf(args.source)
     elif args.num and args.den:
-        try:
-            ogf = genfunc.RationalOGF(_parse_coeffs(args.num, "--num"), _parse_coeffs(args.den, "--den"))
-        except ValueError as exc:
-            raise CommandError(str(exc)) from exc
+        ogf = genfunc.RationalOGF(_parse_coeffs(args.num, "--num"), _parse_coeffs(args.den, "--den"))
     else:
         raise CommandError("expand needs a builtin name (S, C, CEven) or both --num and --den")
-    if args.count < 1:  # reported before a wrong format, and nothing is rendered until both pass
-        raise CommandError(f"count must be >= 1, got {args.count}")
-    fmt = _format(args, config)
-    _no_bfile(fmt, "expand")
     texts = genfunc.expand_text(ogf, args.count)
     if fmt == "json":
         _emit(json.dumps({
@@ -297,14 +271,12 @@ def cmd_expand(args: argparse.Namespace, config: CliConfig) -> int:
 
 # -------------------------------------------------------------- matrix
 
-def cmd_matrix(args: argparse.Namespace, config: CliConfig) -> int:
+def cmd_matrix(args: argparse.Namespace, config: CliConfig, fmt: str) -> int:
     if args.n < 0:
         raise CommandError(f"matrix power requires n >= 0, got {args.n}")
     power = tribomatrix.mat_pow(args.n)
     minors = tribomatrix.minors_of(power)
     trace = tribomatrix.trace(power)
-    fmt = _format(args, config)
-    _no_bfile(fmt, "matrix")
     if fmt == "plain":
         lines = [f"A^{args.n}"]
         lines.extend(" ".join(str(entry) for entry in row) for row in power)
@@ -335,12 +307,9 @@ def cmd_matrix(args: argparse.Namespace, config: CliConfig) -> int:
 
 # --------------------------------------------------------------- roots
 
-def cmd_roots(args: argparse.Namespace, config: CliConfig) -> int:
+def cmd_roots(args: argparse.Namespace, config: CliConfig, fmt: str) -> int:
     precision = args.precision if args.precision is not None else config.precision
-    try:
-        roots = analytic.char_roots(precision)
-    except ValueError as exc:
-        raise CommandError(str(exc)) from exc
+    roots = analytic.char_roots(precision)
     residuals = analytic.vieta_check(roots)
     digits = precision
     with mpmath.workdps(precision + 10):
@@ -348,8 +317,6 @@ def cmd_roots(args: argparse.Namespace, config: CliConfig) -> int:
         beta_re = mpmath.nstr(roots.beta.real, digits)
         beta_im = mpmath.nstr(roots.beta.imag, digits)
         abs_beta = mpmath.nstr(abs(roots.beta), digits)
-    fmt = _format(args, config)
-    _no_bfile(fmt, "roots")
     if fmt == "plain":
         _emit("\n".join([
             f"precision {precision}",
@@ -393,40 +360,36 @@ def cmd_roots(args: argparse.Namespace, config: CliConfig) -> int:
 
 # ---------------------------------------------------------- crosscheck
 
-def _fixture_text(kind: SequenceKind, args: argparse.Namespace, config: CliConfig) -> str:
-    sequence_id = oeis.OEIS_IDS[kind]
+def _fixture(sequence_id: str, args: argparse.Namespace, config: CliConfig) -> oeis.BFile:
     if args.fetch:
-        bfile = oeis.fetch_bfile(sequence_id, transport_factory(config.oeis_url))
-        return "\n".join(f"{n} {v}" for n, v in bfile.rows) + "\n"
+        return oeis.fetch_bfile(sequence_id, transport_factory(config.oeis_url))
     if args.fixture is not None:
         path = args.fixture
     elif config.fixture_dir is not None:
         path = os.path.join(config.fixture_dir, f"b{sequence_id[1:]}.txt")
     else:
-        return oeis.bundled_fixture_text(sequence_id)
+        return oeis.parse_bfile(oeis.bundled_fixture_text(sequence_id), sequence_id)
     try:
         with open(path, encoding="utf-8") as handle:
-            return handle.read()
+            text = handle.read()
     except OSError as exc:
         raise CommandError(f"cannot read fixture {path!r}: {exc}") from exc
+    return oeis.parse_bfile(text, sequence_id)
 
 
-def cmd_crosscheck(args: argparse.Namespace, config: CliConfig) -> int:
-    kind = _kind(args.kind)
+def cmd_crosscheck(args: argparse.Namespace, config: CliConfig, fmt: str) -> int:
+    kind = SequenceKind.from_string(args.kind)
     sequence_id = oeis.OEIS_IDS[kind]
     rows = args.rows_override if args.rows_override is not None else args.rows
     if rows < 1:
         raise CommandError(f"rows must be >= 1, got {rows}")
     try:
-        text = _fixture_text(kind, args, config)
-        bfile = oeis.parse_bfile(text, sequence_id)
+        bfile = _fixture(sequence_id, args, config)
     except oeis.BFileError as exc:
         raise CommandError(f"{sequence_id}: {exc}") from exc
     except oeis.BFileFetchError as exc:
         raise CommandError(str(exc)) from exc
     report = oeis.crosscheck(kind, bfile, rows)
-    fmt = _format(args, config)
-    _no_bfile(fmt, "crosscheck")
     if fmt == "plain":
         status = "ok" if report.ok else "FAILED"
         lines = [
@@ -512,11 +475,9 @@ def _short_int(value: int) -> str:
     return f"<{len(text)} digits> {text[:12]}..."
 
 
-def cmd_bench(args: argparse.Namespace, config: CliConfig) -> int:
-    kind = _kind(args.kind)
+def cmd_bench(args: argparse.Namespace, config: CliConfig, fmt: str) -> int:
+    kind = SequenceKind.from_string(args.kind)
     rows, agreement = bench_strategies(kind, args.n, args.reps, config.precision)
-    fmt = _format(args, config)
-    _no_bfile(fmt, "bench")
     if fmt == "plain":
         lines = [f"bench {kind.value} n={args.n} repetitions={args.reps}"]
         for row in rows:
@@ -535,13 +496,7 @@ def cmd_bench(args: argparse.Namespace, config: CliConfig) -> int:
             "n": args.n,
             "repetitions": args.reps,
             "strategies": [
-                {
-                    "strategy": row["strategy"],
-                    "seconds": row["seconds"],
-                    "value": None if row["value"] is None else str(row["value"]),
-                    **({"bound": row["bound"]} if "bound" in row else {}),
-                    **({"note": row["note"]} if "note" in row else {}),
-                }
+                {**row, "value": None if row["value"] is None else str(row["value"])}
                 for row in rows
             ],
             "exact_agreement": agreement,
@@ -633,7 +588,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)
-        return args.func(args, config)
+        fmt = args.format or config.output_format
+        if fmt == "bfile" and args.command != "eval":
+            raise CommandError(f"bfile format does not apply to {args.command}")
+        return args.func(args, config, fmt)
     except CommandError as exc:
         print(f"tribokit: {exc}", file=sys.stderr)
         return exc.code

@@ -9,6 +9,7 @@ network dependency into the library.
 from __future__ import annotations
 
 import re
+import sys
 import urllib.request
 from dataclasses import dataclass
 from importlib import resources
@@ -75,6 +76,17 @@ def _check_id(sequence_id: str) -> str:
     return sequence_id
 
 
+def _token_error(tokens: list[str], line: str) -> str:
+    """Why int() refused a token: past the int/str digit limit, which is
+    named without echoing the digits, or not an integer."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before 3.10.7
+    for token in tokens:
+        digits = token.lstrip("+-")
+        if limit and len(digits) > limit and digits.isdecimal():
+            return f"{len(digits)}-digit token exceeds the int/str conversion limit of {limit} digits"
+    return f"non-integer token in {line!r}"
+
+
 def parse_bfile(text: str, sequence_id: str) -> BFile:
     """Parse b-file text; raises on malformed lines or bad row structure."""
     _check_id(sequence_id)
@@ -91,7 +103,7 @@ def parse_bfile(text: str, sequence_id: str) -> BFile:
         try:
             index, value = int(tokens[0]), int(tokens[1])
         except ValueError:
-            raise BFileParseError(f"non-integer token in {line!r}", line_number) from None
+            raise BFileParseError(_token_error(tokens, line), line_number) from None
         if rows and index <= rows[-1][0]:
             raise BFileStructureError(
                 f"line {line_number}: index {index} does not increase past {rows[-1][0]}"

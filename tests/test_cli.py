@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from tribokit import cli
+from tribokit import analytic, cli, genfunc, identities, oeis, seqcore, tribomatrix
 from tribokit.oeis import bundled_fixture_text
 from tribokit.seqcore import c_seq, s_lucas
 
@@ -359,6 +359,91 @@ def test_bfile_format_rejected_outside_eval(capsys):
     code, _, err = run(capsys, "verify", "SQUARE", "--range", "0:5", "--format", "bfile")
     assert code == 2
     assert "bfile format" in err
+
+
+# Each command with a request that takes a while to compute, and the library
+# calls it would make first; a wrong format must be refused before any of them.
+_BFILE_REFUSED = {
+    "verify": (["all", "--range", "0:300"], [(identities, "verify_all"), (identities, "verify")]),
+    "expand": (["S", "17000"], [(genfunc, "expand_text")]),
+    "matrix": (["300000"], [(tribomatrix, "mat_pow")]),
+    "roots": (["1500"], [(analytic, "char_roots")]),
+    "crosscheck": (["S"], [(oeis, "parse_bfile"), (oeis, "crosscheck")]),
+    "bench": (["S", "200000"], [(seqcore, "term")]),
+}
+
+
+def _forbid(monkeypatch, calls):
+    for module, name in calls:
+        def refuse(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} ran before the format check")
+        monkeypatch.setattr(module, name, refuse)
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", sorted(_BFILE_REFUSED))
+def test_bfile_format_refused_before_any_work(command, source, tmp_path, monkeypatch, capsys):
+    argv, calls = _BFILE_REFUSED[command]
+    if source == "flag":
+        argv = [*argv, "--format", "bfile"]
+    else:
+        config = tmp_path / "cfg"
+        config.write_text("output_format = bfile\n", encoding="ascii")
+        argv = [*argv, "--config", str(config)]
+    _forbid(monkeypatch, calls)
+    code, out, err = run(capsys, command, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"tribokit: bfile format does not apply to {command}\n"
+
+
+def test_eval_bfile_negative_lo_refused_before_the_strategy_runs(monkeypatch, capsys):
+    _forbid(monkeypatch, [(analytic, "char_roots"), (tribomatrix, "mat_pow")])
+    for strategy in ("binet", "matrix"):
+        code, out, err = run(capsys, "eval", "--format", "bfile", "--strategy", strategy,
+                             "S", "--", "-5", "5")
+        assert (code, out) == (2, "")
+        assert err == "tribokit: bfile format requires lo >= 0\n"
+
+
+def test_crosscheck_fetch_parses_the_fetched_text_once(monkeypatch, capsys):
+    parsed = []
+    original = oeis.parse_bfile
+
+    def counting(text, sequence_id):
+        parsed.append(sequence_id)
+        return original(text, sequence_id)
+
+    monkeypatch.setattr(oeis, "parse_bfile", counting)
+    monkeypatch.setattr(cli, "transport_factory", lambda base_url: bundled_fixture_text)
+    code, out, _ = run(capsys, "crosscheck", "C", "--fetch")
+    assert code == 0
+    assert "mismatches=0" in out
+    assert parsed == ["A073145"]
+
+
+def test_config_comments_after_values(tmp_path):
+    config = tmp_path / "cfg"
+    config.write_text(
+        "# a comment line\n"
+        "default_range = 2:7\t# verify bounds\n"
+        "precision = 40   # digits\n"
+        "fixture_dir = /some/dir  # bNNNNNN.txt files\n"
+        "oeis_url = https://oeis.org/#anchor\n",
+        encoding="ascii",
+    )
+    loaded = cli.load_config(str(config))
+    assert loaded.default_range == (2, 7)
+    assert loaded.precision == 40
+    assert loaded.fixture_dir == "/some/dir"
+    assert loaded.oeis_url == "https://oeis.org/#anchor"
+
+
+def test_config_bad_default_range_names_the_line(tmp_path, capsys):
+    config = tmp_path / "cfg"
+    config.write_text("precision = 30\ndefault_range = 0-100  # typo\n", encoding="ascii")
+    code, _, err = run(capsys, "verify", "SQUARE", "--config", str(config))
+    assert code == 2
+    assert err == f"tribokit: {config}:2: bounds must look like LO:HI, got '0-100'\n"
 
 
 def test_usage_error_exit_code(capsys):

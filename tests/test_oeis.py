@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 import urllib.request
 
 import pytest
@@ -41,6 +42,18 @@ def test_parse_reports_line_numbers():
     with pytest.raises(BFileParseError) as err:
         parse_bfile("0 3\n# fine\n\n2 3 9\n", "A001644")
     assert err.value.line_number == 4
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
+def test_parse_reports_a_value_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    text = "0 3\n1 -" + "7" * (limit + 1) + "\n"
+    with pytest.raises(BFileParseError) as excinfo:
+        parse_bfile(text, "A001644")
+    assert excinfo.value.line_number == 2
+    assert str(excinfo.value) == (
+        f"line 2: {limit + 1}-digit token exceeds the int/str conversion limit of {limit} digits"
+    )
 
 
 def test_parse_rejects_non_increasing_indices():
