@@ -1,10 +1,14 @@
 """Machine-checkable identity catalogue for the S/C/T sequences.
 
-Every identity is a data record: a name, an index arity, a domain
-predicate, and a pair of exact integer evaluators.  ``verify`` sweeps a
-record over inclusive index bounds and reports every tuple where the
-two sides differ, so a claim is either confirmed over the stated range
-or refuted with concrete counterexamples.  Nothing is ever compared in
+Every identity is a data record: a name, an index arity, its statement,
+a domain predicate, and a pair of exact integer evaluators.  The formula
+identities are written once, as statements in ``CATALOGUE`` (``lhs =
+rhs  [domain]``); ``registry`` compiles each statement into its arity,
+domain and both sides, so the text is what gets checked.  ``verify``
+sweeps a record over inclusive index bounds and reports every tuple
+where the two sides differ, so a claim is either confirmed over the
+stated range or refuted with concrete counterexamples; bounds holding no
+case of the record's domain are refused.  Nothing is ever compared in
 floating point.
 
 Records evaluate through a SequenceBackend, a triple of pure
@@ -16,7 +20,12 @@ to faults.  The S_T_FORMS and C_T_FORMS records sweep every entry of
 """
 from __future__ import annotations
 
+import ast
+import functools
+import re
 from dataclasses import dataclass, field, replace
+from itertools import product
+from types import CodeType
 from typing import Callable
 
 from .seqcore import RECURRENCES, T_FORMS, CForm, SequenceKind, SForm
@@ -75,110 +84,97 @@ class VerificationReport:
         return not self.counterexamples
 
 
+# (name, statement): each formula identity exactly as stated.  A statement
+# reads ``lhs = rhs`` with an optional ``  [domain]`` clause; ``registry``
+# compiles it, so the text is the record.
+CATALOGUE: tuple[tuple[str, str], ...] = (
+    ("REC_C", "C(n) = -C(n-1) - C(n-2) + C(n-3)"),
+    ("REC_CEVEN", "C(2n) = -C(2n-2) - 3*C(2n-4) + C(2n-6)"),
+    ("PROD_GE", "S(n)*S(n+m) = S(2n+m) + S(m)*C(n) - C(n-m)  [n >= m >= 0]"),
+    ("PROD_LT", "S(n)*S(n+m) = S(2n+m) + S(m)*C(n) - S(m-n)  [0 <= n < m]"),
+    ("CONS_1", "S(n)*S(n-1) = S(2n-1) + C(n-1) - C(n-2)  [n >= 1]"),
+    ("CONS_2", "S(n)*S(2n) = S(3n) + S(n)*C(n) - 3  [n >= 0]"),
+    ("CONS_3", "S(n)*S(n*m) = S(n*(m+1)) + S(n*(m-1))*C(n) - S(n*(m-2))  [n >= 0, m >= 2]"),
+    ("SQUARE", "S(n)^2 = S(2n) + 2*C(n)  [n >= 0]"),
+    ("CUBE", "S(n)^3 = S(3n) + 3*S(n)*C(n) - 3  [n >= 0]"),
+    ("QUARTIC_A", "S(n)^4 = S(4n) + 2*C(2n) + 4*C(n)^2 + 4*S(2n)*C(n)  [n >= 0]"),
+    ("QUARTIC_B", "S(n)^4 = S(4n) - 4*S(n) + 4*S(2n)*C(n) + 6*C(n)^2  [n >= 0]"),
+    ("CN2", "2*S(n) = C(n)^2 - C(2n)  [n >= 0]"),
+)
+
+
+_COMPARISONS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
+
+
+def _allowed(node: ast.AST) -> bool:
+    """Whether ``node`` uses only integers, n, m, one-argument S/C/T
+    calls, + - * **, unary minus, comparisons and ``and``."""
+    match node:
+        case ast.Constant(value=value):
+            return type(value) is int
+        case ast.Name(id="n" | "m"):
+            return True
+        case ast.Call(func=ast.Name(id="S" | "C" | "T"), args=[arg], keywords=[]):
+            return _allowed(arg)
+        case ast.BinOp(left, ast.Add() | ast.Sub() | ast.Mult() | ast.Pow(), right):
+            return _allowed(left) and _allowed(right)
+        case ast.UnaryOp(ast.USub(), operand):
+            return _allowed(operand)
+        case ast.Compare(left, ops, comparators):
+            return all(isinstance(op, _COMPARISONS) for op in ops) and all(
+                map(_allowed, (left, *comparators)))
+        case ast.BoolOp(ast.And(), values):
+            return all(map(_allowed, values))
+    return False
+
+
+@functools.cache
+def _compile(statement: str) -> tuple[int, CodeType]:
+    """Arity and the code of ``(domain, lhs, rhs)`` for one statement,
+    compiled once per process; evaluating the code in a namespace that
+    binds S, C and T yields the three functions."""
+    source = re.sub(r"(\d)(?=[A-Za-z(])", r"\1*", statement).replace("^", "**")
+    equation, _, clause = source.partition("  [")
+    sides = equation.split(" = ")
+    texts = sides + [clause.removesuffix("]").replace(",", " and")] if clause else sides
+    try:
+        trees = [ast.parse(text, mode="eval").body for text in texts]
+    except SyntaxError:
+        raise ValueError(f"statement does not parse: {statement!r}") from None
+    if len(sides) != 2 or not all(map(_allowed, trees)):
+        raise ValueError(
+            f"statement is not an equation over integers, n, m and S/C/T: {statement!r}")
+    names = {node.id for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    params = ("n", "m") if "m" in names else ("n",)
+    lhs, rhs, *domain = map(ast.unparse, trees)
+    lambdas = ", ".join(f"lambda {', '.join(params)}: ({text})"
+                        for text in (*(domain or ["True"]), lhs, rhs))
+    return len(params), compile(f"({lambdas})", statement, "eval")
+
+
 def registry(backend: SequenceBackend | None = None) -> list[IdentityRecord]:
-    """The 14 identity records, evaluated over ``backend``."""
+    """The 14 identity records, evaluated over ``backend``: the compiled
+    ``CATALOGUE`` followed by the two sweeps of ``seqcore.T_FORMS``."""
     b = backend if backend is not None else SequenceBackend.default()
     t, s, c = b.t, b.s, b.c
+    namespace = {"__builtins__": {}, "S": s, "C": c, "T": t}
+    records = []
+    for name, statement in CATALOGUE:
+        arity, code = _compile(statement)
+        records.append(IdentityRecord(name, arity, statement, *eval(code, namespace)))
 
-    def s_forms_residual(n: int) -> int:
-        # zero exactly when every linear T-form reproduces S(n)
-        return sum((T_FORMS[form](t, n) - s(n)) ** 2 for form in SForm)
+    def t_forms(name: str, forms: type[SForm] | type[CForm], target: Callable[[int], int],
+                statement: str) -> IdentityRecord:
+        # the squared residual is zero exactly when every T-form reproduces the target
+        def residual(n: int) -> int:
+            return sum((T_FORMS[form](t, n) - target(n)) ** 2 for form in forms)
+        return IdentityRecord(name, 1, statement, lambda n: True, residual, lambda n: 0)
 
-    def c_forms_residual(n: int) -> int:
-        return sum((T_FORMS[form](t, n) - c(n)) ** 2 for form in CForm)
-
-    return [
-        IdentityRecord(
-            "REC_C", 1, "C(n) = -C(n-1) - C(n-2) + C(n-3)",
-            lambda n: True,
-            lambda n: c(n),
-            lambda n: -c(n - 1) - c(n - 2) + c(n - 3),
-        ),
-        IdentityRecord(
-            "REC_CEVEN", 1, "C(2n) = -C(2n-2) - 3*C(2n-4) + C(2n-6)",
-            lambda n: True,
-            lambda n: c(2 * n),
-            lambda n: -c(2 * n - 2) - 3 * c(2 * n - 4) + c(2 * n - 6),
-        ),
-        IdentityRecord(
-            "PROD_GE", 2,
-            "S(n)*S(n+m) = S(2n+m) + S(m)*C(n) - C(n-m)  [n >= m >= 0]",
-            lambda n, m: n >= m >= 0,
-            lambda n, m: s(n) * s(n + m),
-            lambda n, m: s(2 * n + m) + s(m) * c(n) - c(n - m),
-        ),
-        IdentityRecord(
-            "PROD_LT", 2,
-            "S(n)*S(n+m) = S(2n+m) + S(m)*C(n) - S(m-n)  [0 <= n < m]",
-            lambda n, m: 0 <= n < m,
-            lambda n, m: s(n) * s(n + m),
-            lambda n, m: s(2 * n + m) + s(m) * c(n) - s(m - n),
-        ),
-        IdentityRecord(
-            "CONS_1", 1, "S(n)*S(n-1) = S(2n-1) + C(n-1) - C(n-2)  [n >= 1]",
-            lambda n: n >= 1,
-            lambda n: s(n) * s(n - 1),
-            lambda n: s(2 * n - 1) + c(n - 1) - c(n - 2),
-        ),
-        IdentityRecord(
-            "CONS_2", 1, "S(n)*S(2n) = S(3n) + S(n)*C(n) - 3  [n >= 0]",
-            lambda n: n >= 0,
-            lambda n: s(n) * s(2 * n),
-            lambda n: s(3 * n) + s(n) * c(n) - 3,
-        ),
-        IdentityRecord(
-            "CONS_3", 2,
-            "S(n)*S(n*m) = S(n*(m+1)) + S(n*(m-1))*C(n) - S(n*(m-2))  [n >= 0, m >= 2]",
-            lambda n, m: n >= 0 and m >= 2,
-            lambda n, m: s(n) * s(n * m),
-            lambda n, m: s(n * (m + 1)) + s(n * (m - 1)) * c(n) - s(n * (m - 2)),
-        ),
-        IdentityRecord(
-            "SQUARE", 1, "S(n)^2 = S(2n) + 2*C(n)  [n >= 0]",
-            lambda n: n >= 0,
-            lambda n: s(n) ** 2,
-            lambda n: s(2 * n) + 2 * c(n),
-        ),
-        IdentityRecord(
-            "CUBE", 1, "S(n)^3 = S(3n) + 3*S(n)*C(n) - 3  [n >= 0]",
-            lambda n: n >= 0,
-            lambda n: s(n) ** 3,
-            lambda n: s(3 * n) + 3 * s(n) * c(n) - 3,
-        ),
-        IdentityRecord(
-            "QUARTIC_A", 1,
-            "S(n)^4 = S(4n) + 2*C(2n) + 4*C(n)^2 + 4*S(2n)*C(n)  [n >= 0]",
-            lambda n: n >= 0,
-            lambda n: s(n) ** 4,
-            lambda n: s(4 * n) + 2 * c(2 * n) + 4 * c(n) ** 2 + 4 * s(2 * n) * c(n),
-        ),
-        IdentityRecord(
-            "QUARTIC_B", 1,
-            "S(n)^4 = S(4n) - 4*S(n) + 4*S(2n)*C(n) + 6*C(n)^2  [n >= 0]",
-            lambda n: n >= 0,
-            lambda n: s(n) ** 4,
-            lambda n: s(4 * n) - 4 * s(n) + 4 * s(2 * n) * c(n) + 6 * c(n) ** 2,
-        ),
-        IdentityRecord(
-            "CN2", 1, "2*S(n) = C(n)^2 - C(2n)  [n >= 0]",
-            lambda n: n >= 0,
-            lambda n: 2 * s(n),
-            lambda n: c(n) ** 2 - c(2 * n),
-        ),
-        IdentityRecord(
-            "S_T_FORMS", 1,
-            "both linear T-forms of S(n) equal S(n) (zero squared residual)",
-            lambda n: True,
-            s_forms_residual,
-            lambda n: 0,
-        ),
-        IdentityRecord(
-            "C_T_FORMS", 1,
-            "both quadratic T-forms of C(n) equal C(n) (zero squared residual)",
-            lambda n: True,
-            c_forms_residual,
-            lambda n: 0,
-        ),
+    return records + [
+        t_forms("S_T_FORMS", SForm, s,
+                "both linear T-forms of S(n) equal S(n) (zero squared residual)"),
+        t_forms("C_T_FORMS", CForm, c,
+                "both quadratic T-forms of C(n) equal C(n) (zero squared residual)"),
     ]
 
 
@@ -200,27 +196,22 @@ def _bounds_text(arity: int, n_bounds: Bounds, m_bounds: Bounds) -> str:
 
 
 def _run(record: IdentityRecord, n_bounds: Bounds, m_bounds: Bounds) -> VerificationReport:
-    points: list[tuple[int, ...]]
-    if record.arity == 1:
-        points = [(n,) for n in range(n_bounds[0], n_bounds[1] + 1)]
-    else:
-        points = [
-            (n, m)
-            for n in range(n_bounds[0], n_bounds[1] + 1)
-            for m in range(m_bounds[0], m_bounds[1] + 1)
-        ]
+    bounds = _bounds_text(record.arity, n_bounds, m_bounds)
+    ranges = (range(lo, hi + 1) for lo, hi in (n_bounds, m_bounds)[:record.arity])
     cases = 0
     bad: list[Counterexample] = []
-    for point in points:
+    for point in product(*ranges):
         if not record.domain(*point):
             continue
         cases += 1
         left, right = record.lhs(*point), record.rhs(*point)
         if left != right:
             bad.append((point, left, right))
+    if not cases:
+        raise ValueError(f"{record.name}: no case of its domain lies in {bounds}")
     return VerificationReport(
         identity=record.name,
-        bounds=_bounds_text(record.arity, n_bounds, m_bounds),
+        bounds=bounds,
         cases_checked=cases,
         counterexamples=tuple(bad),
     )
@@ -255,6 +246,8 @@ def boundary_consistency(
     PROD_GE subtracts C(0) and PROD_LT (extended to n = m) subtracts
     S(0); both equal 3, so the diagonal has a single consistent value.
     """
+    if bounds[0] > bounds[1]:
+        raise ValueError(f"BOUNDARY: empty bounds, {bounds[0]} exceeds {bounds[1]}")
     b = backend if backend is not None else SequenceBackend.default()
     s, c = b.s, b.c
     bad: list[Counterexample] = []

@@ -135,6 +135,8 @@ def crosscheck(kind: SequenceKind, bfile: BFile, max_rows: int) -> CrosscheckRep
     if max_rows < 1:
         raise ValueError(f"max_rows must be >= 1, got {max_rows}")
     selected = bfile.rows[:max_rows]
+    if not selected:
+        raise BFileStructureError("b-file contains no data rows")
     first = selected[0][0]
     local_terms = zip(count(first), seqcore.iter_terms(kind, first))
     mismatches = []

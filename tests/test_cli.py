@@ -141,6 +141,13 @@ def test_verify_unknown_identity(capsys):
     assert "no identity named" in err
 
 
+def test_verify_with_no_case_in_the_bounds_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "CONS_3", "--range", "0:3", "--m-range", "0:1")
+    assert code == 2
+    assert out == ""
+    assert err == "tribokit: CONS_3: no case of its domain lies in n in [0, 3], m in [0, 1]\n"
+
+
 def test_verify_bad_bounds(capsys):
     code, _, err = run(capsys, "verify", "CN2", "--range", "oops")
     assert code == 2

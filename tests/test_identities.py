@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import gc
+import runpy
 import weakref
+from itertools import product
+from pathlib import Path
 
 import pytest
 
+from tribokit import identities
 from tribokit.identities import (
     SequenceBackend,
     boundary_consistency,
@@ -204,3 +208,84 @@ def test_t_form_sweeps_check_the_forms_seqcore_runs(monkeypatch, form, record):
     assert from_t(7, form) == right(seqcore.tribonacci, 7) + 1
     report = verify(record, (-20, 20))
     assert [point for point, _, _ in report.counterexamples] == [(7,)]
+
+
+def test_statement_text_is_what_gets_checked(monkeypatch):
+    # one sign flipped in CN2's statement must turn its sweep red
+    flipped = [
+        (name, statement.replace("- C(2n)", "+ C(2n)") if name == "CN2" else statement)
+        for name, statement in identities.CATALOGUE
+    ]
+    assert flipped != list(identities.CATALOGUE)
+    monkeypatch.setattr(identities, "CATALOGUE", tuple(flipped))
+    report = verify("CN2", (0, 10))
+    assert report.cases_checked == 11
+    assert len(report.counterexamples) == 11
+
+
+@pytest.mark.parametrize("statement", [
+    "S(n).real = S(n)",                   # attribute
+    "S(n) = S(n)[0]",                     # subscript
+    "S(k) = S(k)  [k >= 0]",              # unknown name
+    "len(n) = S(n)",                      # unknown function
+    "S(n) = 1.5*S(n)",                    # float
+    "S(n, m) = S(n)",                     # two arguments
+    "S(n) = S(n)  [n >= 0 or n < 0]",     # or
+    "S(n) = S(n) = S(n)",                 # two equals signs
+    "S(n) + 1",                           # no equation
+    "S(n) = S(n  [n >= 0]",               # does not parse
+])
+def test_statements_outside_the_grammar_are_refused(monkeypatch, statement):
+    monkeypatch.setattr(identities, "CATALOGUE", (("BAD", statement),))
+    with pytest.raises(ValueError) as err:
+        registry()
+    assert str(err.value).startswith("statement ") and repr(statement) in str(err.value)
+
+
+def test_statements_are_compiled_once():
+    registry()
+    misses = identities._compile.cache_info().misses
+    registry(SequenceBackend.with_seeds(s_seeds=(3, 1, 4)))
+    assert identities._compile.cache_info().misses == misses
+
+
+def test_arity_and_domain_come_from_the_statement():
+    records = {r.name: r for r in registry()}
+    assert records["CONS_3"].domain(0, 2) and not records["CONS_3"].domain(0, 1)
+    assert records["CONS_1"].domain(1) and not records["CONS_1"].domain(0)
+    assert all(records["REC_CEVEN"].domain(n) for n in range(-5, 6))
+
+
+def test_benchmark_records_match_the_registry():
+    # perfbench keeps its own copy of (name, arity, whole-line domain)
+    # to draw verify operations; a drift would show only as certify failures
+    workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    expected = tuple(
+        (record.name, record.arity,
+         all(record.domain(*point) for point in product(range(-50, 51), repeat=record.arity)))
+        for record in registry()
+    )
+    assert runpy.run_path(str(workloads))["RECORDS"] == expected
+
+
+@pytest.mark.parametrize("name,n_bounds,m_bounds,bounds", [
+    ("CONS_3", (0, 3), (0, 1), "n in [0, 3], m in [0, 1]"),
+    ("PROD_LT", (5, 9), (0, 4), "n in [5, 9], m in [0, 4]"),
+    ("CN2", (-5, -1), None, "n in [-5, -1]"),
+    ("CONS_1", (0, 0), None, "n in [0, 0]"),
+])
+def test_sweep_without_a_domain_case_is_refused(name, n_bounds, m_bounds, bounds):
+    with pytest.raises(ValueError) as err:
+        verify(name, n_bounds, m_bounds)
+    assert str(err.value) == f"{name}: no case of its domain lies in {bounds}"
+
+
+def test_verify_all_refuses_bounds_some_record_cannot_use():
+    with pytest.raises(ValueError, match="^PROD_GE: "):
+        verify_all((-5, -1))
+
+
+def test_boundary_consistency_refuses_empty_bounds():
+    with pytest.raises(ValueError, match="5 exceeds 2"):
+        boundary_consistency((5, 2))
+    assert boundary_consistency((2, 2)).cases_checked == 1

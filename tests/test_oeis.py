@@ -148,6 +148,11 @@ def test_crosscheck_rejects_rows_out_of_order():
         crosscheck(SequenceKind.GENERALIZED_LUCAS, bfile, 3)
 
 
+def test_crosscheck_rejects_a_bfile_without_rows():
+    with pytest.raises(BFileStructureError, match="^b-file contains no data rows$"):
+        crosscheck(SequenceKind.GENERALIZED_LUCAS, BFile("A001644", ()), 3)
+
+
 def test_http_transport_passes_a_timeout(monkeypatch):
     seen = {}
 
