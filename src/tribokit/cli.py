@@ -5,8 +5,9 @@ Every subcommand accepts ``--format {plain,json,csv,bfile}`` and
 ``--config PATH`` (also via the TRIBOKIT_CONFIG environment variable;
 an explicit flag wins).  Only ``eval`` prints bfile; ``main`` refuses
 it for every other command before any work is done.  Exit status:
-0 success, 2 usage/domain/IO error, 3 a verification or crosscheck
-reported mismatches.
+0 success, 3 a verification or crosscheck reported mismatches, 2 a
+usage/domain/IO error: any ValueError or OSError (a failed ``--fetch``
+included), which ``main`` alone prints as ``tribokit: <message>``.
 
 Sequence values are arbitrary-precision integers; json and csv output
 renders them as decimal strings so nothing is ever truncated.
@@ -44,14 +45,6 @@ FORMATS = ("plain", "json", "csv", "bfile")
 transport_factory: Callable[[str], Callable[[str], str]] = oeis.http_transport
 
 
-class CommandError(Exception):
-    """Domain, configuration, or IO problem mapped to an exit status."""
-
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
-
-
 @dataclass(frozen=True)
 class CliConfig:
     default_range: tuple[int, int] = (0, 100)
@@ -66,9 +59,9 @@ def _parse_bounds(text: str) -> tuple[int, int]:
         lo_text, hi_text = text.split(":")
         lo, hi = int(lo_text), int(hi_text)
     except ValueError:
-        raise CommandError(f"bounds must look like LO:HI, got {text!r}") from None
+        raise ValueError(f"bounds must look like LO:HI, got {text!r}") from None
     if lo > hi:
-        raise CommandError(f"empty bounds: {lo} exceeds {hi}")
+        raise ValueError(f"empty bounds: {lo} exceeds {hi}")
     return lo, hi
 
 
@@ -84,38 +77,38 @@ def load_config(path: str | None) -> CliConfig:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        raise CommandError(f"cannot read config {path!r}: {exc}") from exc
+        raise ValueError(f"cannot read config {path!r}: {exc}") from exc
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = _COMMENT.sub("", raw).strip()
         if not line:
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise CommandError(f"{path}:{line_number}: expected key = value, got {line!r}")
+            raise ValueError(f"{path}:{line_number}: expected key = value, got {line!r}")
         key, value = key.strip(), value.strip()
         if key == "default_range":
             try:
                 config = replace(config, default_range=_parse_bounds(value))
-            except CommandError as exc:
-                raise CommandError(f"{path}:{line_number}: {exc}") from None
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_number}: {exc}") from None
         elif key == "precision":
             try:
                 precision = int(value)
             except ValueError:
-                raise CommandError(f"{path}:{line_number}: precision must be an integer") from None
+                raise ValueError(f"{path}:{line_number}: precision must be an integer") from None
             if precision < 15:
-                raise CommandError(f"{path}:{line_number}: precision must be >= 15")
+                raise ValueError(f"{path}:{line_number}: precision must be >= 15")
             config = replace(config, precision=precision)
         elif key == "fixture_dir":
             config = replace(config, fixture_dir=value)
         elif key == "output_format":
             if value not in FORMATS:
-                raise CommandError(f"{path}:{line_number}: output_format must be one of {FORMATS}")
+                raise ValueError(f"{path}:{line_number}: output_format must be one of {FORMATS}")
             config = replace(config, output_format=value)
         elif key == "oeis_url":
             config = replace(config, oeis_url=value)
         else:
-            raise CommandError(f"{path}:{line_number}: unknown config key {key!r}")
+            raise ValueError(f"{path}:{line_number}: unknown config key {key!r}")
     return config
 
 
@@ -136,12 +129,12 @@ def _csv(header: list[str], rows: list[list[Any]]) -> str:
 def _eval_texts(kind: SequenceKind, lo: int, hi: int, strategy: str, precision: int) -> list[str]:
     """Decimal text of a(lo)..a(hi) by the chosen strategy."""
     if lo > hi:
-        raise CommandError(f"empty range: {lo} exceeds {hi}")
+        raise ValueError(f"empty range: {lo} exceeds {hi}")
     if strategy == "recurrence":
         return seqcore.range_text(kind, lo, hi)
     if strategy == "matrix":
         if lo < 0:
-            raise CommandError("matrix strategy requires lo >= 0")
+            raise ValueError("matrix strategy requires lo >= 0")
         values = []
         power = tribomatrix.mat_pow(lo)
         for _ in range(lo, hi + 1):
@@ -149,10 +142,10 @@ def _eval_texts(kind: SequenceKind, lo: int, hi: int, strategy: str, precision: 
             power = tribomatrix.mat_mul(power, tribomatrix.tribomatrix())
         return [str(value) for value in values]
     if kind is SequenceKind.TRIBONACCI:
-        raise CommandError("binet strategy applies to S and C only")
+        raise ValueError("binet strategy applies to S and C only")
     cap = analytic.binet_index_cap(precision)
     if max(abs(lo), abs(hi)) > cap:
-        raise CommandError(
+        raise ValueError(
             f"binet strategy is certified only for |n| <= {cap} at precision {precision}"
         )
     roots = analytic.char_roots(precision)
@@ -169,7 +162,7 @@ def _table(fmt: str, header: str, texts: list[str], start: int = 0) -> str:
 
 def cmd_eval(args: argparse.Namespace, config: CliConfig, fmt: str) -> int:
     if fmt == "bfile" and args.lo < 0:
-        raise CommandError("bfile format requires lo >= 0")
+        raise ValueError("bfile format requires lo >= 0")
     kind = SequenceKind.from_string(args.kind)
     texts = _eval_texts(kind, args.lo, args.hi, args.strategy, config.precision)
     if fmt == "json":
@@ -208,7 +201,7 @@ def cmd_verify(args: argparse.Namespace, config: CliConfig, fmt: str) -> int:
         else:
             reports = [identities.verify(args.identity.upper(), n_bounds, m_bounds)]
     except KeyError as exc:
-        raise CommandError(exc.args[0]) from exc
+        raise ValueError(exc.args[0]) from exc
     if fmt == "plain":
         lines = []
         for report in reports:
@@ -244,18 +237,18 @@ def _parse_coeffs(text: str, option: str) -> tuple[int, ...]:
     try:
         return tuple(int(piece.strip()) for piece in text.split(","))
     except ValueError:
-        raise CommandError(f"{option} must be a comma-separated integer list, got {text!r}") from None
+        raise ValueError(f"{option} must be a comma-separated integer list, got {text!r}") from None
 
 
 def cmd_expand(args: argparse.Namespace, config: CliConfig, fmt: str) -> int:
     if args.source is not None and (args.num or args.den):
-        raise CommandError("give either a builtin name or --num/--den, not both")
+        raise ValueError("give either a builtin name or --num/--den, not both")
     if args.source is not None:
         ogf = genfunc.builtin_ogf(args.source)
     elif args.num and args.den:
         ogf = genfunc.RationalOGF(_parse_coeffs(args.num, "--num"), _parse_coeffs(args.den, "--den"))
     else:
-        raise CommandError("expand needs a builtin name (S, C, CEven) or both --num and --den")
+        raise ValueError("expand needs a builtin name (S, C, CEven) or both --num and --den")
     texts = genfunc.expand_text(ogf, args.count)
     if fmt == "json":
         _emit(json.dumps({
@@ -272,8 +265,6 @@ def cmd_expand(args: argparse.Namespace, config: CliConfig, fmt: str) -> int:
 # -------------------------------------------------------------- matrix
 
 def cmd_matrix(args: argparse.Namespace, config: CliConfig, fmt: str) -> int:
-    if args.n < 0:
-        raise CommandError(f"matrix power requires n >= 0, got {args.n}")
     power = tribomatrix.mat_pow(args.n)
     minors = tribomatrix.minors_of(power)
     trace = tribomatrix.trace(power)
@@ -373,7 +364,7 @@ def _fixture(sequence_id: str, args: argparse.Namespace, config: CliConfig) -> o
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        raise CommandError(f"cannot read fixture {path!r}: {exc}") from exc
+        raise ValueError(f"cannot read fixture {path!r}: {exc}") from exc
     return oeis.parse_bfile(text, sequence_id)
 
 
@@ -382,13 +373,11 @@ def cmd_crosscheck(args: argparse.Namespace, config: CliConfig, fmt: str) -> int
     sequence_id = oeis.OEIS_IDS[kind]
     rows = args.rows_override if args.rows_override is not None else args.rows
     if rows < 1:
-        raise CommandError(f"rows must be >= 1, got {rows}")
+        raise ValueError(f"rows must be >= 1, got {rows}")
     try:
         bfile = _fixture(sequence_id, args, config)
     except oeis.BFileError as exc:
-        raise CommandError(f"{sequence_id}: {exc}") from exc
-    except oeis.BFileFetchError as exc:
-        raise CommandError(str(exc)) from exc
+        raise ValueError(f"{sequence_id}: {exc}") from exc
     report = oeis.crosscheck(kind, bfile, rows)
     if fmt == "plain":
         status = "ok" if report.ok else "FAILED"
@@ -428,11 +417,11 @@ def bench_strategies(
 ) -> tuple[list[dict[str, Any]], bool]:
     """Time each strategy at index n; returns (rows, exact_agreement)."""
     if n < 0:
-        raise CommandError(f"bench requires n >= 0, got {n}")
+        raise ValueError(f"bench requires n >= 0, got {n}")
     if repetitions < 1:
-        raise CommandError(f"repetitions must be >= 1, got {repetitions}")
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     if kind is SequenceKind.TRIBONACCI:
-        raise CommandError("bench compares recurrence, matrix and binet; use S or C")
+        raise ValueError("bench compares recurrence, matrix and binet; use S or C")
 
     def best_of(fn: Callable[[], int]) -> tuple[float, int]:
         best, value = None, None
@@ -590,11 +579,8 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(args.config)
         fmt = args.format or config.output_format
         if fmt == "bfile" and args.command != "eval":
-            raise CommandError(f"bfile format does not apply to {args.command}")
+            raise ValueError(f"bfile format does not apply to {args.command}")
         return args.func(args, config, fmt)
-    except CommandError as exc:
-        print(f"tribokit: {exc}", file=sys.stderr)
-        return exc.code
     except (ValueError, OSError) as exc:
         print(f"tribokit: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -48,7 +48,7 @@ class BFileStructureError(BFileError):
     """Token-level parsing succeeded but the row structure is invalid."""
 
 
-class BFileFetchError(RuntimeError):
+class BFileFetchError(OSError):
     """Transport failure while retrieving a b-file."""
 
 
@@ -118,8 +118,6 @@ def format_bfile(kind: SequenceKind, lo: int, hi: int) -> str:
     """Render sequence terms in b-file format; indices must be >= 0."""
     if lo < 0:
         raise ValueError(f"b-file indices must be >= 0, got lo={lo}")
-    if lo > hi:
-        raise ValueError(f"empty range: lo={lo} exceeds hi={hi}")
     return "".join(f"{n} {text}\n" for n, text in enumerate(seqcore.range_text(kind, lo, hi), lo))
 
 
@@ -138,7 +136,7 @@ def crosscheck(kind: SequenceKind, bfile: BFile, max_rows: int) -> CrosscheckRep
     if not selected:
         raise BFileStructureError("b-file contains no data rows")
     first = selected[0][0]
-    local_terms = zip(count(first), seqcore.iter_terms(kind, first))
+    local_terms = zip(count(first), seqcore.RECURRENCES[kind].terms(first))
     mismatches = []
     for index, listed in selected:
         n, local = next(pair for pair in local_terms if pair[0] >= index)
@@ -166,7 +164,9 @@ def bundled_fixture_text(sequence_id: str) -> str:
 
 
 def http_transport(base_url: str = "https://oeis.org") -> Callable[[str], str]:
-    """Transport fetching ``<base_url>/<id>/b<digits>.txt``."""
+    """Transport fetching ``<base_url>/<id>/b<digits>.txt``; trailing
+    slashes of ``base_url`` are dropped."""
+    base_url = base_url.rstrip("/")
 
     def fetch(sequence_id: str) -> str:
         url = f"{base_url}/{sequence_id}/b{sequence_id[1:]}.txt"

@@ -150,21 +150,16 @@ class Recurrence:
         """Bi-infinite evaluator with extend-on-demand caching."""
         c1, c2, c3 = self.coeffs
         fwd: list[int] = list(self.seeds)
-        bwd: list[int] = []  # bwd[k] holds the term at index -(k+1)
+        bwd: list[int] = fwd[::-1]  # bwd[k + 2] holds a(-k)
 
         def at(n: int) -> int:
             if n >= 0:
                 while len(fwd) <= n:
                     fwd.append(c1 * fwd[-1] + c2 * fwd[-2] + c3 * fwd[-3])
                 return fwd[n]
-            while len(bwd) < -n:
-                # The three terms above the next index, -len(bwd) - 1, read from
-                # the lists: calling ``at`` here would tie each memo into a
-                # reference cycle that only the cyclic garbage collector frees.
-                top = -len(bwd)
-                up1, up2, up3 = (fwd[i] if i >= 0 else bwd[-i - 1] for i in range(top, top + 3))
-                bwd.append(c3 * (up3 - c1 * up2 - c2 * up1))
-            return bwd[-n - 1]
+            while len(bwd) <= 2 - n:
+                bwd.append(c3 * (bwd[-3] - c1 * bwd[-2] - c2 * bwd[-1]))
+            return bwd[2 - n]
 
         return at
 
@@ -194,11 +189,6 @@ T_FORMS: dict[SForm | CForm, Callable[[Callable[[int], int], int], int]] = {
         - 2 * t(n) * t(n - 1) + 2 * t(n) * t(n - 2) + 4 * t(n - 1) * t(n - 2)
     ),
 }
-
-
-def iter_terms(kind: SequenceKind, lo: int) -> Iterator[int]:
-    """a(lo), a(lo+1), ... without end (``Recurrence.terms``)."""
-    return RECURRENCES[kind].terms(lo)
 
 
 def tribonacci(n: int) -> int:
@@ -236,7 +226,7 @@ def sequence_range(kind: SequenceKind, lo: int, hi: int) -> list[tuple[int, int]
     """(n, value) pairs for lo..hi inclusive: one ladder, then one linear pass."""
     if lo > hi:
         raise ValueError(f"empty range: lo={lo} exceeds hi={hi}")
-    return list(zip(range(lo, hi + 1), islice(iter_terms(kind, lo), hi - lo + 1)))
+    return list(zip(range(lo, hi + 1), islice(RECURRENCES[kind].terms(lo), hi - lo + 1)))
 
 
 def tribonacci_window(n: int) -> Callable[[int], int]:

@@ -9,6 +9,8 @@ from tribokit import analytic, cli, genfunc, identities, oeis, seqcore, tribomat
 from tribokit.oeis import bundled_fixture_text
 from tribokit.seqcore import c_seq, s_lucas
 
+from conftest import oracle_c, oracle_s, oracle_t
+
 
 @pytest.fixture(autouse=True)
 def isolated_config(monkeypatch):
@@ -457,3 +459,160 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["eval", "S"])  # missing lo/hi
     assert exit_info.value.code == 2
+
+
+# Every refusal below exits 2 with nothing on stdout and one line on stderr.
+_REFUSALS = [
+    (["verify", "SQUARE", "--range", "5:2"], "empty bounds: 5 exceeds 2"),
+    (["eval", "T", "5", "4"], "empty range: 5 exceeds 4"),
+    (["expand", "--num", "1,x", "--den", "1,-1", "3"],
+     "--num must be a comma-separated integer list, got '1,x'"),
+    (["expand", "S", "3", "--num", "1", "--den", "1,-1"],
+     "give either a builtin name or --num/--den, not both"),
+    (["matrix", "--", "-1"], "matrix power requires n >= 0, got -1"),
+    (["crosscheck", "T", "--rows", "0"], "rows must be >= 1, got 0"),
+    (["bench", "S", "--", "-1"], "bench requires n >= 0, got -1"),
+    (["bench", "S", "10", "0"], "repetitions must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _REFUSALS, ids=[" ".join(a) for a, _ in _REFUSALS])
+def test_refusal_exits_2_with_its_message(argv, message, capsys):
+    assert run(capsys, *argv) == (2, "", f"tribokit: {message}\n")
+
+
+def test_failed_fetch_is_an_io_error(monkeypatch, capsys):
+    def offline(sequence_id):
+        raise OSError("offline")
+
+    monkeypatch.setattr(cli, "transport_factory", lambda base_url: offline)
+    assert run(capsys, "crosscheck", "C", "--fetch") == (
+        2, "", "tribokit: transport failed for A073145: offline\n")
+
+
+def _oracle_matrix(n):
+    t = oracle_t(n - 3, n + 1)
+    return [
+        [t[n + 1], t[n], t[n - 1]],
+        [t[n] + t[n - 1], t[n - 1] + t[n - 2], t[n - 2] + t[n - 3]],
+        [t[n], t[n - 1], t[n - 2]],
+    ]
+
+
+def test_matrix_json(capsys):
+    n = 30
+    entries = _oracle_matrix(n)
+    (a, b, c), (d, e, f), (g, h, i) = entries
+    minors = {"minor_12": a * e - b * d, "minor_13": a * i - c * g, "minor_23": e * i - f * h}
+    code, out, _ = run(capsys, "matrix", str(n), "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "command": "matrix",
+        "n": n,
+        "entries": [[str(x) for x in row] for row in entries],
+        "trace": str(oracle_s(n, n)[n]),
+        "minors": {**{k: str(v) for k, v in minors.items()}, "total": str(oracle_c(n, n)[n])},
+    }
+
+
+def test_matrix_csv(capsys):
+    n = 30
+    entries = _oracle_matrix(n)
+    code, out, _ = run(capsys, "matrix", str(n), "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == [
+        "field,position,value",
+        *(f"entry,{i}{j},{entries[i][j]}" for i in range(3) for j in range(3)),
+        f"trace,,{oracle_s(n, n)[n]}",
+        f"minor_sum,,{oracle_c(n, n)[n]}",
+    ]
+
+
+def test_roots_csv(capsys):
+    code, out, _ = run(capsys, "roots", "15", "--format", "csv")
+    assert code == 0
+    rows = dict(line.split(",") for line in out.splitlines())
+    assert list(rows) == ["field", "precision", "alpha", "beta_real", "beta_imag", "abs_beta",
+                          "residual_sum", "residual_pair", "residual_product", "index_cap"]
+    assert rows["field"] == "value"
+    assert rows["precision"] == "15"
+    assert rows["alpha"].startswith("1.8392867552")
+    assert rows["beta_real"].startswith("-0.4196433776")
+    assert rows["beta_imag"].startswith("0.6062907292")
+    assert abs(float(rows["abs_beta"]) - 0.737353) < 5e-7
+    assert all(float(rows[k]) < 1e-12 for k in ("residual_sum", "residual_pair", "residual_product"))
+    assert rows["index_cap"] == "30"
+
+
+@pytest.fixture
+def mismatching_s_fixture(tmp_path):
+    path = tmp_path / "b001644.txt"
+    path.write_text("0 3\n1 1\n2 4\n3 7\n4 12\n", encoding="ascii")
+    return path
+
+
+def test_crosscheck_json_with_mismatches(mismatching_s_fixture, capsys):
+    s = oracle_s(0, 4)
+    code, out, _ = run(capsys, "crosscheck", "S", str(mismatching_s_fixture), "--format", "json")
+    assert code == 3
+    assert json.loads(out) == {
+        "command": "crosscheck",
+        "sequence_id": "A001644",
+        "offset_used": 0,
+        "rows_compared": 5,
+        "mismatches": [{"index": 2, "local": str(s[2]), "bfile": "4"},
+                       {"index": 4, "local": str(s[4]), "bfile": "12"}],
+        "ok": False,
+    }
+
+
+def test_crosscheck_csv_with_mismatches(mismatching_s_fixture, capsys):
+    s = oracle_s(0, 4)
+    code, out, _ = run(capsys, "crosscheck", "S", str(mismatching_s_fixture), "--format", "csv")
+    assert code == 3
+    assert out == f"index,local,bfile\n2,{s[2]},4\n4,{s[4]},12\n"
+
+
+# S(40) lies within the binet index cap of 60 at precision 30; C(100) does not.
+@pytest.mark.parametrize("kind, n, oracle", [("S", 40, oracle_s), ("C", 100, oracle_c)])
+def test_bench_csv(kind, n, oracle, capsys):
+    code, out, _ = run(capsys, "bench", kind, str(n), "1", "--format", "csv")
+    assert code == 0
+    header, *rows = [line.split(",", 3) for line in out.splitlines()]
+    assert header == ["strategy", "seconds", "value", "note"]
+    for row in rows:
+        if row[1]:
+            assert float(row[1]) >= 0
+            row[1] = "<seconds>"
+    value = str(oracle(n, n)[n])
+    binet = (["binet", "<seconds>", value, ""] if kind == "S" else
+             ["binet", "", "", "bound exceeded: |n| = 100 exceeds the certified index cap 60 "
+                              "at precision 30"])
+    assert rows == [["recurrence", "<seconds>", value, ""],
+                    ["matrix", "<seconds>", value, ""],
+                    binet]
+
+
+def test_expand_json(capsys):
+    code, out, _ = run(capsys, "expand", "S", "40", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "command": "expand",
+        "numerator": [3, -2, -1],
+        "denominator": [1, -1, -1, -1],
+        "coefficients": [str(v) for v in oracle_s(0, 39).values()],
+    }
+
+
+def test_verify_plain_lists_ten_counterexamples_then_the_rest(monkeypatch, capsys):
+    flipped = tuple((name, "2*S(n) = C(n)^2 + C(2n)  [n >= 0]" if name == "CN2" else statement)
+                    for name, statement in identities.CATALOGUE)
+    monkeypatch.setattr(identities, "CATALOGUE", flipped)
+    s, c = oracle_s(0, 10), oracle_c(0, 20)
+    code, out, _ = run(capsys, "verify", "CN2", "--range", "0:10")
+    assert code == 3
+    assert out.splitlines() == [
+        "CN2  n in [0, 10]  cases=11  counterexamples=11  FAILED",
+        *(f"  at ({n},): lhs={2 * s[n]} rhs={c[n] ** 2 + c[2 * n]}" for n in range(10)),
+        "  ... 1 more",
+    ]

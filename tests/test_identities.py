@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import runpy
 import weakref
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -69,6 +70,14 @@ def test_backend_memoization_is_bi_infinite():
     assert backend.c(-40) == c_seq(-40)
     for kind, memo in zip(SequenceKind, (backend.t, backend.s, backend.c)):
         assert [memo(n) for n in range(-50, 51)] == [term(kind, n) for n in range(-50, 51)]
+    # each single-seed fault injection, as perfbench's certify workload makes them
+    for kind, letter in zip(SequenceKind, "tsc"):
+        for position, delta in product(range(3), (-2, -1, 1, 2)):
+            recurrence = seqcore.RECURRENCES[kind]
+            seeds = tuple(s + delta * (i == position) for i, s in enumerate(recurrence.seeds))
+            memo = getattr(SequenceBackend.with_seeds(**{f"{letter}_seeds": seeds}), letter)
+            mutated = replace(recurrence, seeds=seeds)
+            assert [memo(n) for n in range(-300, 301)] == [mutated.at(n) for n in range(-300, 301)]
 
 
 def test_backend_memo_is_freed_without_the_garbage_collector():

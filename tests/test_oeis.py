@@ -176,6 +176,20 @@ def test_http_transport_passes_a_timeout(monkeypatch):
     assert 0 < FETCH_TIMEOUT_S < float("inf")
 
 
+@pytest.mark.parametrize("base_url", ["https://example.invalid", "https://example.invalid/"])
+def test_http_transport_joins_the_path_with_one_slash(base_url, monkeypatch):
+    seen = []
+
+    def fake_urlopen(url, *args, **kwargs):
+        seen.append(url)
+        raise OSError("offline")
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    with pytest.raises(OSError):
+        http_transport(base_url)("A000073")
+    assert seen == ["https://example.invalid/A000073/b000073.txt"]
+
+
 def test_fetch_with_canned_transport():
     text = bundled_fixture_text("A001644")
     bfile = fetch_bfile("A001644", lambda sequence_id: text)
