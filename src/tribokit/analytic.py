@@ -14,15 +14,14 @@ identities hold by construction up to rounding.
 Precision is a decimal digit count (>= 15).  All arithmetic runs under
 an mpmath working precision with guard digits; because the working
 precision is a process-global context, callers that mix precisions
-across threads should serialize calls.  The power terms of the last
-Binet evaluation are kept in a one-entry cache keyed by kind, index and
-roots, so the value and the error bound of one rounding share them.
+across threads should serialize calls.  Each Binet evaluation computes
+its three power terms once and derives both the value and its error
+bound from them; nothing is cached between calls.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 import mpmath
 
@@ -119,24 +118,24 @@ def binet_index_cap(precision: int) -> int:
     return 2 * precision
 
 
-def _power_terms_s(n: int, roots: RootSet) -> tuple[Any, Any, Any]:
-    return roots.alpha ** n, roots.beta ** n, roots.gamma ** n
-
-
-def _power_terms_c(n: int, roots: RootSet) -> tuple[Any, Any, Any]:
+def _power_terms(kind: SequenceKind, n: int, roots: RootSet) -> tuple[Any, Any, Any]:
+    """The n-th powers summed by S (of the roots) or C (of their products)."""
     a, b, g = roots.alpha, roots.beta, roots.gamma
+    if kind is SequenceKind.GENERALIZED_LUCAS:
+        return a ** n, b ** n, g ** n
     return (a * b) ** n, (a * g) ** n, (b * g) ** n
 
 
-@functools.lru_cache(maxsize=1)
-def _powers(terms: Callable[[int, RootSet], tuple], n: int, roots: RootSet) -> tuple:
-    """terms(n, roots); the last call is kept, so ``binet_round`` computes
-    its power terms once for the value and the bound."""
-    with mpmath.workdps(roots.precision + _GUARD_DIGITS):
-        return terms(n, roots)
+def _binet(kind: SequenceKind, n: int, roots: RootSet) -> tuple[Any, float]:
+    """(value, bound): the real Binet sum at index n and its certified
+    absolute error, both from one evaluation of the power terms.
 
-
-def _binet_value(n: int, roots: RootSet, terms: Callable[[int, RootSet], tuple]) -> Any:
+    The bound scales with the magnitudes of the three power terms, the
+    index, and 10^(-precision); it decays with the conjugate-pair
+    contribution for the terms below modulus one.
+    """
+    if kind not in (SequenceKind.GENERALIZED_LUCAS, SequenceKind.MINOR_SUM):
+        raise ValueError(f"no Binet evaluator for {kind}; use S or C")
     cap = binet_index_cap(roots.precision)
     if abs(n) > cap:
         raise PrecisionError(
@@ -144,39 +143,34 @@ def _binet_value(n: int, roots: RootSet, terms: Callable[[int, RootSet], tuple])
             f"at precision {roots.precision}"
         )
     with mpmath.workdps(roots.precision + _GUARD_DIGITS):
+        terms = _power_terms(kind, n, roots)
         total = mpmath.mpc(0)
-        for t in _powers(terms, n, roots):
+        for t in terms:
             total += t
         real, imag = total.real, abs(total.imag)
         if imag > mpmath.mpf("1e-6") * max(1, abs(real)):
             raise PrecisionError(
                 f"imaginary residue {imag} at n={n}: precision exhausted"
             )
-        return real
+        magnitude = sum(abs(t) for t in terms)
+        bound = magnitude * (abs(n) + 1) * _BOUND_SAFETY * mpmath.mpf(10) ** (-roots.precision)
+        return real, float(bound)
 
 
 def binet_s(n: int, roots: RootSet) -> Any:
     """Real part of alpha^n + beta^n + gamma^n (imaginary part must vanish)."""
-    return _binet_value(n, roots, _power_terms_s)
+    return _binet(SequenceKind.GENERALIZED_LUCAS, n, roots)[0]
 
 
 def binet_c(n: int, roots: RootSet) -> Any:
     """Real part of the pairwise-product power sum defining C(n)."""
-    return _binet_value(n, roots, _power_terms_c)
+    return _binet(SequenceKind.MINOR_SUM, n, roots)[0]
 
 
 def binet_error_bound(kind: SequenceKind, n: int, roots: RootSet) -> float:
-    """Certified absolute error of the Binet evaluation at index n.
-
-    Scales with the magnitudes of the three power terms, the index, and
-    10^(-precision); decays with the conjugate-pair contribution for the
-    terms below modulus one.
-    """
-    terms = _terms_for(kind)
-    with mpmath.workdps(roots.precision + _GUARD_DIGITS):
-        magnitude = sum(abs(t) for t in _powers(terms, n, roots))
-        bound = magnitude * (abs(n) + 1) * _BOUND_SAFETY * mpmath.mpf(10) ** (-roots.precision)
-        return float(bound)
+    """Certified absolute error of the Binet evaluation at index n; raises
+    PrecisionError past the index cap."""
+    return _binet(kind, n, roots)[1]
 
 
 def binet_round(kind: SequenceKind, n: int, roots: RootSet) -> int:
@@ -186,9 +180,7 @@ def binet_round(kind: SequenceKind, n: int, roots: RootSet) -> int:
     bound reaches 0.5, so a successful return is the exact sequence
     value.
     """
-    terms = _terms_for(kind)
-    value = _binet_value(n, roots, terms)
-    bound = binet_error_bound(kind, n, roots)
+    value, bound = _binet(kind, n, roots)
     if bound >= 0.5:
         raise PrecisionError(
             f"error bound {bound} >= 0.5 at n={n}, precision {roots.precision}: "
@@ -196,11 +188,3 @@ def binet_round(kind: SequenceKind, n: int, roots: RootSet) -> int:
         )
     with mpmath.workdps(roots.precision + _GUARD_DIGITS):
         return int(mpmath.nint(value))
-
-
-def _terms_for(kind: SequenceKind) -> Callable[[int, RootSet], tuple]:
-    if kind is SequenceKind.GENERALIZED_LUCAS:
-        return _power_terms_s
-    if kind is SequenceKind.MINOR_SUM:
-        return _power_terms_c
-    raise ValueError(f"no Binet evaluator for {kind}; use S or C")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 import sys
+import urllib.parse
 import urllib.request
 from dataclasses import dataclass
 from importlib import resources
@@ -27,6 +28,9 @@ OEIS_IDS: dict[SequenceKind, str] = {
 }
 
 _ID_PATTERN = re.compile(r"\AA\d{6}\Z")
+# Two ASCII integer tokens, all a b-file row holds; int() alone would
+# also take "1_0" and non-ASCII digits.
+_ROW = re.compile(r"([+-]?[0-9]+)\s+([+-]?[0-9]+)")
 
 # Seconds a live b-file fetch may wait on the server before it fails.
 FETCH_TIMEOUT_S = 30.0
@@ -76,15 +80,12 @@ def _check_id(sequence_id: str) -> str:
     return sequence_id
 
 
-def _token_error(tokens: list[str], line: str) -> str:
-    """Why int() refused a token: past the int/str digit limit, which is
-    named without echoing the digits, or not an integer."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before 3.10.7
-    for token in tokens:
-        digits = token.lstrip("+-")
-        if limit and len(digits) > limit and digits.isdecimal():
-            return f"{len(digits)}-digit token exceeds the int/str conversion limit of {limit} digits"
-    return f"non-integer token in {line!r}"
+def _token_error(tokens: tuple[str, ...]) -> str:
+    """Why int() refused an ASCII integer token: it passes the int/str
+    digit limit, which is named without echoing the digits."""
+    limit = sys.get_int_max_str_digits()
+    digits = next(n for n in (len(token.lstrip("+-")) for token in tokens) if n > limit)
+    return f"{digits}-digit token exceeds the int/str conversion limit of {limit} digits"
 
 
 def parse_bfile(text: str, sequence_id: str) -> BFile:
@@ -95,15 +96,18 @@ def parse_bfile(text: str, sequence_id: str) -> BFile:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise BFileParseError(
-                f"expected two integer tokens, got {len(tokens)}: {line!r}", line_number
-            )
+        row = _ROW.fullmatch(line)
+        if row is None:
+            tokens = line.split()
+            if len(tokens) != 2:
+                raise BFileParseError(
+                    f"expected two integer tokens, got {len(tokens)}: {line!r}", line_number
+                )
+            raise BFileParseError(f"non-integer token in {line!r}", line_number)
         try:
-            index, value = int(tokens[0]), int(tokens[1])
+            index, value = int(row[1]), int(row[2])
         except ValueError:
-            raise BFileParseError(_token_error(tokens, line), line_number) from None
+            raise BFileParseError(_token_error(row.groups()), line_number) from None
         if rows and index <= rows[-1][0]:
             raise BFileStructureError(
                 f"line {line_number}: index {index} does not increase past {rows[-1][0]}"
@@ -165,7 +169,16 @@ def bundled_fixture_text(sequence_id: str) -> str:
 
 def http_transport(base_url: str = "https://oeis.org") -> Callable[[str], str]:
     """Transport fetching ``<base_url>/<id>/b<digits>.txt``; trailing
-    slashes of ``base_url`` are dropped."""
+    slashes of ``base_url`` are dropped.  Refuses, before any fetch, a
+    ``base_url`` that is not http(s) with a host, or that carries a query
+    or fragment, which would swallow the appended path."""
+    parts = urllib.parse.urlsplit(base_url)
+    if parts.scheme not in ("http", "https") or not parts.hostname or any(
+        c in base_url for c in "?#"
+    ):
+        raise ValueError(
+            f"oeis_url must be an http(s) URL without query or fragment, got {base_url!r}"
+        )
     base_url = base_url.rstrip("/")
 
     def fetch(sequence_id: str) -> str:

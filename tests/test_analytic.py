@@ -16,6 +16,7 @@ from tribokit.analytic import (
     char_roots,
     vieta_check,
 )
+from tribokit.cli import bench_strategies
 from tribokit.seqcore import SequenceKind, c_seq, s_lucas
 
 
@@ -137,8 +138,8 @@ def test_refuses_beyond_cap():
 
 def test_refuses_when_bound_too_large(monkeypatch):
     roots = char_roots(15)
-    monkeypatch.setattr(analytic, "binet_error_bound", lambda kind, n, r: 0.6)
-    with pytest.raises(PrecisionError):
+    monkeypatch.setattr(analytic, "_BOUND_SAFETY", 10**40)
+    with pytest.raises(PrecisionError, match="refusing to round"):
         binet_round(SequenceKind.GENERALIZED_LUCAS, 5, roots)
 
 
@@ -165,20 +166,41 @@ def test_bound_certifies_rounding_at_the_cap():
     assert binet_round(SequenceKind.MINOR_SUM, -60, roots) == c_seq(-60)
 
 
-@pytest.mark.parametrize("kind,terms", [
-    (SequenceKind.GENERALIZED_LUCAS, "_power_terms_s"),
-    (SequenceKind.MINOR_SUM, "_power_terms_c"),
-])
-def test_binet_round_computes_its_power_terms_once(monkeypatch, kind, terms):
+def test_error_bound_refuses_beyond_cap():
+    roots = char_roots(30)
+    assert binet_error_bound(SequenceKind.MINOR_SUM, -60, roots) < 0.5
+    with pytest.raises(PrecisionError, match="exceeds the certified index cap 60"):
+        binet_error_bound(SequenceKind.MINOR_SUM, -61, roots)
+
+
+def _count_power_terms(monkeypatch) -> list:
     calls = []
-    original = getattr(analytic, terms)
+    original = analytic._power_terms
 
-    def counted(n, roots):
+    def counted(kind, n, roots):
         calls.append(n)
-        return original(n, roots)
+        return original(kind, n, roots)
 
-    monkeypatch.setattr(analytic, terms, counted)
+    monkeypatch.setattr(analytic, "_power_terms", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", [SequenceKind.GENERALIZED_LUCAS, SequenceKind.MINOR_SUM])
+def test_binet_round_computes_its_power_terms_once(monkeypatch, kind):
+    calls = _count_power_terms(monkeypatch)
     roots = char_roots(40)
     expected = s_lucas(57) if kind is SequenceKind.GENERALIZED_LUCAS else c_seq(57)
     assert binet_round(kind, 57, roots) == expected
     assert calls == [57]
+
+
+def test_bench_times_every_binet_repetition(monkeypatch):
+    # no cache between calls: each timed repetition evaluates the power
+    # terms afresh, and the reported bound takes one more evaluation
+    calls = _count_power_terms(monkeypatch)
+    rows, agree = bench_strategies(SequenceKind.GENERALIZED_LUCAS, 50, 3, 30)
+    assert agree
+    binet = next(row for row in rows if row["strategy"] == "binet")
+    assert binet["value"] == s_lucas(50)
+    assert binet["bound"] < 0.5
+    assert calls == [50] * 4

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import time
+import urllib.request
 
 import pytest
 
@@ -488,6 +489,18 @@ def test_failed_fetch_is_an_io_error(monkeypatch, capsys):
     monkeypatch.setattr(cli, "transport_factory", lambda base_url: offline)
     assert run(capsys, "crosscheck", "C", "--fetch") == (
         2, "", "tribokit: transport failed for A073145: offline\n")
+
+
+def test_fetch_refuses_an_oeis_url_with_a_fragment(tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("urlopen must not be called")
+
+    monkeypatch.setattr(urllib.request, "urlopen", never)
+    config = tmp_path / "cfg"
+    config.write_text("oeis_url = https://oeis.org/#anchor\n", encoding="ascii")
+    assert run(capsys, "crosscheck", "C", "--fetch", "--config", str(config)) == (
+        2, "", "tribokit: oeis_url must be an http(s) URL without query or fragment, "
+        "got 'https://oeis.org/#anchor'\n")
 
 
 def _oracle_matrix(n):

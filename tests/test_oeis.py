@@ -42,6 +42,12 @@ def test_parse_reports_line_numbers():
     with pytest.raises(BFileParseError) as err:
         parse_bfile("0 3\n# fine\n\n2 3 9\n", "A001644")
     assert err.value.line_number == 4
+    # int() takes these too, but no b-file holds them
+    for bad in ("1 1_0", "1 \u0663"):
+        with pytest.raises(BFileParseError) as err:
+            parse_bfile(f"0 3\n{bad}\n", "A001644")
+        assert err.value.line_number == 2
+        assert str(err.value) == f"line 2: non-integer token in {bad!r}"
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
@@ -188,6 +194,28 @@ def test_http_transport_joins_the_path_with_one_slash(base_url, monkeypatch):
     with pytest.raises(OSError):
         http_transport(base_url)("A000073")
     assert seen == ["https://example.invalid/A000073/b000073.txt"]
+
+
+@pytest.mark.parametrize("base_url", [
+    "https://oeis.org/#anchor",
+    "https://oeis.org/?q=1",
+    "https://oeis.org?",
+    "ftp://oeis.org",
+    "oeis.org",
+    "https://",
+])
+def test_http_transport_refuses_a_url_that_would_swallow_the_path(base_url, monkeypatch):
+    # the fragment of https://oeis.org/#anchor/A000073/b000073.txt makes
+    # the request's path "/": it would fetch the site root
+    def never(*args, **kwargs):
+        raise AssertionError("urlopen must not be called")
+
+    monkeypatch.setattr(urllib.request, "urlopen", never)
+    with pytest.raises(ValueError) as err:
+        http_transport(base_url)
+    assert str(err.value) == (
+        f"oeis_url must be an http(s) URL without query or fragment, got {base_url!r}"
+    )
 
 
 def test_fetch_with_canned_transport():
