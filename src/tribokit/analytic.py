@@ -6,8 +6,8 @@ a conjugate pair beta, gamma with |beta| = 1/sqrt(alpha) < 1.  Then
     S(n) = alpha^n + beta^n + gamma^n
     C(n) = (alpha*beta)^n + (alpha*gamma)^n + (beta*gamma)^n
 
-hold for every integer n.  alpha is located by bracketing-plus-Newton
-on [1, 2]; beta and gamma come from the deflated quadratic whose root
+hold for every integer n.  alpha is located by Newton's method started
+at 1.8; beta and gamma come from the deflated quadratic whose root
 sum is 1 - alpha and whose root product is 1/alpha, so the Vieta
 identities hold by construction up to rounding.
 
@@ -71,23 +71,14 @@ def char_roots(precision: int) -> RootSet:
     if precision < 15:
         raise ValueError(f"precision must be >= 15 decimal digits, got {precision}")
     with mpmath.workdps(precision + _GUARD_DIGITS):
-        lo, hi = mpmath.mpf(1), mpmath.mpf(2)
+        # The cubic is increasing and convex on [1.8, 2], so the first
+        # step lands past alpha and every later step falls toward it.
         x = mpmath.mpf("1.8")
         tol = mpmath.mpf(10) ** (-(precision + _GUARD_DIGITS - 2))
         for _ in range(_NEWTON_MAX_ITER):
-            fx = _poly(x)
-            if fx > 0:
-                hi = x
-            elif fx < 0:
-                lo = x
-            else:
+            x, prev = x - _poly(x) / _poly_deriv(x), x
+            if abs(x - prev) <= tol:
                 break
-            nxt = x - fx / _poly_deriv(x)
-            if abs(nxt - x) <= tol:
-                # Converged; a step this small may sit on the bracket end x.
-                x = nxt
-                break
-            x = nxt if lo < nxt < hi else (lo + hi) / 2
         else:
             raise RuntimeError(
                 f"Newton iteration did not converge within {_NEWTON_MAX_ITER} steps"

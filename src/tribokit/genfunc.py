@@ -8,11 +8,13 @@ convolution
     a(n) = num(n) - sum_{k>=1} den(k) * a(n-k)
 
 entirely in exact integer arithmetic.  ``expand_text`` prints the
-expansion: past the seed window it runs that recurrence in decimal
-radix (``seqcore``'s range kernel), linear in the digits of each term.
+expansion in one pass of ``seqcore``'s range kernel: the seed window
+through str(), every later term by the recurrence in decimal radix,
+linear in the digits of each term.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import islice
 
@@ -27,6 +29,14 @@ def _trim(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     return coeffs[:end]
 
 
+def _coefficient(value: object) -> int:
+    """``value`` as an int; 3.7 or "3" is refused, not truncated or parsed."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"coefficient must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class RationalOGF:
     """num(x)/den(x), ascending coefficients, den normalized to den[0] = 1."""
@@ -35,8 +45,8 @@ class RationalOGF:
     denominator: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        num = _trim(tuple(int(c) for c in self.numerator))
-        den = _trim(tuple(int(c) for c in self.denominator))
+        num = _trim(tuple(map(_coefficient, self.numerator)))
+        den = _trim(tuple(map(_coefficient, self.denominator)))
         if not den or den[0] != 1:
             raise ValueError("denominator must have constant term 1")
         if len(den) < 2:
@@ -92,12 +102,7 @@ def recurrence_of(ogf: RationalOGF) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def expand_text(ogf: RationalOGF, count: int) -> list[str]:
     """Decimal text of the first ``count`` coefficients, equal to str() of
-    each value of ``expand``: the head before the recurrence takes over
-    from ``expand``, the rest from one decimal pass."""
+    each value of ``expand``, from one decimal pass over the seeds."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    coeffs, seeds = recurrence_of(ogf)
-    head = len(seeds) - len(coeffs)
-    texts = [str(value) for value in seeds[:min(head, count)]]
-    texts.extend(islice(seqcore._text_terms(coeffs, seeds[head:]), count - len(texts)))
-    return texts
+    return list(islice(seqcore._text_terms(*recurrence_of(ogf)), count))

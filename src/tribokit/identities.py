@@ -8,7 +8,9 @@ domain and both sides, so the text is what gets checked.  ``verify``
 sweeps a record over inclusive index bounds and reports every tuple
 where the two sides differ, so a claim is either confirmed over the
 stated range or refuted with concrete counterexamples; bounds holding no
-case of the record's domain are refused.  Nothing is ever compared in
+case of the record's domain are refused.  ``boundary_consistency`` runs
+the same sweep over one more record, the right sides of the catalogue's
+PROD_GE and PROD_LT on the diagonal n = m.  Nothing is ever compared in
 floating point.
 
 Records evaluate through a SequenceBackend, a triple of pure
@@ -26,12 +28,13 @@ import re
 from dataclasses import dataclass, field, replace
 from itertools import product
 from types import CodeType
-from typing import Callable
+from typing import Callable, Iterable
 
 from .seqcore import RECURRENCES, T_FORMS, CForm, SequenceKind, SForm
 
 Bounds = tuple[int, int]
 Counterexample = tuple[tuple[int, ...], int, int]
+Points = Iterable[tuple[int, ...]]
 Seeds = tuple[int, int, int]
 
 
@@ -152,28 +155,32 @@ def _compile(statement: str) -> tuple[int, CodeType]:
     return len(params), compile(f"({lambdas})", statement, "eval")
 
 
-def registry(backend: SequenceBackend | None = None) -> list[IdentityRecord]:
-    """The 14 identity records, evaluated over ``backend``: the compiled
-    ``CATALOGUE`` followed by the two sweeps of ``seqcore.T_FORMS``."""
-    b = backend if backend is not None else SequenceBackend.default()
-    t, s, c = b.t, b.s, b.c
-    namespace = {"__builtins__": {}, "S": s, "C": c, "T": t}
+def _catalogue(backend: SequenceBackend) -> list[IdentityRecord]:
+    """The compiled ``CATALOGUE`` records, evaluated over ``backend``."""
+    namespace = {"__builtins__": {}, "S": backend.s, "C": backend.c, "T": backend.t}
     records = []
     for name, statement in CATALOGUE:
         arity, code = _compile(statement)
         records.append(IdentityRecord(name, arity, statement, *eval(code, namespace)))
+    return records
+
+
+def registry(backend: SequenceBackend | None = None) -> list[IdentityRecord]:
+    """The 14 identity records, evaluated over ``backend``: the compiled
+    ``CATALOGUE`` followed by the two sweeps of ``seqcore.T_FORMS``."""
+    b = backend if backend is not None else SequenceBackend.default()
 
     def t_forms(name: str, forms: type[SForm] | type[CForm], target: Callable[[int], int],
                 statement: str) -> IdentityRecord:
         # the squared residual is zero exactly when every T-form reproduces the target
         def residual(n: int) -> int:
-            return sum((T_FORMS[form](t, n) - target(n)) ** 2 for form in forms)
+            return sum((T_FORMS[form](b.t, n) - target(n)) ** 2 for form in forms)
         return IdentityRecord(name, 1, statement, lambda n: True, residual, lambda n: 0)
 
-    return records + [
-        t_forms("S_T_FORMS", SForm, s,
+    return _catalogue(b) + [
+        t_forms("S_T_FORMS", SForm, b.s,
                 "both linear T-forms of S(n) equal S(n) (zero squared residual)"),
-        t_forms("C_T_FORMS", CForm, c,
+        t_forms("C_T_FORMS", CForm, b.c,
                 "both quadratic T-forms of C(n) equal C(n) (zero squared residual)"),
     ]
 
@@ -186,21 +193,18 @@ def _find(records: list[IdentityRecord], name: str) -> IdentityRecord:
     raise KeyError(f"no identity named {name!r}; known: {known}")
 
 
-def _bounds_text(arity: int, n_bounds: Bounds, m_bounds: Bounds) -> str:
-    if arity == 1:
-        return f"n in [{n_bounds[0]}, {n_bounds[1]}]"
-    return (
-        f"n in [{n_bounds[0]}, {n_bounds[1]}], "
-        f"m in [{m_bounds[0]}, {m_bounds[1]}]"
-    )
+def _box(arity: int, n_bounds: Bounds, m_bounds: Bounds | None) -> tuple[Points, str]:
+    """The index tuples within inclusive bounds (m's default to n's) and their text."""
+    bounds = (n_bounds, m_bounds or n_bounds)[:arity]
+    return (product(*(range(lo, hi + 1) for lo, hi in bounds)),
+            ", ".join(f"{v} in [{lo}, {hi}]" for v, (lo, hi) in zip("nm", bounds)))
 
 
-def _run(record: IdentityRecord, n_bounds: Bounds, m_bounds: Bounds) -> VerificationReport:
-    bounds = _bounds_text(record.arity, n_bounds, m_bounds)
-    ranges = (range(lo, hi + 1) for lo, hi in (n_bounds, m_bounds)[:record.arity])
+def _run(record: IdentityRecord, points: Points, bounds: str) -> VerificationReport:
+    """Compare both sides at each in-domain point; refused if there is none."""
     cases = 0
     bad: list[Counterexample] = []
-    for point in product(*ranges):
+    for point in points:
         if not record.domain(*point):
             continue
         cases += 1
@@ -224,8 +228,8 @@ def verify(
     backend: SequenceBackend | None = None,
 ) -> VerificationReport:
     """Check one identity on every in-domain tuple within the bounds."""
-    records = registry(backend)
-    return _run(_find(records, name), n_bounds, m_bounds or n_bounds)
+    record = _find(registry(backend), name)
+    return _run(record, *_box(record.arity, n_bounds, m_bounds))
 
 
 def verify_all(
@@ -234,32 +238,23 @@ def verify_all(
     backend: SequenceBackend | None = None,
 ) -> list[VerificationReport]:
     """Every registry record over shared bounds, in registry order."""
-    records = registry(backend)
-    return [_run(record, n_bounds, m_bounds or n_bounds) for record in records]
+    return [_run(record, *_box(record.arity, n_bounds, m_bounds)) for record in registry(backend)]
 
 
 def boundary_consistency(
     bounds: Bounds = (0, 50), backend: SequenceBackend | None = None
 ) -> VerificationReport:
-    """At n = m the two product-identity right sides must coincide.
+    """At n = m the right sides of the catalogue's PROD_GE and PROD_LT
+    must coincide; a counterexample is ((n, n), PROD_GE rhs, PROD_LT rhs).
 
     PROD_GE subtracts C(0) and PROD_LT (extended to n = m) subtracts
     S(0); both equal 3, so the diagonal has a single consistent value.
     """
-    if bounds[0] > bounds[1]:
-        raise ValueError(f"BOUNDARY: empty bounds, {bounds[0]} exceeds {bounds[1]}")
-    b = backend if backend is not None else SequenceBackend.default()
-    s, c = b.s, b.c
-    bad: list[Counterexample] = []
-    for n in range(bounds[0], bounds[1] + 1):
-        common = s(3 * n) + s(n) * c(n)
-        ge_side = common - c(0)
-        lt_side = common - s(0)
-        if ge_side != lt_side:
-            bad.append(((n, n), ge_side, lt_side))
-    return VerificationReport(
-        identity="BOUNDARY",
-        bounds=f"n = m in [{bounds[0]}, {bounds[1]}]",
-        cases_checked=bounds[1] - bounds[0] + 1,
-        counterexamples=tuple(bad),
-    )
+    lo, hi = bounds
+    if lo > hi:
+        raise ValueError(f"BOUNDARY: empty bounds, {lo} exceeds {hi}")
+    records = _catalogue(backend if backend is not None else SequenceBackend.default())
+    diagonal = IdentityRecord(
+        "BOUNDARY", 2, "PROD_GE and PROD_LT right sides agree at n = m", lambda n, m: True,
+        _find(records, "PROD_GE").rhs, _find(records, "PROD_LT").rhs)
+    return _run(diagonal, ((n, n) for n in range(lo, hi + 1)), f"n = m in [{lo}, {hi}]")

@@ -170,10 +170,15 @@ def bundled_fixture_text(sequence_id: str) -> str:
 def http_transport(base_url: str = "https://oeis.org") -> Callable[[str], str]:
     """Transport fetching ``<base_url>/<id>/b<digits>.txt``; trailing
     slashes of ``base_url`` are dropped.  Refuses, before any fetch, a
-    ``base_url`` that is not http(s) with a host, or that carries a query
-    or fragment, which would swallow the appended path."""
-    parts = urllib.parse.urlsplit(base_url)
-    if parts.scheme not in ("http", "https") or not parts.hostname or any(
+    ``base_url`` that does not parse as http(s) with a host and a valid
+    port, or that carries a query or fragment, which would swallow the
+    appended path."""
+    try:
+        parts = urllib.parse.urlsplit(base_url)
+        parts.port  # raises ValueError unless the port is a number in 0..65535
+    except ValueError:
+        parts = None
+    if parts is None or parts.scheme not in ("http", "https") or not parts.hostname or any(
         c in base_url for c in "?#"
     ):
         raise ValueError(

@@ -249,7 +249,8 @@ _STR_LIMIT_MESSAGE = (
 
 def _text_terms(coeffs: Sequence[int], window: Sequence[int]) -> Iterator[str]:
     """Decimal text of the window values, then of each later term
-    a(n) = coeffs[0]*a(n-1) + ... + coeffs[d-1]*a(n-d), d = len(window), without end.
+    a(n) = coeffs[0]*a(n-1) + ... + coeffs[d-1]*a(n-d), d = len(coeffs) <= len(window),
+    without end.
 
     Window values go through str(int) one at a time, as they are asked for.
     Later terms are summed in decimal radix, so a term costs O(digits) to

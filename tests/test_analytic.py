@@ -204,3 +204,18 @@ def test_bench_times_every_binet_repetition(monkeypatch):
     assert binet["value"] == s_lucas(50)
     assert binet["bound"] < 0.5
     assert calls == [50] * 4
+
+
+def test_char_roots_raises_when_newton_does_not_converge(monkeypatch):
+    monkeypatch.setattr(analytic, "_NEWTON_MAX_ITER", 1)
+    with pytest.raises(RuntimeError, match="did not converge within 1 steps"):
+        char_roots(30)
+
+
+def test_binet_round_refuses_a_sum_that_is_not_real(monkeypatch):
+    def skewed(kind, n, roots):
+        return mpmath.mpc(5, 1), mpmath.mpc(0), mpmath.mpc(0)
+
+    monkeypatch.setattr(analytic, "_power_terms", skewed)
+    with pytest.raises(PrecisionError, match="imaginary residue"):
+        binet_round(SequenceKind.GENERALIZED_LUCAS, 10, char_roots(30))

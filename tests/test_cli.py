@@ -456,6 +456,19 @@ def test_config_bad_default_range_names_the_line(tmp_path, capsys):
     assert err == f"tribokit: {config}:2: bounds must look like LO:HI, got '0-100'\n"
 
 
+@pytest.mark.parametrize("line,message", [
+    ("precision 30", "expected key = value, got 'precision 30'"),
+    ("precision = x", "precision must be an integer"),
+    ("output_format = xml", f"output_format must be one of {cli.FORMATS}"),
+], ids=["no-equals", "precision", "output_format"])
+def test_config_refusals_name_the_line(tmp_path, capsys, line, message):
+    config = tmp_path / "cfg"
+    config.write_text(line + "\n", encoding="ascii")
+    code, out, err = run(capsys, "roots", "--config", str(config))
+    assert (code, out) == (2, "")
+    assert err == f"tribokit: {config}:1: {message}\n"
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["eval", "S"])  # missing lo/hi

@@ -41,6 +41,17 @@ def test_denominator_validation():
         RationalOGF((1,), (1, 0, 0))  # all-zero tail trims away the degree
 
 
+@pytest.mark.parametrize("num,den,bad", [
+    ((3.7,), (1, -1), "3.7"),
+    (("3",), (1, -1), "'3'"),
+    ((1,), (1, -1.0), "-1.0"),
+])
+def test_non_integer_coefficients_are_refused(num, den, bad):
+    with pytest.raises(ValueError) as err:
+        RationalOGF(num, den)
+    assert str(err.value) == f"coefficient must be an integer, got {bad}"
+
+
 def test_trailing_zeros_are_trimmed():
     ogf = RationalOGF((3, 0, 0), (1, -1, 0, 0, 0))
     assert ogf.numerator == (3,)

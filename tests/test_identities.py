@@ -298,3 +298,14 @@ def test_boundary_consistency_refuses_empty_bounds():
     with pytest.raises(ValueError, match="5 exceeds 2"):
         boundary_consistency((5, 2))
     assert boundary_consistency((2, 2)).cases_checked == 1
+
+
+def test_boundary_consistency_reports_a_seed_fault_at_every_diagonal_point():
+    # S(0) = 4 against C(0) = 3: the two right sides differ by one at each n = m
+    backend = SequenceBackend.with_seeds(s_seeds=(4, 1, 3))
+    report = boundary_consistency((0, 5), backend)
+    assert report.identity == "BOUNDARY"
+    assert report.bounds == "n = m in [0, 5]"
+    assert report.cases_checked == 6
+    assert [point for point, _, _ in report.counterexamples] == [(n, n) for n in range(6)]
+    assert all(ge - lt == 1 for _, ge, lt in report.counterexamples)

@@ -203,6 +203,9 @@ def test_http_transport_joins_the_path_with_one_slash(base_url, monkeypatch):
     "ftp://oeis.org",
     "oeis.org",
     "https://",
+    "http://[::1",
+    "https://oeis.org:abc",
+    "https://oeis.org:99999",
 ])
 def test_http_transport_refuses_a_url_that_would_swallow_the_path(base_url, monkeypatch):
     # the fragment of https://oeis.org/#anchor/A000073/b000073.txt makes
