@@ -4,10 +4,15 @@ Subcommands: eval, verify, expand, matrix, roots, crosscheck, bench.
 Every subcommand accepts ``--format {plain,json,csv,bfile}`` and
 ``--config PATH`` (also via the TRIBOKIT_CONFIG environment variable;
 an explicit flag wins).  Only ``eval`` prints bfile; ``main`` refuses
-it for every other command before any work is done.  Exit status:
-0 success, 3 a verification or crosscheck reported mismatches, 2 a
-usage/domain/IO error: any ValueError or OSError (a failed ``--fetch``
-included), which ``main`` alone prints as ``tribokit: <message>``.
+it for every other command before any work is done.
+
+Each ``cmd_*`` returns ``(exit status, output)`` and writes nothing:
+the output is text for plain, csv and bfile, and for json a payload
+dict, to which ``main`` adds the ``command`` key first.  ``main`` is the
+one place that writes stdout.  Exit status: 0 success, 3 a verification
+or crosscheck reported mismatches, 2 a usage/domain/IO error: any
+ValueError or OSError (a failed ``--fetch`` or a failed write included),
+which ``main`` alone prints as ``tribokit: <message>``.
 
 Sequence values are arbitrary-precision integers; json and csv output
 renders them as decimal strings so nothing is ever truncated.
@@ -26,6 +31,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, replace
+from itertools import accumulate, repeat
 from typing import Any, Callable
 
 import mpmath
@@ -43,6 +49,9 @@ FORMATS = ("plain", "json", "csv", "bfile")
 
 # module-level hook so tests can substitute a canned transport
 transport_factory: Callable[[str], Callable[[str], str]] = oeis.http_transport
+
+# What a command returns: its exit status, and text or a json payload.
+Output = tuple[int, str | dict[str, Any]]
 
 
 @dataclass(frozen=True)
@@ -65,6 +74,14 @@ def _parse_bounds(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _read(path: str, what: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
 def load_config(path: str | None) -> CliConfig:
     """Defaults, overlaid with ``key = value`` lines from a config file;
     a ``#`` at the start of a line or after whitespace starts a comment."""
@@ -73,12 +90,7 @@ def load_config(path: str | None) -> CliConfig:
         path = os.environ.get(CONFIG_ENV) or None
     if path is None:
         return config
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ValueError(f"cannot read config {path!r}: {exc}") from exc
-    for line_number, raw in enumerate(text.splitlines(), start=1):
+    for line_number, raw in enumerate(_read(path, "config").splitlines(), start=1):
         line = _COMMENT.sub("", raw).strip()
         if not line:
             continue
@@ -112,10 +124,6 @@ def load_config(path: str | None) -> CliConfig:
     return config
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
 def _csv(header: list[str], rows: list[list[Any]]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -135,12 +143,9 @@ def _eval_texts(kind: SequenceKind, lo: int, hi: int, strategy: str, precision: 
     if strategy == "matrix":
         if lo < 0:
             raise ValueError("matrix strategy requires lo >= 0")
-        values = []
-        power = tribomatrix.mat_pow(lo)
-        for _ in range(lo, hi + 1):
-            values.append(tribomatrix.term_of(kind, power))
-            power = tribomatrix.mat_mul(power, tribomatrix.tribomatrix())
-        return [str(value) for value in values]
+        powers = accumulate(repeat(tribomatrix.tribomatrix(), hi - lo), tribomatrix.mat_mul,
+                            initial=tribomatrix.mat_pow(lo))
+        return [str(tribomatrix.term_of(kind, power)) for power in powers]
     if kind is SequenceKind.TRIBONACCI:
         raise ValueError("binet strategy applies to S and C only")
     cap = analytic.binet_index_cap(precision)
@@ -160,21 +165,18 @@ def _table(fmt: str, header: str, texts: list[str], start: int = 0) -> str:
     return "\n".join(f"{n} {text}" for n, text in enumerate(texts, start))
 
 
-def cmd_eval(args: argparse.Namespace, config: CliConfig, fmt: str) -> int:
+def cmd_eval(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
     if fmt == "bfile" and args.lo < 0:
         raise ValueError("bfile format requires lo >= 0")
     kind = SequenceKind.from_string(args.kind)
     texts = _eval_texts(kind, args.lo, args.hi, args.strategy, config.precision)
     if fmt == "json":
-        _emit(json.dumps({
-            "command": "eval",
+        return EXIT_OK, {
             "kind": kind.value,
             "strategy": args.strategy,
             "values": [{"n": n, "value": text} for n, text in enumerate(texts, args.lo)],
-        }))
-    else:
-        _emit(_table(fmt, "n,value", texts, args.lo))
-    return EXIT_OK
+        }
+    return EXIT_OK, _table(fmt, "n,value", texts, args.lo)
 
 
 # -------------------------------------------------------------- verify
@@ -192,7 +194,7 @@ def _report_payload(report: identities.VerificationReport) -> dict[str, Any]:
     }
 
 
-def cmd_verify(args: argparse.Namespace, config: CliConfig, fmt: str) -> int:
+def cmd_verify(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
     n_bounds = _parse_bounds(args.range) if args.range else config.default_range
     m_bounds = _parse_bounds(args.m_range) if args.m_range else n_bounds
     try:
@@ -202,33 +204,27 @@ def cmd_verify(args: argparse.Namespace, config: CliConfig, fmt: str) -> int:
             reports = [identities.verify(args.identity.upper(), n_bounds, m_bounds)]
     except KeyError as exc:
         raise ValueError(exc.args[0]) from exc
-    if fmt == "plain":
-        lines = []
-        for report in reports:
-            status = "ok" if report.ok else "FAILED"
-            lines.append(
-                f"{report.identity}  {report.bounds}  cases={report.cases_checked}  "
-                f"counterexamples={len(report.counterexamples)}  {status}"
-            )
-            for point, lhs, rhs in report.counterexamples[:10]:
-                lines.append(f"  at {point}: lhs={lhs} rhs={rhs}")
-            hidden = len(report.counterexamples) - 10
-            if hidden > 0:
-                lines.append(f"  ... {hidden} more")
-        _emit("\n".join(lines))
-    elif fmt == "json":
-        _emit(json.dumps({
-            "command": "verify",
-            "reports": [_report_payload(r) for r in reports],
-            "ok": all(r.ok for r in reports),
-        }))
-    else:
-        _emit(_csv(
+    status = EXIT_OK if all(r.ok for r in reports) else EXIT_FAILED
+    if fmt == "json":
+        return status, {"reports": [_report_payload(r) for r in reports], "ok": status == EXIT_OK}
+    if fmt == "csv":
+        return status, _csv(
             ["identity", "bounds", "cases_checked", "counterexamples", "ok"],
             [[r.identity, r.bounds, r.cases_checked, len(r.counterexamples), r.ok]
              for r in reports],
-        ))
-    return EXIT_OK if all(r.ok for r in reports) else EXIT_FAILED
+        )
+    lines = []
+    for report in reports:
+        lines.append(
+            f"{report.identity}  {report.bounds}  cases={report.cases_checked}  "
+            f"counterexamples={len(report.counterexamples)}  {'ok' if report.ok else 'FAILED'}"
+        )
+        for point, lhs, rhs in report.counterexamples[:10]:
+            lines.append(f"  at {point}: lhs={lhs} rhs={rhs}")
+        hidden = len(report.counterexamples) - 10
+        if hidden > 0:
+            lines.append(f"  ... {hidden} more")
+    return status, "\n".join(lines)
 
 
 # -------------------------------------------------------------- expand
@@ -240,7 +236,7 @@ def _parse_coeffs(text: str, option: str) -> tuple[int, ...]:
         raise ValueError(f"{option} must be a comma-separated integer list, got {text!r}") from None
 
 
-def cmd_expand(args: argparse.Namespace, config: CliConfig, fmt: str) -> int:
+def cmd_expand(args: argparse.Namespace, config: CliConfig, fmt: str) ->  Output:
     if args.source is not None and (args.num or args.den):
         raise ValueError("give either a builtin name or --num/--den, not both")
     if args.source is not None:
@@ -251,33 +247,22 @@ def cmd_expand(args: argparse.Namespace, config: CliConfig, fmt: str) -> int:
         raise ValueError("expand needs a builtin name (S, C, CEven) or both --num and --den")
     texts = genfunc.expand_text(ogf, args.count)
     if fmt == "json":
-        _emit(json.dumps({
-            "command": "expand",
+        return EXIT_OK, {
             "numerator": list(ogf.numerator),
             "denominator": list(ogf.denominator),
             "coefficients": texts,
-        }))
-    else:
-        _emit(_table(fmt, "n,coefficient", texts))
-    return EXIT_OK
+        }
+    return EXIT_OK, _table(fmt, "n,coefficient", texts)
 
 
 # -------------------------------------------------------------- matrix
 
-def cmd_matrix(args: argparse.Namespace, config: CliConfig, fmt: str) -> int:
+def cmd_matrix(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
     power = tribomatrix.mat_pow(args.n)
     minors = tribomatrix.minors_of(power)
     trace = tribomatrix.trace(power)
-    if fmt == "plain":
-        lines = [f"A^{args.n}"]
-        lines.extend(" ".join(str(entry) for entry in row) for row in power)
-        lines.append(f"trace {trace}")
-        lines.append(f"minors {minors.minor_12} {minors.minor_13} {minors.minor_23}")
-        lines.append(f"minor_sum {minors.total}")
-        _emit("\n".join(lines))
-    elif fmt == "json":
-        _emit(json.dumps({
-            "command": "matrix",
+    if fmt == "json":
+        return EXIT_OK, {
             "n": args.n,
             "entries": [[str(entry) for entry in row] for row in power],
             "trace": str(trace),
@@ -287,18 +272,23 @@ def cmd_matrix(args: argparse.Namespace, config: CliConfig, fmt: str) -> int:
                 "minor_23": str(minors.minor_23),
                 "total": str(minors.total),
             },
-        }))
-    else:
+        }
+    if fmt == "csv":
         rows = [["entry", f"{i}{j}", str(power[i][j])] for i in range(3) for j in range(3)]
         rows.append(["trace", "", str(trace)])
         rows.append(["minor_sum", "", str(minors.total)])
-        _emit(_csv(["field", "position", "value"], rows))
-    return EXIT_OK
+        return EXIT_OK, _csv(["field", "position", "value"], rows)
+    lines = [f"A^{args.n}"]
+    lines.extend(" ".join(str(entry) for entry in row) for row in power)
+    lines.append(f"trace {trace}")
+    lines.append(f"minors {minors.minor_12} {minors.minor_13} {minors.minor_23}")
+    lines.append(f"minor_sum {minors.total}")
+    return EXIT_OK, "\n".join(lines)
 
 
 # --------------------------------------------------------------- roots
 
-def cmd_roots(args: argparse.Namespace, config: CliConfig, fmt: str) -> int:
+def cmd_roots(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
     precision = args.precision if args.precision is not None else config.precision
     roots = analytic.char_roots(precision)
     residuals = analytic.vieta_check(roots)
@@ -308,21 +298,8 @@ def cmd_roots(args: argparse.Namespace, config: CliConfig, fmt: str) -> int:
         beta_re = mpmath.nstr(roots.beta.real, digits)
         beta_im = mpmath.nstr(roots.beta.imag, digits)
         abs_beta = mpmath.nstr(abs(roots.beta), digits)
-    if fmt == "plain":
-        _emit("\n".join([
-            f"precision {precision}",
-            f"alpha {alpha}",
-            f"beta {beta_re} + {beta_im}i",
-            f"gamma {beta_re} - {beta_im}i",
-            f"|beta| {abs_beta}",
-            f"residual_sum {residuals.sum_res:.3e}",
-            f"residual_pair {residuals.pair_res:.3e}",
-            f"residual_product {residuals.prod_res:.3e}",
-            f"index_cap {analytic.binet_index_cap(precision)}",
-        ]))
-    elif fmt == "json":
-        _emit(json.dumps({
-            "command": "roots",
+    if fmt == "json":
+        return EXIT_OK, {
             "precision": precision,
             "alpha": alpha,
             "beta": {"real": beta_re, "imag": beta_im},
@@ -333,9 +310,9 @@ def cmd_roots(args: argparse.Namespace, config: CliConfig, fmt: str) -> int:
                 "product": residuals.prod_res,
             },
             "index_cap": analytic.binet_index_cap(precision),
-        }))
-    else:
-        _emit(_csv(["field", "value"], [
+        }
+    if fmt == "csv":
+        return EXIT_OK, _csv(["field", "value"], [
             ["precision", precision],
             ["alpha", alpha],
             ["beta_real", beta_re],
@@ -345,8 +322,18 @@ def cmd_roots(args: argparse.Namespace, config: CliConfig, fmt: str) -> int:
             ["residual_pair", residuals.pair_res],
             ["residual_product", residuals.prod_res],
             ["index_cap", analytic.binet_index_cap(precision)],
-        ]))
-    return EXIT_OK
+        ])
+    return EXIT_OK, "\n".join([
+        f"precision {precision}",
+        f"alpha {alpha}",
+        f"beta {beta_re} + {beta_im}i",
+        f"gamma {beta_re} - {beta_im}i",
+        f"|beta| {abs_beta}",
+        f"residual_sum {residuals.sum_res:.3e}",
+        f"residual_pair {residuals.pair_res:.3e}",
+        f"residual_product {residuals.prod_res:.3e}",
+        f"index_cap {analytic.binet_index_cap(precision)}",
+    ])
 
 
 # ---------------------------------------------------------- crosscheck
@@ -355,20 +342,15 @@ def _fixture(sequence_id: str, args: argparse.Namespace, config: CliConfig) -> o
     if args.fetch:
         return oeis.fetch_bfile(sequence_id, transport_factory(config.oeis_url))
     if args.fixture is not None:
-        path = args.fixture
+        text = _read(args.fixture, "fixture")
     elif config.fixture_dir is not None:
-        path = os.path.join(config.fixture_dir, f"b{sequence_id[1:]}.txt")
+        text = _read(os.path.join(config.fixture_dir, f"b{sequence_id[1:]}.txt"), "fixture")
     else:
-        return oeis.parse_bfile(oeis.bundled_fixture_text(sequence_id), sequence_id)
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ValueError(f"cannot read fixture {path!r}: {exc}") from exc
+        text = oeis.bundled_fixture_text(sequence_id)
     return oeis.parse_bfile(text, sequence_id)
 
 
-def cmd_crosscheck(args: argparse.Namespace, config: CliConfig, fmt: str) -> int:
+def cmd_crosscheck(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
     kind = SequenceKind.from_string(args.kind)
     sequence_id = oeis.OEIS_IDS[kind]
     rows = args.rows_override if args.rows_override is not None else args.rows
@@ -379,20 +361,9 @@ def cmd_crosscheck(args: argparse.Namespace, config: CliConfig, fmt: str) -> int
     except oeis.BFileError as exc:
         raise ValueError(f"{sequence_id}: {exc}") from exc
     report = oeis.crosscheck(kind, bfile, rows)
-    if fmt == "plain":
-        status = "ok" if report.ok else "FAILED"
-        lines = [
-            f"{report.sequence_id}  offset={report.offset_used}  "
-            f"rows={report.rows_compared}  mismatches={len(report.mismatches)}  {status}"
-        ]
-        lines.extend(
-            f"  at {index}: local={local} bfile={listed}"
-            for index, local, listed in report.mismatches
-        )
-        _emit("\n".join(lines))
-    elif fmt == "json":
-        _emit(json.dumps({
-            "command": "crosscheck",
+    status = EXIT_OK if report.ok else EXIT_FAILED
+    if fmt == "json":
+        return status, {
             "sequence_id": report.sequence_id,
             "offset_used": report.offset_used,
             "rows_compared": report.rows_compared,
@@ -401,13 +372,21 @@ def cmd_crosscheck(args: argparse.Namespace, config: CliConfig, fmt: str) -> int
                 for index, local, listed in report.mismatches
             ],
             "ok": report.ok,
-        }))
-    else:
-        _emit(_csv(
+        }
+    if fmt == "csv":
+        return status, _csv(
             ["index", "local", "bfile"],
             [[index, str(local), str(listed)] for index, local, listed in report.mismatches],
-        ))
-    return EXIT_OK if report.ok else EXIT_FAILED
+        )
+    lines = [
+        f"{report.sequence_id}  offset={report.offset_used}  rows={report.rows_compared}  "
+        f"mismatches={len(report.mismatches)}  {'ok' if report.ok else 'FAILED'}"
+    ]
+    lines.extend(
+        f"  at {index}: local={local} bfile={listed}"
+        for index, local, listed in report.mismatches
+    )
+    return status, "\n".join(lines)
 
 
 # --------------------------------------------------------------- bench
@@ -464,23 +443,11 @@ def _short_int(value: int) -> str:
     return f"<{len(text)} digits> {text[:12]}..."
 
 
-def cmd_bench(args: argparse.Namespace, config: CliConfig, fmt: str) -> int:
+def cmd_bench(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
     kind = SequenceKind.from_string(args.kind)
     rows, agreement = bench_strategies(kind, args.n, args.reps, config.precision)
-    if fmt == "plain":
-        lines = [f"bench {kind.value} n={args.n} repetitions={args.reps}"]
-        for row in rows:
-            if row["value"] is None:
-                lines.append(f"{row['strategy']:<12} {row['note']}")
-            else:
-                seconds = f"{row['seconds']:.6f}s"
-                extra = f"  bound={row['bound']:.3e}" if "bound" in row else ""
-                lines.append(f"{row['strategy']:<12} {seconds}  value={_short_int(row['value'])}{extra}")
-        lines.append(f"exact strategies agree: {'yes' if agreement else 'NO'}")
-        _emit("\n".join(lines))
-    elif fmt == "json":
-        _emit(json.dumps({
-            "command": "bench",
+    if fmt == "json":
+        return EXIT_OK, {
             "kind": kind.value,
             "n": args.n,
             "repetitions": args.reps,
@@ -489,15 +456,24 @@ def cmd_bench(args: argparse.Namespace, config: CliConfig, fmt: str) -> int:
                 for row in rows
             ],
             "exact_agreement": agreement,
-        }))
-    else:
-        _emit(_csv(
+        }
+    if fmt == "csv":
+        return EXIT_OK, _csv(
             ["strategy", "seconds", "value", "note"],
             [[row["strategy"], row["seconds"],
               "" if row["value"] is None else str(row["value"]),
               row.get("note", "")] for row in rows],
-        ))
-    return EXIT_OK
+        )
+    lines = [f"bench {kind.value} n={args.n} repetitions={args.reps}"]
+    for row in rows:
+        if row["value"] is None:
+            lines.append(f"{row['strategy']:<12} {row['note']}")
+        else:
+            seconds = f"{row['seconds']:.6f}s"
+            extra = f"  bound={row['bound']:.3e}" if "bound" in row else ""
+            lines.append(f"{row['strategy']:<12} {seconds}  value={_short_int(row['value'])}{extra}")
+    lines.append(f"exact strategies agree: {'yes' if agreement else 'NO'}")
+    return EXIT_OK, "\n".join(lines)
 
 
 # ------------------------------------------------------------- parsing
@@ -580,7 +556,11 @@ def main(argv: list[str] | None = None) -> int:
         fmt = args.format or config.output_format
         if fmt == "bfile" and args.command != "eval":
             raise ValueError(f"bfile format does not apply to {args.command}")
-        return args.func(args, config, fmt)
+        status, output = args.func(args, config, fmt)
+        if fmt == "json":
+            output = json.dumps({"command": args.command, **output})
+        sys.stdout.write(output if output.endswith("\n") else output + "\n")
+        return status
     except (ValueError, OSError) as exc:
         print(f"tribokit: {exc}", file=sys.stderr)
         return EXIT_USAGE

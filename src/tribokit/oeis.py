@@ -15,6 +15,7 @@ import urllib.request
 from dataclasses import dataclass
 from importlib import resources
 from itertools import count
+from time import monotonic
 from typing import Callable
 
 from . import seqcore
@@ -32,7 +33,7 @@ _ID_PATTERN = re.compile(r"\AA\d{6}\Z")
 # also take "1_0" and non-ASCII digits.
 _ROW = re.compile(r"([+-]?[0-9]+)\s+([+-]?[0-9]+)")
 
-# Seconds a live b-file fetch may wait on the server before it fails.
+# Seconds a live b-file fetch may take: each socket wait, and the whole download.
 FETCH_TIMEOUT_S = 30.0
 
 
@@ -172,7 +173,9 @@ def http_transport(base_url: str = "https://oeis.org") -> Callable[[str], str]:
     slashes of ``base_url`` are dropped.  Refuses, before any fetch, a
     ``base_url`` that does not parse as http(s) with a host and a valid
     port, or that carries a query or fragment, which would swallow the
-    appended path."""
+    appended path.  A fetch raises ``TimeoutError`` once the download has
+    run past ``FETCH_TIMEOUT_S``; as one socket wait may also take that
+    long, it ends within about twice ``FETCH_TIMEOUT_S``."""
     try:
         parts = urllib.parse.urlsplit(base_url)
         parts.port  # raises ValueError unless the port is a number in 0..65535
@@ -188,8 +191,15 @@ def http_transport(base_url: str = "https://oeis.org") -> Callable[[str], str]:
 
     def fetch(sequence_id: str) -> str:
         url = f"{base_url}/{sequence_id}/b{sequence_id[1:]}.txt"
+        deadline = monotonic() + FETCH_TIMEOUT_S
+        chunks = []
         with urllib.request.urlopen(url, timeout=FETCH_TIMEOUT_S) as response:
-            return response.read().decode("utf-8")
+            # read1 returns what has arrived; read(n) would wait for all n bytes
+            while chunk := response.read1(1 << 16):
+                if monotonic() > deadline:
+                    raise TimeoutError(f"download took longer than {FETCH_TIMEOUT_S} s")
+                chunks.append(chunk)
+        return b"".join(chunks).decode("utf-8")
 
     return fetch
 

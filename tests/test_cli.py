@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 import urllib.request
 
@@ -642,3 +645,89 @@ def test_verify_plain_lists_ten_counterexamples_then_the_rest(monkeypatch, capsy
         *(f"  at ({n},): lhs={2 * s[n]} rhs={c[n] ** 2 + c[2 * n]}" for n in range(10)),
         "  ... 1 more",
     ]
+
+
+# One cheap request per command; its json payload leads with the command name.
+_JSON_REQUESTS = [
+    ["eval", "S", "0", "3"],
+    ["verify", "CN2", "--range", "0:3"],
+    ["expand", "S", "4"],
+    ["matrix", "3"],
+    ["roots", "15"],
+    ["crosscheck", "S", "--rows", "5"],
+    ["bench", "S", "10", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", _JSON_REQUESTS, ids=[argv[0] for argv in _JSON_REQUESTS])
+def test_json_output_starts_with_the_command(argv, capsys):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out.startswith(f'{{"command": "{argv[0]}", ')
+    assert out.endswith("}\n") and out.count("\n") == 1
+
+
+def test_unreadable_config_message(capsys):
+    assert run(capsys, "verify", "SQUARE", "--config", "/no/such/cfg") == (
+        2, "", "tribokit: cannot read config '/no/such/cfg': "
+        "[Errno 2] No such file or directory: '/no/such/cfg'\n")
+
+
+def test_unreadable_fixture_message(capsys):
+    assert run(capsys, "crosscheck", "S", "/no/such/file.txt") == (
+        2, "", "tribokit: cannot read fixture '/no/such/file.txt': "
+        "[Errno 2] No such file or directory: '/no/such/file.txt'\n")
+
+
+def test_unreadable_fixture_dir_message(tmp_path, capsys):
+    config = tmp_path / "cfg"
+    config.write_text(f"fixture_dir = {tmp_path}\n", encoding="ascii")
+    path = tmp_path / "b073145.txt"
+    assert run(capsys, "crosscheck", "C", "--config", str(config)) == (
+        2, "", f"tribokit: cannot read fixture '{path}': "
+        f"[Errno 2] No such file or directory: '{path}'\n")
+
+
+def _run_module(*argv):
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    env.pop(cli.CONFIG_ENV, None)
+    done = subprocess.run([sys.executable, "-m", "tribokit.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_module_entry_point_exit_statuses(mismatching_s_fixture):
+    code, out, err = _run_module("verify", "CN2", "--range", "0:5")
+    assert (code, err) == (0, "")
+    assert out == "CN2  n in [0, 5]  cases=6  counterexamples=0  ok\n"
+    assert _run_module("eval", "T", "5", "4") == (2, "", "tribokit: empty range: 5 exceeds 4\n")
+    code, out, err = _run_module("crosscheck", "S", str(mismatching_s_fixture))
+    assert (code, err) == (3, "")
+    assert out.startswith("A001644  offset=0  rows=5  mismatches=2  FAILED\n")
+
+
+def test_eval_matrix_strategy_multiplies_once_between_rows(monkeypatch, capsys):
+    products = []
+    original = tribomatrix.mat_mul
+
+    def counting(a, b):
+        products.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(tribomatrix, "mat_mul", counting)
+    code, out, _ = run(capsys, "eval", "S", "0", "6", "--strategy", "matrix")
+    assert code == 0
+    assert out.splitlines() == [f"{n} {v}" for n, v in oracle_s(0, 6).items()]
+    assert len(products) == 6
+
+
+def test_failed_write_exits_2(monkeypatch, capsys):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert cli.main(["eval", "S", "0", "4"]) == 2
+    assert capsys.readouterr().err == "tribokit: [Errno 32] Broken pipe\n"

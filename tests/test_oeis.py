@@ -6,6 +6,7 @@ import urllib.request
 import pytest
 from hypothesis import given, strategies as st
 
+from tribokit import oeis
 from tribokit.oeis import (
     OEIS_IDS,
     BFile,
@@ -169,8 +170,14 @@ def test_http_transport_passes_a_timeout(monkeypatch):
         def __exit__(self, *exc):
             return False
 
+        body = b"0 3\n"
+
         def read(self):
             return b"0 3\n"
+
+        def read1(self, size):
+            body, self.body = self.body, b""
+            return body
 
     def fake_urlopen(url, *args, **kwargs):
         seen["url"], seen["timeout"] = url, kwargs.get("timeout")
@@ -180,6 +187,51 @@ def test_http_transport_passes_a_timeout(monkeypatch):
     assert http_transport("https://example.invalid")("A001644") == "0 3\n"
     assert seen == {"url": "https://example.invalid/A001644/b001644.txt", "timeout": FETCH_TIMEOUT_S}
     assert 0 < FETCH_TIMEOUT_S < float("inf")
+
+
+class _TricklingResponse:
+    """Sends one b-file row per read1 call, without end, while each call
+    advances a fake clock by one second."""
+
+    def __init__(self, clock):
+        self.clock, self.reads = clock, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def read1(self, size):
+        self.clock[0] += 1.0
+        self.reads += 1
+        return f"{self.reads} {self.reads}\n".encode()
+
+
+@pytest.fixture
+def trickling_server(monkeypatch):
+    clock = [0.0]
+    responses = []
+
+    def fake_urlopen(url, *args, **kwargs):
+        responses.append(_TricklingResponse(clock))
+        return responses[-1]
+
+    monkeypatch.setattr(oeis, "monotonic", lambda: clock[0])
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    return responses
+
+
+def test_http_transport_stops_a_download_past_the_deadline(trickling_server):
+    with pytest.raises(TimeoutError, match=f"^download took longer than {FETCH_TIMEOUT_S} s$"):
+        http_transport("https://example.invalid")("A001644")
+    (response,) = trickling_server
+    assert response.reads == int(FETCH_TIMEOUT_S) + 1
+
+
+def test_fetch_past_the_deadline_is_a_fetch_error(trickling_server):
+    with pytest.raises(BFileFetchError, match="^transport failed for A001644: download took"):
+        fetch_bfile("A001644", http_transport("https://example.invalid"))
 
 
 @pytest.mark.parametrize("base_url", ["https://example.invalid", "https://example.invalid/"])
