@@ -18,12 +18,16 @@ Sequence values are arbitrary-precision integers; json and csv output
 renders them as decimal strings so nothing is ever truncated.
 Recurrence ranges (``eval --strategy recurrence`` and ``expand``) print
 from a decimal pass, linear in the digits of each row; the matrix and
-Binet strategies print their own values through str(int).
+Binet strategies print their own values through str(int).  ``eval``,
+``matrix`` and ``bench`` take any integer index, and only the bfile
+format refuses a negative one.  Options go before ``--``, since all that
+follows it is positional: ``tribokit eval --strategy matrix S -- -20 5``.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -141,8 +145,6 @@ def _eval_texts(kind: SequenceKind, lo: int, hi: int, strategy: str, precision: 
     if strategy == "recurrence":
         return seqcore.range_text(kind, lo, hi)
     if strategy == "matrix":
-        if lo < 0:
-            raise ValueError("matrix strategy requires lo >= 0")
         powers = accumulate(repeat(tribomatrix.tribomatrix(), hi - lo), tribomatrix.mat_mul,
                             initial=tribomatrix.mat_pow(lo))
         return [str(tribomatrix.term_of(kind, power)) for power in powers]
@@ -395,8 +397,6 @@ def bench_strategies(
     kind: SequenceKind, n: int, repetitions: int, precision: int
 ) -> tuple[list[dict[str, Any]], bool]:
     """Time each strategy at index n; returns (rows, exact_agreement)."""
-    if n < 0:
-        raise ValueError(f"bench requires n >= 0, got {n}")
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     if kind is SequenceKind.TRIBONACCI:
@@ -478,6 +478,7 @@ def cmd_bench(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
 
 # ------------------------------------------------------------- parsing
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default=None,
@@ -497,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("hi", type=int)
     p.add_argument("--strategy", choices=("recurrence", "matrix", "binet"),
                    default="recurrence")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("verify", parents=[common], help="check identities over index bounds")
     p.add_argument("identity", help="an identity name or 'all'")
@@ -505,7 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bounds for n (default from config)")
     p.add_argument("--m-range", default=None, metavar="LO:HI",
                    help="bounds for m (defaults to the n bounds)")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("expand", parents=[common],
                        help="expand a rational generating function")
@@ -513,18 +512,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("count", type=int, help="number of coefficients")
     p.add_argument("--num", default=None, metavar="CSV", help="numerator coefficients")
     p.add_argument("--den", default=None, metavar="CSV", help="denominator coefficients")
-    p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("matrix", parents=[common],
                        help="show A^n with trace and principal minors")
     p.add_argument("n", type=int)
-    p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("roots", parents=[common],
                        help="roots of x^3 - x^2 - x - 1 with Vieta residuals")
     p.add_argument("precision", nargs="?", type=int, default=None,
                    help="decimal digits, >= 15 (default from config)")
-    p.set_defaults(func=cmd_roots)
 
     p = sub.add_parser("crosscheck", parents=[common],
                        help="compare a sequence against an OEIS b-file")
@@ -536,7 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", dest="rows_override", type=int, default=None,
                    help="rows to compare without naming a fixture path")
     p.add_argument("--fetch", action="store_true", help="retrieve the live b-file")
-    p.set_defaults(func=cmd_crosscheck)
 
     p = sub.add_parser("bench", parents=[common],
                        help="time the evaluation strategies at one index")
@@ -544,7 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("reps", nargs="?", type=int, default=3,
                    help="repetitions, min is reported (default 3)")
-    p.set_defaults(func=cmd_bench)
     return parser
 
 
@@ -556,7 +550,8 @@ def main(argv: list[str] | None = None) -> int:
         fmt = args.format or config.output_format
         if fmt == "bfile" and args.command != "eval":
             raise ValueError(f"bfile format does not apply to {args.command}")
-        status, output = args.func(args, config, fmt)
+        # looked up at call time, so a substituted cmd_* is the one that runs
+        status, output = globals()[f"cmd_{args.command}"](args, config, fmt)
         if fmt == "json":
             output = json.dumps({"command": args.command, **output})
         sys.stdout.write(output if output.endswith("\n") else output + "\n")

@@ -210,10 +210,8 @@ def c_even(k: int) -> int:
     """C(2k) through the dedicated even-index recurrence.
 
     C(2k) = -C(2k-2) - 3*C(2k-4) + C(2k-6) with seeds C(0)=3, C(2)=-1,
-    C(4)=-5, indexed by the half index k >= 0.
+    C(4)=-5, indexed by the half index k, any integer.
     """
-    if k < 0:
-        raise ValueError(f"half index must be >= 0, got {k}")
     return _C_EVEN.at(k)
 
 

@@ -3,7 +3,8 @@
 The companion-style matrix A = [[1,1,0],[1,0,1],[1,0,0]] has
 characteristic polynomial x^3 - x^2 - x - 1, so tr(A^n) = S(n) and the
 sum of the order-2 principal minors of A^n = C(n).  Entries of A^n are
-Tribonacci numbers; see ``entries_from_tribonacci``.
+Tribonacci numbers; see ``entries_from_tribonacci``.  det A = 1, so the
+inverse of A is integral too, and all of this holds at every integer n.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ Row = tuple[int, int, int]
 Matrix3 = tuple[Row, Row, Row]
 
 _A: Matrix3 = ((1, 1, 0), (1, 0, 1), (1, 0, 0))
+_A_INV: Matrix3 = ((0, 0, 1), (1, 0, -1), (0, 1, -1))
 _I: Matrix3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
@@ -38,11 +40,11 @@ def mat_mul(a: Matrix3, b: Matrix3) -> Matrix3:
 
 
 def mat_pow(n: int) -> Matrix3:
-    """A^n by binary exponentiation (A^0 = I); n must be >= 0."""
-    if n < 0:
-        raise ValueError(f"matrix power requires n >= 0, got {n}")
+    """A^n for any integer n: binary exponentiation of A, or of A^-1 when
+    n < 0, to the power |n| (A^0 = I)."""
     result = _I
-    base = _A
+    base = _A if n >= 0 else _A_INV
+    n = abs(n)
     while n:
         if n & 1:
             result = mat_mul(result, base)
@@ -53,25 +55,22 @@ def mat_pow(n: int) -> Matrix3:
 
 
 def mat_pow_naive(n: int) -> Matrix3:
-    """A^n by repeated multiplication; reference oracle for mat_pow."""
-    if n < 0:
-        raise ValueError(f"matrix power requires n >= 0, got {n}")
+    """A^n by |n| multiplications by A or A^-1; reference oracle for mat_pow."""
+    step = _A if n >= 0 else _A_INV
     result = _I
-    for _ in range(n):
-        result = mat_mul(result, _A)
+    for _ in range(abs(n)):
+        result = mat_mul(result, step)
     return result
 
 
 def entries_from_tribonacci(n: int) -> Matrix3:
-    """A^n assembled directly from Tribonacci numbers (n >= 0).
+    """A^n assembled directly from Tribonacci numbers, for any integer n.
 
     Rows: (T(n+1), T(n), T(n-1)),
           (T(n)+T(n-1), T(n-1)+T(n-2), T(n-2)+T(n-3)),
           (T(n), T(n-1), T(n-2)), read from one window of T; T at
     negative indices makes n = 0 reproduce the identity matrix.
     """
-    if n < 0:
-        raise ValueError(f"entry formula requires n >= 0, got {n}")
     t = seqcore.tribonacci_window(n)
     return (
         (t(n + 1), t(n), t(n - 1)),
@@ -90,7 +89,7 @@ def determinant(m: Matrix3) -> int:
 
 
 def trace_pow(n: int) -> int:
-    """tr(A^n) = S(n); n must be >= 0."""
+    """tr(A^n) = S(n) for any integer n."""
     return trace(mat_pow(n))
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -92,10 +93,16 @@ def test_eval_matrix_strategy(capsys):
     assert [line.split()[1] for line in out.splitlines()] == ["0", "1", "1", "2", "4", "7", "13"]
 
 
-def test_eval_matrix_strategy_needs_nonnegative_lo(capsys):
-    code, _, err = run(capsys, "eval", "S", "-2", "4", "--strategy", "matrix")
-    assert code == 2
-    assert "matrix strategy" in err
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_eval_matrix_strategy_matches_recurrence_at_negative_indices(fmt, capsys):
+    by_recurrence, by_matrix = (
+        run(capsys, "eval", "--format", fmt, "--strategy", strategy, "S", "--", "-20", "5")
+        for strategy in ("recurrence", "matrix")
+    )
+    code, out, err = by_recurrence
+    assert (code, err) == (0, "")
+    assert out.count("\n") == {"plain": 26, "csv": 27, "json": 1}[fmt]
+    assert by_matrix == (0, out.replace('"strategy": "recurrence"', '"strategy": "matrix"'), "")
 
 
 def test_eval_binet_strategy(capsys):
@@ -205,12 +212,6 @@ def test_matrix_output(capsys):
     assert lines[1:4] == ["2 1 1", "2 1 0", "1 1 0"]
     assert "trace 3" in lines
     assert "minor_sum -1" in lines
-
-
-def test_matrix_rejects_negative(capsys):
-    code, _, err = run(capsys, "matrix", "--", "-1")
-    assert code == 2
-    assert "n >= 0" in err
 
 
 def test_roots_plain(capsys):
@@ -486,9 +487,9 @@ _REFUSALS = [
      "--num must be a comma-separated integer list, got '1,x'"),
     (["expand", "S", "3", "--num", "1", "--den", "1,-1"],
      "give either a builtin name or --num/--den, not both"),
-    (["matrix", "--", "-1"], "matrix power requires n >= 0, got -1"),
     (["crosscheck", "T", "--rows", "0"], "rows must be >= 1, got 0"),
-    (["bench", "S", "--", "-1"], "bench requires n >= 0, got -1"),
+    (["eval", "--strategy", "matrix", "--format", "bfile", "S", "--", "-1", "2"],
+     "bfile format requires lo >= 0"),
     (["bench", "S", "10", "0"], "repetitions must be >= 1, got 0"),
 ]
 
@@ -528,33 +529,54 @@ def _oracle_matrix(n):
     ]
 
 
-def test_matrix_json(capsys):
-    n = 30
-    entries = _oracle_matrix(n)
+def _oracle_minors(entries):
     (a, b, c), (d, e, f), (g, h, i) = entries
-    minors = {"minor_12": a * e - b * d, "minor_13": a * i - c * g, "minor_23": e * i - f * h}
-    code, out, _ = run(capsys, "matrix", str(n), "--format", "json")
+    return {"minor_12": a * e - b * d, "minor_13": a * i - c * g, "minor_23": e * i - f * h}
+
+
+def _check_matrix(capsys, n, fmt):
+    """``matrix n`` against A^n assembled from the T oracle, the S and C
+    oracles in json and csv, and ``term`` in plain."""
+    entries = _oracle_matrix(n)
+    minors = _oracle_minors(entries)
+    code, out, _ = run(capsys, "matrix", "--format", fmt, "--", str(n))
     assert code == 0
-    assert json.loads(out) == {
-        "command": "matrix",
-        "n": n,
-        "entries": [[str(x) for x in row] for row in entries],
-        "trace": str(oracle_s(n, n)[n]),
-        "minors": {**{k: str(v) for k, v in minors.items()}, "total": str(oracle_c(n, n)[n])},
-    }
+    if fmt == "json":
+        assert json.loads(out) == {
+            "command": "matrix",
+            "n": n,
+            "entries": [[str(x) for x in row] for row in entries],
+            "trace": str(oracle_s(n, n)[n]),
+            "minors": {**{k: str(v) for k, v in minors.items()}, "total": str(oracle_c(n, n)[n])},
+        }
+    elif fmt == "csv":
+        assert out.splitlines() == [
+            "field,position,value",
+            *(f"entry,{i}{j},{entries[i][j]}" for i in range(3) for j in range(3)),
+            f"trace,,{oracle_s(n, n)[n]}",
+            f"minor_sum,,{oracle_c(n, n)[n]}",
+        ]
+    else:
+        assert out.splitlines() == [
+            f"A^{n}",
+            *(" ".join(str(x) for x in row) for row in entries),
+            f"trace {s_lucas(n)}",
+            "minors " + " ".join(str(v) for v in minors.values()),
+            f"minor_sum {c_seq(n)}",
+        ]
+
+
+def test_matrix_json(capsys):
+    _check_matrix(capsys, 30, "json")
 
 
 def test_matrix_csv(capsys):
-    n = 30
-    entries = _oracle_matrix(n)
-    code, out, _ = run(capsys, "matrix", str(n), "--format", "csv")
-    assert code == 0
-    assert out.splitlines() == [
-        "field,position,value",
-        *(f"entry,{i}{j},{entries[i][j]}" for i in range(3) for j in range(3)),
-        f"trace,,{oracle_s(n, n)[n]}",
-        f"minor_sum,,{oracle_c(n, n)[n]}",
-    ]
+    _check_matrix(capsys, 30, "csv")
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_matrix_at_a_negative_index(fmt, capsys):
+    _check_matrix(capsys, -50, fmt)
 
 
 def test_roots_csv(capsys):
@@ -602,10 +624,13 @@ def test_crosscheck_csv_with_mismatches(mismatching_s_fixture, capsys):
     assert out == f"index,local,bfile\n2,{s[2]},4\n4,{s[4]},12\n"
 
 
-# S(40) lies within the binet index cap of 60 at precision 30; C(100) does not.
-@pytest.mark.parametrize("kind, n, oracle", [("S", 40, oracle_s), ("C", 100, oracle_c)])
+# S(40) and S(-40) lie within the binet index cap of 60 at precision 30;
+# C(100) and C(-2000) do not.
+@pytest.mark.parametrize("kind, n, oracle", [
+    ("S", 40, oracle_s), ("S", -40, oracle_s), ("C", 100, oracle_c), ("C", -2000, oracle_c),
+])
 def test_bench_csv(kind, n, oracle, capsys):
-    code, out, _ = run(capsys, "bench", kind, str(n), "1", "--format", "csv")
+    code, out, _ = run(capsys, "bench", "--format", "csv", kind, "--", str(n), "1")
     assert code == 0
     header, *rows = [line.split(",", 3) for line in out.splitlines()]
     assert header == ["strategy", "seconds", "value", "note"]
@@ -615,8 +640,8 @@ def test_bench_csv(kind, n, oracle, capsys):
             row[1] = "<seconds>"
     value = str(oracle(n, n)[n])
     binet = (["binet", "<seconds>", value, ""] if kind == "S" else
-             ["binet", "", "", "bound exceeded: |n| = 100 exceeds the certified index cap 60 "
-                              "at precision 30"])
+             ["binet", "", "", f"bound exceeded: |n| = {abs(n)} exceeds the certified index "
+                              "cap 60 at precision 30"])
     assert rows == [["recurrence", "<seconds>", value, ""],
                     ["matrix", "<seconds>", value, ""],
                     binet]
@@ -731,3 +756,19 @@ def test_failed_write_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdout", ClosedPipe())
     assert cli.main(["eval", "S", "0", "4"]) == 2
     assert capsys.readouterr().err == "tribokit: [Errno 32] Broken pipe\n"
+
+
+def test_main_builds_one_parser_and_dispatches_by_command_name(monkeypatch, capsys):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    assert run(capsys, "eval", "S", "0", "1") == (0, "0 3\n1 1\n", "")
+    monkeypatch.setattr(cli, "cmd_matrix", lambda args, config, fmt: (0, f"stub {args.n}"))
+    assert run(capsys, "matrix", "3") == (0, "stub 3\n", "")
+    assert len(parsers) == 2
+    assert parsers[0] is parsers[1]

@@ -45,19 +45,19 @@ def test_mat_pow_small():
     assert mat_pow(3) == A3
 
 
-def test_mat_pow_rejects_negative():
-    with pytest.raises(ValueError):
-        mat_pow(-1)
-    with pytest.raises(ValueError):
-        mat_pow_naive(-2)
+def test_mat_pow_negative_is_the_integral_inverse():
+    a_inv = ((0, 0, 1), (1, 0, -1), (0, 1, -1))
+    assert mat_pow(-1) == mat_pow_naive(-1) == a_inv
+    assert mat_mul(A, a_inv) == mat_mul(a_inv, A) == identity()
+    assert mat_pow(-3) == ((1, -1, 0), (-1, 2, -1), (-1, 0, 2))
 
 
 def test_binary_pow_matches_naive():
-    for n in range(65):
+    for n in range(-64, 65):
         assert mat_pow(n) == mat_pow_naive(n)
 
 
-@given(a=st.integers(min_value=0, max_value=32), b=st.integers(min_value=0, max_value=32))
+@given(a=st.integers(min_value=-32, max_value=32), b=st.integers(min_value=-32, max_value=32))
 def test_power_additivity(a, b):
     assert mat_pow(a + b) == mat_mul(mat_pow(a), mat_pow(b))
 
@@ -67,18 +67,13 @@ def test_entries_formula_identity_at_zero():
 
 
 def test_entries_formula_matches_power():
-    for n in range(65):
+    for n in range(-64, 65):
         assert entries_from_tribonacci(n) == mat_pow(n)
-
-
-def test_entries_formula_rejects_negative():
-    with pytest.raises(ValueError):
-        entries_from_tribonacci(-1)
 
 
 def test_trace_pow_is_s():
     assert trace_pow(5) == 21
-    for n in range(65):
+    for n in range(-64, 65):
         assert trace_pow(n) == s_lucas(n)
 
 
@@ -91,12 +86,12 @@ def test_minor_sum_examples():
 
 
 def test_minor_sum_is_c():
-    for n in range(65):
+    for n in range(-64, 65):
         assert minor_sum(n).total == c_seq(n)
 
 
 def test_determinant_of_powers_is_one():
-    for n in range(65):
+    for n in range(-64, 65):
         assert determinant(mat_pow(n)) == 1
 
 
@@ -110,7 +105,11 @@ def test_minor_report_total_invariant():
         MinorSumReport(1, 1, 1, 4)
 
 
-def test_term_of_reads_each_kind_off_the_matrix_power():
-    for kind in SequenceKind:
-        for n in range(0, 41):
-            assert term_of(kind, mat_pow(n)) == term(kind, n), (kind, n)
+@given(kind=st.sampled_from(SequenceKind), n=st.integers(min_value=-10**3, max_value=10**3))
+def test_term_of_reads_each_kind_off_the_matrix_power(kind, n):
+    assert term_of(kind, mat_pow(n)) == term(kind, n)
+
+
+def test_minor_sum_of_a_power_is_the_trace_of_its_inverse():
+    for n in range(-64, 65):
+        assert minors_of(mat_pow(n)).total == trace(mat_pow(-n)) == c_seq(n)
