@@ -5,6 +5,10 @@ characteristic polynomial x^3 - x^2 - x - 1, so tr(A^n) = S(n) and the
 sum of the order-2 principal minors of A^n = C(n).  Entries of A^n are
 Tribonacci numbers; see ``entries_from_tribonacci``.  det A = 1, so the
 inverse of A is integral too, and all of this holds at every integer n.
+
+``mat_pow`` is left-to-right binary powering with an 18-product squaring.
+The squaring is an identity for every 3x3 matrix, not a fact about A, so
+this route shares nothing with ``seqcore``'s ladder but the definition of A.
 """
 from __future__ import annotations
 
@@ -33,24 +37,51 @@ def identity() -> Matrix3:
 
 def mat_mul(a: Matrix3, b: Matrix3) -> Matrix3:
     """Exact product of two 3x3 integer matrices."""
-    cols = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
-    )  # type: ignore[return-value]
+    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = a
+    (b11, b12, b13), (b21, b22, b23), (b31, b32, b33) = b
+    return (
+        (a11 * b11 + a12 * b21 + a13 * b31,
+         a11 * b12 + a12 * b22 + a13 * b32,
+         a11 * b13 + a12 * b23 + a13 * b33),
+        (a21 * b11 + a22 * b21 + a23 * b31,
+         a21 * b12 + a22 * b22 + a23 * b32,
+         a21 * b13 + a22 * b23 + a23 * b33),
+        (a31 * b11 + a32 * b21 + a33 * b31,
+         a31 * b12 + a32 * b22 + a33 * b32,
+         a31 * b13 + a32 * b23 + a33 * b33),
+    )
+
+
+def _square(m: Matrix3) -> Matrix3:
+    """m*m for any 3x3 integer matrix in 18 big products, not 27.
+
+    With {i, j, k} = {1, 2, 3}: off the diagonal,
+    (m^2)_ij = m_ij*(m_ii + m_jj) + m_ik*m_kj; on it,
+    (m^2)_ii = m_ii^2 + m_ij*m_ji + m_ik*m_ki, and the three diagonal
+    entries share the cross products b*d, c*g and f*h.
+    """
+    (a, b, c), (d, e, f), (g, h, i) = m
+    bd, cg, fh = b * d, c * g, f * h
+    ae, ai, ei = a + e, a + i, e + i
+    return (
+        (a * a + bd + cg, b * ae + c * h, c * ai + b * f),
+        (d * ae + f * g, bd + e * e + fh, f * ei + d * c),
+        (g * ai + h * d, h * ei + g * b, cg + fh + i * i),
+    )
 
 
 def mat_pow(n: int) -> Matrix3:
-    """A^n for any integer n: binary exponentiation of A, or of A^-1 when
-    n < 0, to the power |n| (A^0 = I)."""
-    result = _I
+    """A^n for any integer n (A^0 = I): left-to-right binary powering on |n|.
+
+    Each bit squares the running power; each set bit then multiplies it by
+    A, or by A^-1 when n < 0, whose entries lie in {-1, 0, 1}.
+    """
     base = _A if n >= 0 else _A_INV
-    n = abs(n)
-    while n:
-        if n & 1:
+    result = _I
+    for bit in bin(abs(n))[2:]:
+        result = _square(result)
+        if bit == "1":
             result = mat_mul(result, base)
-        n >>= 1
-        if n:
-            base = mat_mul(base, base)
     return result
 
 

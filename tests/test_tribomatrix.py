@@ -3,9 +3,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from tribokit import tribomatrix as tribomatrix_module
 from tribokit.seqcore import SequenceKind, c_seq, s_lucas, term
 from tribokit.tribomatrix import (
     MinorSumReport,
+    _square,
     determinant,
     entries_from_tribonacci,
     identity,
@@ -55,6 +57,38 @@ def test_mat_pow_negative_is_the_integral_inverse():
 def test_binary_pow_matches_naive():
     for n in range(-64, 65):
         assert mat_pow(n) == mat_pow_naive(n)
+
+
+_BIG = st.integers(min_value=-10**40, max_value=10**40)
+_ROW = st.tuples(_BIG, _BIG, _BIG)
+
+
+@given(m=st.tuples(_ROW, _ROW, _ROW))
+def test_square_is_the_product_for_any_matrix(m):
+    # An identity for every integer matrix, not a fact about powers of A.
+    assert _square(m) == mat_mul(m, m)
+
+
+@pytest.mark.parametrize("n", [2**17 - 1, -(2**17 - 1), 10**5, -(10**5)])
+def test_mat_pow_matches_entries_formula_at_large_n(n):
+    assert mat_pow(n) == entries_from_tribonacci(n)
+
+
+@pytest.mark.parametrize("n", [0, 1, -1, 2**10, -(2**10), 2**10 - 1, -(2**10 - 1), 12345, -12345])
+def test_mat_pow_multiplies_by_the_base_once_per_set_bit(monkeypatch, n):
+    expected, base = mat_pow_naive(n), mat_pow_naive(1 if n >= 0 else -1)
+    right_operands = []
+    original = tribomatrix_module.mat_mul
+
+    def counting(a, b):
+        right_operands.append(b)
+        return original(a, b)
+
+    monkeypatch.setattr(tribomatrix_module, "mat_mul", counting)
+    assert mat_pow(n) == expected
+    # Squarings go through _square; every product is by A or A^-1 itself.
+    assert len(right_operands) == abs(n).bit_count()
+    assert all(b == base for b in right_operands)
 
 
 @given(a=st.integers(min_value=-32, max_value=32), b=st.integers(min_value=-32, max_value=32))
