@@ -18,9 +18,12 @@ Sequence values are arbitrary-precision integers; json and csv output
 renders them as decimal strings so nothing is ever truncated.
 Recurrence ranges (``eval --strategy recurrence`` and ``expand``) print
 from a decimal pass, linear in the digits of each row; the matrix and
-Binet strategies print their own values through str(int).  ``eval``,
-``matrix`` and ``bench`` take any integer index, and only the bfile
-format refuses a negative one.  Options go before ``--``, since all that
+Binet strategies print their own values through str(int).  The matrix
+strategy and ``bench``'s matrix row read T and S off A^n and C off A^-n
+(``tribomatrix.terms``), never through 2x2 minors, so C at a negative
+index costs what S at the opposite index costs; ``matrix`` alone prints
+the minors of A^n.  ``eval``, ``matrix`` and ``bench`` take any integer
+index, and only the bfile format refuses a negative one.  Options go before ``--``, since all that
 follows it is positional: ``tribokit eval --strategy matrix S -- -20 5``.
 """
 from __future__ import annotations
@@ -35,7 +38,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, replace
-from itertools import accumulate, repeat
+from itertools import islice
 from typing import Any, Callable
 
 import mpmath
@@ -145,9 +148,7 @@ def _eval_texts(kind: SequenceKind, lo: int, hi: int, strategy: str, precision: 
     if strategy == "recurrence":
         return seqcore.range_text(kind, lo, hi)
     if strategy == "matrix":
-        powers = accumulate(repeat(tribomatrix.tribomatrix(), hi - lo), tribomatrix.mat_mul,
-                            initial=tribomatrix.mat_pow(lo))
-        return [str(tribomatrix.term_of(kind, power)) for power in powers]
+        return [str(value) for value in islice(tribomatrix.terms(kind, lo), hi - lo + 1)]
     if kind is SequenceKind.TRIBONACCI:
         raise ValueError("binet strategy applies to S and C only")
     cap = analytic.binet_index_cap(precision)
@@ -414,7 +415,7 @@ def bench_strategies(
     rows: list[dict[str, Any]] = []
     rec_seconds, rec_value = best_of(lambda: seqcore.term(kind, n))
     rows.append({"strategy": "recurrence", "seconds": rec_seconds, "value": rec_value})
-    mat_seconds, mat_value = best_of(lambda: tribomatrix.term_of(kind, tribomatrix.mat_pow(n)))
+    mat_seconds, mat_value = best_of(lambda: next(tribomatrix.terms(kind, n)))
     rows.append({"strategy": "matrix", "seconds": mat_seconds, "value": mat_value})
 
     roots = analytic.char_roots(precision)

@@ -6,12 +6,20 @@ sum of the order-2 principal minors of A^n = C(n).  Entries of A^n are
 Tribonacci numbers; see ``entries_from_tribonacci``.  det A = 1, so the
 inverse of A is integral too, and all of this holds at every integer n.
 
+det A = 1 also makes adj(A^n) = A^-n, whose diagonal holds those minors,
+so C(n) = tr(A^-n).  ``terms`` reads T(n) = (A^n)_12 and S(n) = tr(A^n)
+off A^n, and C(n) = tr(A^-n) off A^-n, whose entries have about half the
+digits of A^n's at n > 0.  The trade is at negative indices: for k > 0,
+C(-k) is read off A^k, so it costs what S(k) costs.  ``minors_of`` and
+``minor_sum`` keep the paper's definition for ``tribokit matrix``.
+
 ``mat_pow`` is left-to-right binary powering with an 18-product squaring.
 The squaring is an identity for every 3x3 matrix, not a fact about A, so
 this route shares nothing with ``seqcore``'s ladder but the definition of A.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import seqcore
@@ -151,10 +159,14 @@ def minor_sum(n: int) -> MinorSumReport:
     return minors_of(mat_pow(n))
 
 
-def term_of(kind: SequenceKind, power: Matrix3) -> int:
-    """T(n), S(n) or C(n) read off power = A^n: an entry, the trace, the minor sum."""
-    if kind is SequenceKind.TRIBONACCI:
-        return power[0][1]
-    if kind is SequenceKind.GENERALIZED_LUCAS:
-        return trace(power)
-    return minors_of(power).total
+def terms(kind: SequenceKind, lo: int) -> Iterator[int]:
+    """a(lo), a(lo+1), ... without end: one ``mat_pow`` call for the first
+    power, then one product a term, by A, or by A^-1 for C."""
+    if kind is SequenceKind.MINOR_SUM:
+        power, step = mat_pow(-lo), _A_INV
+    else:
+        power, step = mat_pow(lo), _A
+    read = (lambda m: m[0][1]) if kind is SequenceKind.TRIBONACCI else trace
+    while True:
+        yield read(power)
+        power = mat_mul(power, step)

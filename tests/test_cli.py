@@ -734,18 +734,38 @@ def test_module_entry_point_exit_statuses(mismatching_s_fixture):
 
 
 def test_eval_matrix_strategy_multiplies_once_between_rows(monkeypatch, capsys):
-    products = []
+    right_operands = []
     original = tribomatrix.mat_mul
 
     def counting(a, b):
-        products.append(1)
+        right_operands.append(b)
         return original(a, b)
 
     monkeypatch.setattr(tribomatrix, "mat_mul", counting)
-    code, out, _ = run(capsys, "eval", "S", "0", "6", "--strategy", "matrix")
-    assert code == 0
-    assert out.splitlines() == [f"{n} {v}" for n, v in oracle_s(0, 6).items()]
-    assert len(products) == 6
+    # S steps by A, C by A^-1: six products for seven rows.
+    for kind, oracle, step in (("S", oracle_s, tribomatrix.mat_pow(1)),
+                               ("C", oracle_c, tribomatrix.mat_pow(-1))):
+        right_operands.clear()
+        code, out, _ = run(capsys, "eval", kind, "0", "6", "--strategy", "matrix")
+        assert code == 0
+        assert out.splitlines() == [f"{n} {v}" for n, v in oracle(0, 6).items()]
+        assert right_operands == [step] * 6
+
+
+def test_matrix_route_values_compute_no_minors(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a matrix-route value computed 2x2 minors")
+
+    monkeypatch.setattr(tribomatrix, "minors_of", refuse)
+    monkeypatch.setattr(tribomatrix, "minor_sum", refuse)
+    for lo, hi in ((0, 40), (-40, -1)):
+        code, out, err = run(capsys, "eval", "--strategy", "matrix", "C", "--", str(lo), str(hi))
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [f"{n} {v}" for n, v in sorted(oracle_c(lo, hi).items())]
+    code, out, err = run(capsys, "bench", "--format", "json", "C", "3000", "1")
+    assert (code, err) == (0, "")
+    strategies = {row["strategy"]: row for row in json.loads(out)["strategies"]}
+    assert strategies["matrix"]["value"] == strategies["recurrence"]["value"] == str(c_seq(3000))
 
 
 def test_failed_write_exits_2(monkeypatch, capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,8 +18,8 @@ from tribokit.tribomatrix import (
     mat_pow_naive,
     minor_sum,
     minors_of,
+    terms,
     trace,
-    term_of,
     trace_pow,
     tribomatrix,
 )
@@ -139,11 +141,17 @@ def test_minor_report_total_invariant():
         MinorSumReport(1, 1, 1, 4)
 
 
-@given(kind=st.sampled_from(SequenceKind), n=st.integers(min_value=-10**3, max_value=10**3))
-def test_term_of_reads_each_kind_off_the_matrix_power(kind, n):
-    assert term_of(kind, mat_pow(n)) == term(kind, n)
+@given(kind=st.sampled_from(SequenceKind), lo=st.integers(min_value=-10**3, max_value=10**3),
+       count=st.integers(min_value=1, max_value=4))
+def test_terms_reads_each_kind_off_a_matrix_power(kind, lo, count):
+    assert list(islice(terms(kind, lo), count)) == [term(kind, lo + i) for i in range(count)]
 
 
 def test_minor_sum_of_a_power_is_the_trace_of_its_inverse():
+    # adj(A^n) = A^-n since det A = 1, so each principal minor of A^n is a
+    # diagonal entry of A^-n; ``terms`` reads C(n) = tr(A^-n) on this fact.
     for n in range(-64, 65):
-        assert minors_of(mat_pow(n)).total == trace(mat_pow(-n)) == c_seq(n)
+        report, inverse = minors_of(mat_pow(n)), mat_pow(-n)
+        assert (report.minor_12, report.minor_13, report.minor_23) == (
+            inverse[2][2], inverse[1][1], inverse[0][0])
+        assert report.total == trace(inverse) == c_seq(n)
