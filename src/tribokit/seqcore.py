@@ -17,16 +17,23 @@ once, for ``s_from_t``, ``c_from_t`` and the identity catalogue.
 
 A single term a(n) needs only x^n modulo the recurrence's cubic: an
 O(log |n|) ladder of squarings (Fiduccia's method), at any integer n, as
-the trailing coefficients +-1 make x invertible.  A range runs the ladder
-once for its first terms, then one linear pass over its rows.  A range
+the trailing coefficients +-1 make x invertible; a ``Recurrence`` with
+any other trailing coefficient is refused.  A range runs the ladder once
+for its first terms, then one linear pass over its rows.  That pass and
+the identity memos share one step per coefficient triple, which adds or
+subtracts a neighbour of coefficient +-1 rather than multiplying by it,
+so every step of T, S and C is two big additions.  A range
 that is to be printed runs that pass in decimal radix instead
 (``range_text``), so each row costs O(digits) to add and to print where
 CPython's int-to-str conversion is quadratic.  Every function is pure
-and exact, with no caching shared between calls.
+and exact, and no value is cached between calls: only the step built
+for each coefficient triple is kept.
 """
 from __future__ import annotations
 
 import decimal
+import functools
+import operator
 import sys
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
@@ -118,13 +125,33 @@ def _dot(r: Coeffs, seeds: Coeffs) -> int:
     return r[0] * seeds[0] + r[1] * seeds[1] + r[2] * seeds[2]
 
 
+@functools.cache
+def _step(coeffs: Coeffs) -> Callable[[int, int, int], int]:
+    """(x1, x2, x3) -> c1*x1 + c2*x2 + c3*x3 as one lambda, built once per
+    coefficient triple: a term of coefficient +-1 is added or subtracted, one
+    of 0 is left out, and only the other coefficients multiply, so a step
+    whose coefficients are all 0 or +-1 makes no big product."""
+    plus, minus = [], []
+    for c, x in zip(map(operator.index, coeffs), ("x1", "x2", "x3")):
+        if c:
+            (plus if c > 0 else minus).append(x if abs(c) == 1 else f"{abs(c)} * {x}")
+    body = " - ".join([" + ".join(plus) or "0", *minus])
+    return eval(f"lambda x1, x2, x3: {body}", {"__builtins__": {}})
+
+
 @dataclass(frozen=True)
 class Recurrence:
     """a(n) = c1*a(n-1) + c2*a(n-2) + c3*a(n-3) for coeffs (c1, c2, c3), from
-    seeds (a(0), a(1), a(2)).  |c3| = 1 keeps the reverse direction integral."""
+    seeds (a(0), a(1), a(2)).  c3 must be 1 or -1: then 1/c3 == c3, so the
+    reverse direction a(n-3) = c3*(a(n) - c1*a(n-1) - c2*a(n-2)) stays
+    integral; any other c3 is refused."""
 
     coeffs: Coeffs
     seeds: Coeffs
+
+    def __post_init__(self) -> None:
+        if abs(self.coeffs[2]) != 1:
+            raise ValueError(f"c3 must be 1 or -1, got coefficients {self.coeffs}")
 
     def at(self, n: int) -> int:
         """a(n) at any integer n from one ladder call."""
@@ -139,26 +166,31 @@ class Recurrence:
 
     def terms(self, lo: int) -> Iterator[int]:
         """a(lo), a(lo+1), ... without end, in constant memory: one ladder
-        call for the window, then one recurrence step a term."""
-        c1, c2, c3 = self.coeffs
+        call for the window, then one recurrence step a term, which adds or
+        subtracts each neighbour of coefficient +-1 (``_step``)."""
+        step = _step(self.coeffs)
         a, b, c = self.window(lo)
         while True:
             yield a
-            a, b, c = b, c, c1 * c + c2 * b + c3 * a
+            a, b, c = b, c, step(c, b, a)
 
     def memo(self) -> Callable[[int], int]:
-        """Bi-infinite evaluator with extend-on-demand caching."""
+        """Bi-infinite evaluator with extend-on-demand caching: a(0), a(1),
+        ... in one list and a(2), a(1), a(0), a(-1), ... in another, each
+        extended by the same step as ``terms``.  Read backwards, b(k) = a(-k)
+        is the recurrence with coefficients (-c3*c2, -c3*c1, c3), as c3^2 = 1."""
         c1, c2, c3 = self.coeffs
+        forward, backward = _step(self.coeffs), _step((-c3 * c2, -c3 * c1, c3))
         fwd: list[int] = list(self.seeds)
         bwd: list[int] = fwd[::-1]  # bwd[k + 2] holds a(-k)
 
         def at(n: int) -> int:
             if n >= 0:
                 while len(fwd) <= n:
-                    fwd.append(c1 * fwd[-1] + c2 * fwd[-2] + c3 * fwd[-3])
+                    fwd.append(forward(fwd[-1], fwd[-2], fwd[-3]))
                 return fwd[n]
             while len(bwd) <= 2 - n:
-                bwd.append(c3 * (bwd[-3] - c1 * bwd[-2] - c2 * bwd[-1]))
+                bwd.append(backward(bwd[-1], bwd[-2], bwd[-3]))
             return bwd[2 - n]
 
         return at

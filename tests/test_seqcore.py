@@ -3,13 +3,17 @@ from __future__ import annotations
 import decimal
 import sys
 import time
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import oracle_c, oracle_s, oracle_t
 from tribokit.seqcore import (
+    _C_EVEN,
+    RECURRENCES,
     CForm,
+    Recurrence,
     SForm,
     SequenceKind,
     c_even,
@@ -183,6 +187,54 @@ def test_range_text_ignores_and_keeps_the_callers_decimal_context():
         assert decimal.getcontext() is context
         assert (context.prec, context.rounding, dict(context.flags), dict(context.traps)) == before
     assert texts == [str(value) for _, value in sequence_range(kind, -200, 200)]
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1, 2), (1, 1, 0), (-1, -1, -2)])
+def test_recurrence_refuses_a_trailing_coefficient_other_than_plus_or_minus_one(coeffs):
+    # with c3 = 2, a(-1) = (a(2) - a(1) - a(0)) / 2 is not an integer step
+    with pytest.raises(ValueError, match="c3 must be 1 or -1"):
+        Recurrence(coeffs, (1, 2, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    c1=st.integers(min_value=-3, max_value=3),
+    c2=st.integers(min_value=-3, max_value=3),
+    c3=st.sampled_from([-1, 1]),
+    seeds=st.tuples(*[st.integers(min_value=-5, max_value=5)] * 3),
+    lo=st.integers(min_value=-300, max_value=300),
+)
+@example(c1=-1, c2=-3, c3=1, seeds=_C_EVEN.seeds, lo=-300)
+def test_memo_and_terms_match_the_ladder(c1, c2, c3, seeds, lo):
+    # coefficients 0, +-1 and larger, in both directions
+    recurrence = Recurrence((c1, c2, c3), seeds)
+    memo = recurrence.memo()
+    assert [memo(n) for n in range(-300, 301)] == [recurrence.at(n) for n in range(-300, 301)]
+    assert list(islice(recurrence.terms(lo), 12)) == [recurrence.at(n) for n in range(lo, lo + 12)]
+
+
+class NoProducts(int):
+    """An int that refuses to be multiplied, so a step by +-1 must add it."""
+
+    def __mul__(self, other):
+        raise AssertionError("multiplied a neighbour of coefficient +-1")
+
+    __rmul__ = __mul__
+
+
+@pytest.mark.parametrize("kind", list(SequenceKind))
+def test_memo_steps_by_plus_or_minus_one_without_products(kind):
+    recurrence = RECURRENCES[kind]
+    memo = Recurrence(recurrence.coeffs, tuple(map(NoProducts, recurrence.seeds))).memo()
+    assert [memo(n) for n in range(-50, 51)] == [recurrence.at(n) for n in range(-50, 51)]
+
+
+@pytest.mark.parametrize("kind", list(SequenceKind))
+def test_terms_step_by_plus_or_minus_one_without_products(kind, monkeypatch):
+    recurrence = RECURRENCES[kind]
+    window = tuple(map(NoProducts, recurrence.window(-20)))
+    monkeypatch.setattr(Recurrence, "window", lambda self, lo: window)
+    assert list(islice(recurrence.terms(-20), 41)) == [term(kind, n) for n in range(-20, 21)]
 
 
 def test_c_even_matches_full_sequence():
