@@ -15,19 +15,13 @@ coefficients and seeds, which the identity sweeps also memoize (fault
 injection swaps the seeds).  ``T_FORMS`` holds the T-forms of S and C
 once, for ``s_from_t``, ``c_from_t`` and the identity catalogue.
 
-A single term a(n) needs only x^n modulo the recurrence's cubic: an
-O(log |n|) ladder of squarings (Fiduccia's method), at any integer n, as
-the trailing coefficients +-1 make x invertible; a ``Recurrence`` with
-any other trailing coefficient is refused.  A range runs the ladder once
-for its first terms, then one linear pass over its rows.  That pass and
-the identity memos share one step per coefficient triple, which adds or
-subtracts a neighbour of coefficient +-1 rather than multiplying by it,
-so every step of T, S and C is two big additions.  A range
-that is to be printed runs that pass in decimal radix instead
-(``range_text``), so each row costs O(digits) to add and to print where
-CPython's int-to-str conversion is quadratic.  Every function is pure
-and exact, and no value is cached between calls: only the step built
-for each coefficient triple is kept.
+A term a(n), n >= 0, is x^n modulo the cubic: an O(log n) ladder of
+squarings (Fiduccia's method).  A negative index reads the sequence
+backwards (``Recurrence.reversed``), integral as c3 is +-1.  Every linear
+pass -- range rows, identity memos, printed ranges and expansions -- is one
+generator compiled per coefficient tuple (``_pass``) over int or exact
+decimal arithmetic; in decimal a printed row costs O(digits), where
+CPython's int-to-str is quadratic.  Only compiled passes outlive a call.
 """
 from __future__ import annotations
 
@@ -103,21 +97,14 @@ def _times_x(coeffs: Coeffs, r: Coeffs) -> Coeffs:
     return c3 * r2, r0 + c2 * r2, r1 + c1 * r2
 
 
-def _over_x(coeffs: Coeffs, r: Coeffs) -> Coeffs:
-    """r(x)/x mod the cubic, using x^-1 = c3*(x^2 - c1*x - c2) since 1/c3 == c3."""
-    (c1, c2, c3), (r0, r1, r2) = coeffs, r
-    return r1 - c3 * c2 * r0, r2 - c3 * c1 * r0, c3 * r0
-
-
 def _power(coeffs: Coeffs, n: int) -> Coeffs:
-    """(r0, r1, r2) with x^n = r0 + r1*x + r2*x^2 mod the cubic, so that
-    a(n) = r0*a(0) + r1*a(1) + r2*a(2).  Left-to-right binary on |n|."""
-    step = _times_x if n >= 0 else _over_x
+    """(r0, r1, r2) with x^n = r0 + r1*x + r2*x^2 mod the cubic, for n >= 0,
+    so that a(n) = r0*a(0) + r1*a(1) + r2*a(2).  Left-to-right binary on n."""
     r = (1, 0, 0)
-    for bit in bin(abs(n))[2:]:
+    for bit in bin(n)[2:]:
         r = _square(coeffs, r)
         if bit == "1":
-            r = step(coeffs, r)
+            r = _times_x(coeffs, r)
     return r
 
 
@@ -125,26 +112,56 @@ def _dot(r: Coeffs, seeds: Coeffs) -> int:
     return r[0] * seeds[0] + r[1] * seeds[1] + r[2] * seeds[2]
 
 
-@functools.cache
-def _step(coeffs: Coeffs) -> Callable[[int, int, int], int]:
-    """(x1, x2, x3) -> c1*x1 + c2*x2 + c3*x3 as one lambda, built once per
-    coefficient triple: a term of coefficient +-1 is added or subtracted, one
-    of 0 is left out, and only the other coefficients multiply, so a step
-    whose coefficients are all 0 or +-1 makes no big product."""
+# Exact decimal arithmetic that reads no thread-local context: integer sums
+# and small multiples never round, and any inexact step would raise.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC, rounding=decimal.ROUND_HALF_EVEN,
+    Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow],
+)
+
+# The arithmetics a pass runs over, as the source of a sum, a difference and
+# a product by a constant: int operators, or the methods of _EXACT.
+_INT = ("({} + {})", "({} - {})", "{} * {}")
+_DECIMAL = ("_EXACT.add({}, {})", "_EXACT.subtract({}, {})", "_EXACT.multiply({}, {})")
+
+
+def _pairwise(join: str, xs: list[str]) -> str:
+    """xs joined pairwise by ``join``, log2(len(xs)) deep, within the parser's nesting limit."""
+    while len(xs) > 1:
+        xs = [join.format(a, b) for a, b in zip(xs[::2], xs[1::2])] + xs[len(xs) - len(xs) % 2:]
+    return xs[0]
+
+
+@functools.lru_cache(maxsize=256)
+def _pass(coeffs: tuple[int, ...], arithmetic: tuple[str, str, str]) -> Callable[..., Iterator]:
+    """Generator function: from a window a(n), ..., a(n+d-1), d = len(coeffs),
+    yield a(n), a(n+1), ... without end, each later a(k) = coeffs[0]*a(k-1)
+    + ... + coeffs[d-1]*a(k-d) as one expression in ``arithmetic`` that adds
+    or subtracts a neighbour of coefficient +-1, leaves out one of 0 and
+    multiplies only by the others, its sums nested pairwise.  At most 256
+    are cached, as ``expand --num/--den`` brings coefficients from outside."""
+    add, subtract, multiply = arithmetic
+    names = [f"x{k}" for k in range(len(coeffs))]  # x0 holds a(k-d), the last a(k-1)
     plus, minus = [], []
-    for c, x in zip(map(operator.index, coeffs), ("x1", "x2", "x3")):
+    for c, x in zip(map(operator.index, coeffs), reversed(names)):
         if c:
-            (plus if c > 0 else minus).append(x if abs(c) == 1 else f"{abs(c)} * {x}")
-    body = " - ".join([" + ".join(plus) or "0", *minus])
-    return eval(f"lambda x1, x2, x3: {body}", {"__builtins__": {}})
+            (plus if c > 0 else minus).append(x if abs(c) == 1 else multiply.format(abs(c), x))
+    step = _pairwise(add, plus or ["0"])
+    if minus:
+        step = subtract.format(step, _pairwise(add, minus))
+    window = ", ".join(names)
+    source = (f"def _pass({window}):\n    yield from ({window},)[:-1]\n    while True:\n"
+              f"        yield {names[-1]}\n        {window} = {', '.join([*names[1:], step])}\n")
+    namespace: dict[str, Callable[..., Iterator]] = {}
+    exec(source, globals(), namespace)
+    return namespace["_pass"]
 
 
 @dataclass(frozen=True)
 class Recurrence:
     """a(n) = c1*a(n-1) + c2*a(n-2) + c3*a(n-3) for coeffs (c1, c2, c3), from
-    seeds (a(0), a(1), a(2)).  c3 must be 1 or -1: then 1/c3 == c3, so the
-    reverse direction a(n-3) = c3*(a(n) - c1*a(n-1) - c2*a(n-2)) stays
-    integral; any other c3 is refused."""
+    seeds (a(0), a(1), a(2)).  c3 must be 1 or -1, so ``reversed`` is integral."""
 
     coeffs: Coeffs
     seeds: Coeffs
@@ -153,44 +170,45 @@ class Recurrence:
         if abs(self.coeffs[2]) != 1:
             raise ValueError(f"c3 must be 1 or -1, got coefficients {self.coeffs}")
 
+    @property
+    def reversed(self) -> "Recurrence":
+        """b(k) = a(2 - k), read for every negative index: as 1/c3 == c3, b has
+        coefficients (-c3*c2, -c3*c1, c3) and the seeds reversed."""
+        c1, c2, c3 = self.coeffs
+        return Recurrence((-c3 * c2, -c3 * c1, c3), self.seeds[::-1])
+
     def at(self, n: int) -> int:
         """a(n) at any integer n from one ladder call."""
+        if n < 0:
+            return self.reversed.at(2 - n)
         return _dot(_power(self.coeffs, n), self.seeds)
 
     def window(self, lo: int) -> Coeffs:
         """a(lo), a(lo+1), a(lo+2) from one ladder call and two shifts."""
+        if lo < 0:
+            return self.reversed.window(-lo)[::-1]
         r0 = _power(self.coeffs, lo)
         r1 = _times_x(self.coeffs, r0)
         r2 = _times_x(self.coeffs, r1)
         return _dot(r0, self.seeds), _dot(r1, self.seeds), _dot(r2, self.seeds)
 
     def terms(self, lo: int) -> Iterator[int]:
-        """a(lo), a(lo+1), ... without end, in constant memory: one ladder
-        call for the window, then one recurrence step a term, which adds or
-        subtracts each neighbour of coefficient +-1 (``_step``)."""
-        step = _step(self.coeffs)
-        a, b, c = self.window(lo)
-        while True:
-            yield a
-            a, b, c = b, c, step(c, b, a)
+        """a(lo), a(lo+1), ... without end: the ladder's window, then the int pass."""
+        return _pass(self.coeffs, _INT)(*self.window(lo))
 
     def memo(self) -> Callable[[int], int]:
-        """Bi-infinite evaluator with extend-on-demand caching: a(0), a(1),
-        ... in one list and a(2), a(1), a(0), a(-1), ... in another, each
-        extended by the same step as ``terms``.  Read backwards, b(k) = a(-k)
-        is the recurrence with coefficients (-c3*c2, -c3*c1, c3), as c3^2 = 1."""
-        c1, c2, c3 = self.coeffs
-        forward, backward = _step(self.coeffs), _step((-c3 * c2, -c3 * c1, c3))
-        fwd: list[int] = list(self.seeds)
-        bwd: list[int] = fwd[::-1]  # bwd[k + 2] holds a(-k)
+        """Bi-infinite evaluator with extend-on-demand caching: a(0), a(1), ...
+        and a(2), a(1), a(0), a(-1), ..., each from the int pass of its seeds."""
+        forward, backward = (_pass(r.coeffs, _INT)(*r.seeds) for r in (self, self.reversed))
+        fwd, bwd = [], []  # fwd[n] and bwd[2 - n] hold a(n)
 
         def at(n: int) -> int:
             if n >= 0:
-                while len(fwd) <= n:
-                    fwd.append(forward(fwd[-1], fwd[-2], fwd[-3]))
+                if n >= len(fwd):
+                    fwd.extend(islice(forward, n + 1 - len(fwd)))
                 return fwd[n]
-            while len(bwd) <= 2 - n:
-                bwd.append(backward(bwd[-1], bwd[-2], bwd[-3]))
+            if 2 - n >= len(bwd):
+                bwd.extend(islice(backward, 3 - n - len(bwd)))
             return bwd[2 - n]
 
         return at
@@ -264,49 +282,31 @@ def tribonacci_window(n: int) -> Callable[[int], int]:
     return dict(sequence_range(SequenceKind.TRIBONACCI, n - 3, n + 1)).__getitem__
 
 
-# Exact decimal arithmetic that reads no thread-local context: integer sums
-# and small multiples never round, and any inexact step would raise.
-_EXACT = decimal.Context(
-    prec=decimal.MAX_PREC, rounding=decimal.ROUND_HALF_EVEN,
-    Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
-    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow],
-)
 _STR_LIMIT_MESSAGE = (
     "Exceeds the limit ({} digits) for integer string conversion; "
     "use sys.set_int_max_str_digits() to increase the limit"
 )
 
 
-def _text_terms(coeffs: Sequence[int], window: Sequence[int]) -> Iterator[str]:
+def _text_terms(coeffs: tuple[int, ...], window: Sequence[int]) -> Iterator[str]:
     """Decimal text of the window values, then of each later term
     a(n) = coeffs[0]*a(n-1) + ... + coeffs[d-1]*a(n-d), d = len(coeffs) <= len(window),
     without end.
 
-    Window values go through str(int) one at a time, as they are asked for.
-    Later terms are summed in decimal radix, so a term costs O(digits) to
-    compute and to print.  Each obeys the digit limit str(int) obeys
-    (sys.get_int_max_str_digits, sign not counted) and fails with its message.
+    Window values go through str(int) one at a time, as they are asked for;
+    later terms run the decimal pass, O(digits) each to compute and to print,
+    and obey the digit limit of str(int) (sign not counted) with its message.
     """
-    last = []
-    for value in window:
-        text = str(value)
+    texts = []
+    for text in map(str, window):
         yield text
-        last.append(Decimal(text))
+        texts.append(text)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before 3.10.7
-    add, subtract, multiply = _EXACT.add, _EXACT.subtract, _EXACT.multiply
-    steps = [(-k, c > 0, None if abs(c) == 1 else Decimal(abs(c)))
-             for k, c in enumerate(coeffs, start=1) if c]
-    zero = Decimal(0)
-    while True:
-        value = zero  # subtracting never yields -0 under ROUND_HALF_EVEN
-        for back, positive, scale in steps:
-            x = last[back] if scale is None else multiply(scale, last[back])
-            value = add(value, x) if positive else subtract(value, x)
+    d = len(coeffs)
+    for value in islice(_pass(coeffs, _DECIMAL)(*map(Decimal, texts[-d:])), d, None):
         if limit and value.adjusted() >= limit:
             raise ValueError(_STR_LIMIT_MESSAGE.format(limit))
         yield _EXACT.to_sci_string(value)
-        last.append(value)
-        del last[0]
 
 
 def range_text(kind: SequenceKind, lo: int, hi: int) -> list[str]:

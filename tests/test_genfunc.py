@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tribokit.genfunc import RationalOGF, builtin_ogf, expand, expand_text, recurrence_of
 from tribokit.seqcore import SequenceKind, c_even, sequence_range
@@ -132,8 +132,10 @@ def test_expand_text_of_builtins_is_str_of_expand(name, count):
     den_tail=st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=5).filter(any),
     count=st.integers(min_value=1, max_value=60),
 )
+@example(num=[1], den_tail=[1, -1] * 200 + [0, 2, -3] * 50, count=560)
 def test_expand_text_is_str_of_expand(num, den_tail, count):
-    # coefficients past +-1 and zeros; counts inside and past the seed window
+    # coefficients past +-1 and zeros; counts inside and past the seed window;
+    # a step of 500 terms, more than nested calls or parentheses allow in source
     ogf = RationalOGF(tuple(num), (1, *den_tail))
     assert expand_text(ogf, count) == [str(value) for value in expand(ogf, count)]
 

@@ -94,6 +94,38 @@ def test_backend_memo_is_freed_without_the_garbage_collector():
             gc.enable()
 
 
+@pytest.mark.parametrize(
+    "make_backend",
+    [lambda: None, lambda: SequenceBackend.with_seeds(s_seeds=(3, 1, 4))],
+    ids=["default", "fault"],
+)
+def test_every_sweep_memo_dies_with_the_sweep_without_the_garbage_collector(
+    make_backend, monkeypatch
+):
+    # a memo and its passes must form no reference cycle, or each sweep's
+    # memos would wait for the cyclic collector, piling up between sweeps
+    memo = seqcore.Recurrence.memo
+    refs = []
+
+    def recorded(self):
+        at = memo(self)
+        refs.append(weakref.ref(at))
+        return at
+
+    monkeypatch.setattr(seqcore.Recurrence, "memo", recorded)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        backend = make_backend()
+        assert len(verify_all((0, 30), backend=backend)) == 14
+        del backend
+        assert len(refs) == 3
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_verify_cn2():
     report = verify("CN2", (0, 50))
     assert report.cases_checked == 51

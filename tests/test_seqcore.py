@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import oracle_c, oracle_s, oracle_t
+from tribokit.genfunc import RationalOGF, builtin_ogf, expand, expand_text
 from tribokit.seqcore import (
     _C_EVEN,
     RECURRENCES,
@@ -180,13 +181,22 @@ def test_range_text_under_a_raised_limit_is_str(kind, lo, hi):
 
 def test_range_text_ignores_and_keeps_the_callers_decimal_context():
     kind = SequenceKind.GENERALIZED_LUCAS
+    # S steps by +-1 only; CEven's 3 and this order-4 denominator's 0, 2 and 3
+    # also run products, which must not round at the caller's precision either
+    ogfs = {
+        "CEven": (builtin_ogf("CEven"), 400),
+        "order 4": (RationalOGF((1, 2), (1, 0, 0, 2, -3)), 200),
+    }
     with decimal.localcontext() as context:
         context.prec = 5
         before = (context.prec, context.rounding, dict(context.flags), dict(context.traps))
         texts = range_text(kind, -200, 200)
+        expansions = {name: expand_text(ogf, count) for name, (ogf, count) in ogfs.items()}
         assert decimal.getcontext() is context
         assert (context.prec, context.rounding, dict(context.flags), dict(context.traps)) == before
     assert texts == [str(value) for _, value in sequence_range(kind, -200, 200)]
+    for name, (ogf, count) in ogfs.items():
+        assert expansions[name] == [str(value) for value in expand(ogf, count)], name
 
 
 @pytest.mark.parametrize("coeffs", [(1, 1, 2), (1, 1, 0), (-1, -1, -2)])
@@ -209,7 +219,14 @@ def test_memo_and_terms_match_the_ladder(c1, c2, c3, seeds, lo):
     # coefficients 0, +-1 and larger, in both directions
     recurrence = Recurrence((c1, c2, c3), seeds)
     memo = recurrence.memo()
-    assert [memo(n) for n in range(-300, 301)] == [recurrence.at(n) for n in range(-300, 301)]
+    values = [recurrence.at(n) for n in range(-300, 301)]  # values[n + 300] is a(n)
+    assert [memo(n) for n in range(-300, 301)] == values
+    # memo, at and window all read n < 0 through ``reversed``: check the
+    # values against the seeds and the forward recurrence themselves
+    assert values[300:303] == list(seeds)
+    for n in range(-297, 301):
+        a = values[n + 300 - 3:n + 300 + 1]
+        assert a[3] == c1 * a[2] + c2 * a[1] + c3 * a[0], n
     assert list(islice(recurrence.terms(lo), 12)) == [recurrence.at(n) for n in range(lo, lo + 12)]
 
 
