@@ -17,6 +17,11 @@ precision is a process-global context, callers that mix precisions
 across threads should serialize calls.  Each Binet evaluation computes
 its three power terms once and derives both the value and its error
 bound from them; nothing is cached between calls.
+
+This is the one module of the package that imports mpmath.  The CLI
+imports this module only inside the commands that use it (``roots``,
+``bench`` and ``eval --strategy binet``), so no other command pays for
+loading mpmath; ``root_texts`` prints the roots for ``roots``.
 """
 from __future__ import annotations
 
@@ -101,6 +106,19 @@ def vieta_check(roots: RootSet) -> VietaResiduals:
             sum_res=float(abs(a + b + g - 1)),
             pair_res=float(abs(a * b + a * g + b * g + 1)),
             prod_res=float(abs(a * b * g - 1)),
+        )
+
+
+def root_texts(roots: RootSet) -> tuple[str, str, str, str]:
+    """alpha, the real and imaginary parts of beta, and |beta|, each
+    printed to ``roots.precision`` significant digits."""
+    digits = roots.precision
+    with mpmath.workdps(digits + _GUARD_DIGITS):
+        return (
+            mpmath.nstr(roots.alpha, digits),
+            mpmath.nstr(roots.beta.real, digits),
+            mpmath.nstr(roots.beta.imag, digits),
+            mpmath.nstr(abs(roots.beta), digits),
         )
 
 

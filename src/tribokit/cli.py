@@ -10,9 +10,15 @@ Each ``cmd_*`` returns ``(exit status, output)`` and writes nothing:
 the output is text for plain, csv and bfile, and for json a payload
 dict, to which ``main`` adds the ``command`` key first.  ``main`` is the
 one place that writes stdout.  Exit status: 0 success, 3 a verification
-or crosscheck reported mismatches, 2 a usage/domain/IO error: any
-ValueError or OSError (a failed ``--fetch`` or a failed write included),
-which ``main`` alone prints as ``tribokit: <message>``.
+or crosscheck reported mismatches or ``bench``'s exact strategies
+disagree, 2 a usage/domain/IO error: any ValueError or OSError (a failed
+``--fetch`` or a failed write included), which ``main`` alone prints as
+``tribokit: <message>``.
+
+Only ``roots``, ``bench`` and ``eval --strategy binet`` import
+``analytic`` (and so mpmath), where they run, and ``oeis`` loads its
+HTTP stack at the first fetch, so no other command pays at start-up
+for loading either.
 
 Sequence values are arbitrary-precision integers; json and csv output
 renders them as decimal strings so nothing is ever truncated.
@@ -41,9 +47,7 @@ from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Any, Callable
 
-import mpmath
-
-from . import analytic, genfunc, identities, oeis, seqcore, tribomatrix
+from . import genfunc, identities, oeis, seqcore, tribomatrix
 from .seqcore import SequenceKind
 
 EXIT_OK = 0
@@ -151,6 +155,8 @@ def _eval_texts(kind: SequenceKind, lo: int, hi: int, strategy: str, precision: 
         return [str(value) for value in islice(tribomatrix.terms(kind, lo), hi - lo + 1)]
     if kind is SequenceKind.TRIBONACCI:
         raise ValueError("binet strategy applies to S and C only")
+    from . import analytic
+
     cap = analytic.binet_index_cap(precision)
     if max(abs(lo), abs(hi)) > cap:
         raise ValueError(
@@ -292,15 +298,12 @@ def cmd_matrix(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
 # --------------------------------------------------------------- roots
 
 def cmd_roots(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
+    from . import analytic
+
     precision = args.precision if args.precision is not None else config.precision
     roots = analytic.char_roots(precision)
     residuals = analytic.vieta_check(roots)
-    digits = precision
-    with mpmath.workdps(precision + 10):
-        alpha = mpmath.nstr(roots.alpha, digits)
-        beta_re = mpmath.nstr(roots.beta.real, digits)
-        beta_im = mpmath.nstr(roots.beta.imag, digits)
-        abs_beta = mpmath.nstr(abs(roots.beta), digits)
+    alpha, beta_re, beta_im, abs_beta = analytic.root_texts(roots)
     if fmt == "json":
         return EXIT_OK, {
             "precision": precision,
@@ -418,6 +421,8 @@ def bench_strategies(
     mat_seconds, mat_value = best_of(lambda: next(tribomatrix.terms(kind, n)))
     rows.append({"strategy": "matrix", "seconds": mat_seconds, "value": mat_value})
 
+    from . import analytic
+
     roots = analytic.char_roots(precision)
     try:
         bin_seconds, bin_value = best_of(lambda: analytic.binet_round(kind, n, roots))
@@ -447,8 +452,9 @@ def _short_int(value: int) -> str:
 def cmd_bench(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
     kind = SequenceKind.from_string(args.kind)
     rows, agreement = bench_strategies(kind, args.n, args.reps, config.precision)
+    status = EXIT_OK if agreement else EXIT_FAILED
     if fmt == "json":
-        return EXIT_OK, {
+        return status, {
             "kind": kind.value,
             "n": args.n,
             "repetitions": args.reps,
@@ -459,7 +465,7 @@ def cmd_bench(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
             "exact_agreement": agreement,
         }
     if fmt == "csv":
-        return EXIT_OK, _csv(
+        return status, _csv(
             ["strategy", "seconds", "value", "note"],
             [[row["strategy"], row["seconds"],
               "" if row["value"] is None else str(row["value"]),
@@ -474,7 +480,7 @@ def cmd_bench(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
             extra = f"  bound={row['bound']:.3e}" if "bound" in row else ""
             lines.append(f"{row['strategy']:<12} {seconds}  value={_short_int(row['value'])}{extra}")
     lines.append(f"exact strategies agree: {'yes' if agreement else 'NO'}")
-    return EXIT_OK, "\n".join(lines)
+    return status, "\n".join(lines)
 
 
 # ------------------------------------------------------------- parsing

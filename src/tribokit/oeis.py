@@ -4,14 +4,16 @@ A b-file is the OEIS bulk format: one ``index value`` pair per line,
 ``#`` comment lines and blank lines ignored, indices strictly
 increasing.  Fixture copies for the three sequences ship with the
 package; a transport hook allows live retrieval without hard-wiring any
-network dependency into the library.
+network dependency into the library: ``http_transport`` imports
+``urllib.request`` (and with it the HTTP, TLS and socket modules) only
+when its transport first fetches, so parsing, formatting and
+crosschecking never load them.
 """
 from __future__ import annotations
 
 import re
 import sys
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass
 from importlib import resources
 from itertools import count
@@ -190,6 +192,8 @@ def http_transport(base_url: str = "https://oeis.org") -> Callable[[str], str]:
     base_url = base_url.rstrip("/")
 
     def fetch(sequence_id: str) -> str:
+        import urllib.request
+
         url = f"{base_url}/{sequence_id}/b{sequence_id[1:]}.txt"
         deadline = monotonic() + FETCH_TIMEOUT_S
         chunks = []

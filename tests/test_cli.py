@@ -322,6 +322,23 @@ def test_bench_json_reports_bound_exceeded_past_cap(capsys):
     assert payload["exact_agreement"] is True
 
 
+def test_bench_exits_3_when_the_exact_strategies_disagree(monkeypatch, capsys):
+    original = tribomatrix.terms
+    monkeypatch.setattr(tribomatrix, "terms",
+                        lambda kind, lo: (value + 1 for value in original(kind, lo)))
+    code, out, err = run(capsys, "bench", "S", "10", "1")
+    assert (code, err) == (3, "")
+    assert [line.split("value=")[1].split()[0] for line in out.splitlines()[1:4]] == [
+        "443", "444", "443"]
+    assert out.splitlines()[4:] == ["exact strategies agree: NO"]
+    code, out, err = run(capsys, "bench", "S", "10", "1", "--format", "json")
+    assert (code, err) == (3, "")
+    assert json.loads(out)["exact_agreement"] is False
+    code, out, err = run(capsys, "bench", "S", "10", "1", "--format", "csv")
+    assert (code, err) == (3, "")
+    assert [row.split(",")[2] for row in out.splitlines()[1:]] == ["443", "444", "443"]
+
+
 def test_bench_rejects_tribonacci(capsys):
     code, _, err = run(capsys, "bench", "T", "10")
     assert code == 2
@@ -713,12 +730,17 @@ def test_unreadable_fixture_dir_message(tmp_path, capsys):
         f"[Errno 2] No such file or directory: '{path}'\n")
 
 
-def _run_module(*argv):
+def _module_env():
+    """The environment of a fresh interpreter that imports this tribokit, with no config."""
     package_root = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     env.pop(cli.CONFIG_ENV, None)
-    done = subprocess.run([sys.executable, "-m", "tribokit.cli", *argv], env=env,
+    return env
+
+
+def _run_module(*argv):
+    done = subprocess.run([sys.executable, "-m", "tribokit.cli", *argv], env=_module_env(),
                           capture_output=True, text=True, timeout=60)
     return done.returncode, done.stdout, done.stderr
 
@@ -731,6 +753,42 @@ def test_module_entry_point_exit_statuses(mismatching_s_fixture):
     code, out, err = _run_module("crosscheck", "S", str(mismatching_s_fixture))
     assert (code, err) == (3, "")
     assert out.startswith("A001644  offset=0  rows=5  mismatches=2  FAILED\n")
+
+
+# Run in a fresh interpreter: the commands that need neither mpmath nor the
+# HTTP stack, and a refused transport, then ``roots``.  A module that a
+# site hook loaded before tribokit was imported does not count against it.
+_COLD_START = """
+import json, sys
+heavy = ("mpmath", "urllib.request")
+preloaded = {name for name in heavy if name in sys.modules}
+from tribokit import cli, oeis
+statuses = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+try:
+    oeis.http_transport("ftp://x")
+    refused = False
+except ValueError:
+    refused = True
+loaded = [name for name in heavy if name in sys.modules and name not in preloaded]
+roots = cli.main(["roots", "15"])
+print(json.dumps({"statuses": statuses, "refused": refused, "loaded": loaded,
+                  "roots": roots, "mpmath_after_roots": "mpmath" in sys.modules}))
+"""
+
+
+def test_cold_start_loads_mpmath_and_http_only_where_they_are_used():
+    requests = [argv for argv in _JSON_REQUESTS
+                if argv[0] in ("eval", "verify", "expand", "matrix", "crosscheck")]
+    done = subprocess.run([sys.executable, "-c", _COLD_START, json.dumps(requests)],
+                          env=_module_env(), capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout.splitlines()[-1]) == {
+        "statuses": [0] * 5,
+        "refused": True,
+        "loaded": [],
+        "roots": 0,
+        "mpmath_after_roots": True,
+    }
 
 
 def test_eval_matrix_strategy_multiplies_once_between_rows(monkeypatch, capsys):
