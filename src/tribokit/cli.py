@@ -15,10 +15,18 @@ disagree, 2 a usage/domain/IO error: any ValueError or OSError (a failed
 ``--fetch`` or a failed write included), which ``main`` alone prints as
 ``tribokit: <message>``.
 
-Only ``roots``, ``bench`` and ``eval --strategy binet`` import
-``analytic`` (and so mpmath), where they run, and ``oeis`` loads its
-HTTP stack at the first fetch, so no other command pays at start-up
-for loading either.
+The module level imports only ``seqcore`` from the package; each command
+imports its own layer where it runs, so a launch pays only for what its
+command uses:
+
+* ``verify``: ``identities``
+* ``expand``: ``genfunc``
+* ``matrix``, ``bench`` and ``eval --strategy matrix``: ``tribomatrix``
+* ``crosscheck``: ``oeis``, which loads its HTTP stack at the first fetch
+* ``roots``, ``bench`` and ``eval --strategy binet``: ``analytic``, and so mpmath
+
+``json`` and ``csv`` load only when their format is printed, so a plain
+``eval`` loads neither, nor ``dataclasses``.
 
 Sequence values are arbitrary-precision integers; json and csv output
 renders them as decimal strings so nothing is ever truncated.
@@ -35,20 +43,20 @@ follows it is positional: ``tribokit eval --strategy matrix S -- -20 5``.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
-import json
 import os
 import re
 import sys
 import time
-from dataclasses import dataclass, replace
 from itertools import islice
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
-from . import genfunc, identities, oeis, seqcore, tribomatrix
+from . import seqcore
 from .seqcore import SequenceKind
+
+if TYPE_CHECKING:
+    from . import identities, oeis
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -58,15 +66,11 @@ CONFIG_ENV = "TRIBOKIT_CONFIG"
 _COMMENT = re.compile(r"(?:^|\s)#.*")
 FORMATS = ("plain", "json", "csv", "bfile")
 
-# module-level hook so tests can substitute a canned transport
-transport_factory: Callable[[str], Callable[[str], str]] = oeis.http_transport
-
 # What a command returns: its exit status, and text or a json payload.
 Output = tuple[int, str | dict[str, Any]]
 
 
-@dataclass(frozen=True)
-class CliConfig:
+class CliConfig(NamedTuple):
     default_range: tuple[int, int] = (0, 100)
     precision: int = 30
     fixture_dir: str | None = None
@@ -111,7 +115,7 @@ def load_config(path: str | None) -> CliConfig:
         key, value = key.strip(), value.strip()
         if key == "default_range":
             try:
-                config = replace(config, default_range=_parse_bounds(value))
+                config = config._replace(default_range=_parse_bounds(value))
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_number}: {exc}") from None
         elif key == "precision":
@@ -121,21 +125,23 @@ def load_config(path: str | None) -> CliConfig:
                 raise ValueError(f"{path}:{line_number}: precision must be an integer") from None
             if precision < 15:
                 raise ValueError(f"{path}:{line_number}: precision must be >= 15")
-            config = replace(config, precision=precision)
+            config = config._replace(precision=precision)
         elif key == "fixture_dir":
-            config = replace(config, fixture_dir=value)
+            config = config._replace(fixture_dir=value)
         elif key == "output_format":
             if value not in FORMATS:
                 raise ValueError(f"{path}:{line_number}: output_format must be one of {FORMATS}")
-            config = replace(config, output_format=value)
+            config = config._replace(output_format=value)
         elif key == "oeis_url":
-            config = replace(config, oeis_url=value)
+            config = config._replace(oeis_url=value)
         else:
             raise ValueError(f"{path}:{line_number}: unknown config key {key!r}")
     return config
 
 
 def _csv(header: list[str], rows: list[list[Any]]) -> str:
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -152,6 +158,8 @@ def _eval_texts(kind: SequenceKind, lo: int, hi: int, strategy: str, precision: 
     if strategy == "recurrence":
         return seqcore.range_text(kind, lo, hi)
     if strategy == "matrix":
+        from . import tribomatrix
+
         return [str(value) for value in islice(tribomatrix.terms(kind, lo), hi - lo + 1)]
     if kind is SequenceKind.TRIBONACCI:
         raise ValueError("binet strategy applies to S and C only")
@@ -206,6 +214,8 @@ def _report_payload(report: identities.VerificationReport) -> dict[str, Any]:
 def cmd_verify(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
     n_bounds = _parse_bounds(args.range) if args.range else config.default_range
     m_bounds = _parse_bounds(args.m_range) if args.m_range else n_bounds
+    from . import identities
+
     try:
         if args.identity.lower() == "all":
             reports = identities.verify_all(n_bounds, m_bounds)
@@ -245,9 +255,11 @@ def _parse_coeffs(text: str, option: str) -> tuple[int, ...]:
         raise ValueError(f"{option} must be a comma-separated integer list, got {text!r}") from None
 
 
-def cmd_expand(args: argparse.Namespace, config: CliConfig, fmt: str) ->  Output:
+def cmd_expand(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
     if args.source is not None and (args.num or args.den):
         raise ValueError("give either a builtin name or --num/--den, not both")
+    from . import genfunc
+
     if args.source is not None:
         ogf = genfunc.builtin_ogf(args.source)
     elif args.num and args.den:
@@ -267,6 +279,8 @@ def cmd_expand(args: argparse.Namespace, config: CliConfig, fmt: str) ->  Output
 # -------------------------------------------------------------- matrix
 
 def cmd_matrix(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
+    from . import tribomatrix
+
     power = tribomatrix.mat_pow(args.n)
     minors = tribomatrix.minors_of(power)
     trace = tribomatrix.trace(power)
@@ -344,7 +358,16 @@ def cmd_roots(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
 
 # ---------------------------------------------------------- crosscheck
 
+def transport_factory(base_url: str) -> Callable[[str], str]:
+    """``oeis.http_transport``: a module-level hook so tests can substitute a canned transport."""
+    from . import oeis
+
+    return oeis.http_transport(base_url)
+
+
 def _fixture(sequence_id: str, args: argparse.Namespace, config: CliConfig) -> oeis.BFile:
+    from . import oeis
+
     if args.fetch:
         return oeis.fetch_bfile(sequence_id, transport_factory(config.oeis_url))
     if args.fixture is not None:
@@ -357,6 +380,8 @@ def _fixture(sequence_id: str, args: argparse.Namespace, config: CliConfig) -> o
 
 
 def cmd_crosscheck(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
+    from . import oeis
+
     kind = SequenceKind.from_string(args.kind)
     sequence_id = oeis.OEIS_IDS[kind]
     rows = args.rows_override if args.rows_override is not None else args.rows
@@ -418,6 +443,8 @@ def bench_strategies(
     rows: list[dict[str, Any]] = []
     rec_seconds, rec_value = best_of(lambda: seqcore.term(kind, n))
     rows.append({"strategy": "recurrence", "seconds": rec_seconds, "value": rec_value})
+    from . import tribomatrix
+
     mat_seconds, mat_value = best_of(lambda: next(tribomatrix.terms(kind, n)))
     rows.append({"strategy": "matrix", "seconds": mat_seconds, "value": mat_value})
 
@@ -560,6 +587,8 @@ def main(argv: list[str] | None = None) -> int:
         # looked up at call time, so a substituted cmd_* is the one that runs
         status, output = globals()[f"cmd_{args.command}"](args, config, fmt)
         if fmt == "json":
+            import json
+
             output = json.dumps({"command": args.command, **output})
         sys.stdout.write(output if output.endswith("\n") else output + "\n")
         return status

@@ -25,12 +25,12 @@ from __future__ import annotations
 import ast
 import functools
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import product
 from types import CodeType
 from typing import Callable, Iterable
 
-from .seqcore import RECURRENCES, T_FORMS, CForm, SequenceKind, SForm
+from .seqcore import RECURRENCES, T_FORMS, CForm, Recurrence, SequenceKind, SForm
 
 Bounds = tuple[int, int]
 Counterexample = tuple[tuple[int, ...], int, int]
@@ -56,7 +56,7 @@ class SequenceBackend:
         """Backend over possibly mutated seed triples (fault injection);
         a triple left out keeps its sequence's own seeds."""
         return cls(*(  # SequenceKind lists T, S, C in this order
-            replace(RECURRENCES[kind], seeds=seeds or RECURRENCES[kind].seeds).memo()
+            Recurrence(RECURRENCES[kind].coeffs, seeds or RECURRENCES[kind].seeds).memo()
             for kind, seeds in zip(SequenceKind, (t_seeds, s_seeds, c_seeds))
         ))
 

@@ -6,8 +6,9 @@ increasing.  Fixture copies for the three sequences ship with the
 package; a transport hook allows live retrieval without hard-wiring any
 network dependency into the library: ``http_transport`` imports
 ``urllib.request`` (and with it the HTTP, TLS and socket modules) only
-when its transport first fetches, so parsing, formatting and
-crosschecking never load them.
+when its transport first fetches, and ``bundled_fixture_text`` imports
+``importlib.resources`` (with ``tempfile``, ``shutil`` and ``zipfile``)
+when called, so parsing, formatting and crosschecking never load them.
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ import re
 import sys
 import urllib.parse
 from dataclasses import dataclass
-from importlib import resources
 from itertools import count
 from time import monotonic
 from typing import Callable
@@ -161,6 +161,8 @@ def crosscheck(kind: SequenceKind, bfile: BFile, max_rows: int) -> CrosscheckRep
 
 def bundled_fixture_text(sequence_id: str) -> str:
     """Text of the packaged fixture b-file for the given id."""
+    from importlib import resources
+
     _check_id(sequence_id)
     name = f"b{sequence_id[1:]}.txt"
     resource = resources.files("tribokit").joinpath("fixtures").joinpath(name)

@@ -30,10 +30,10 @@ import functools
 import operator
 import sys
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum, unique
 from itertools import islice
+from typing import NamedTuple
 
 
 @unique
@@ -158,17 +158,26 @@ def _pass(coeffs: tuple[int, ...], arithmetic: tuple[str, str, str]) -> Callable
     return namespace["_pass"]
 
 
-@dataclass(frozen=True)
-class Recurrence:
-    """a(n) = c1*a(n-1) + c2*a(n-2) + c3*a(n-3) for coeffs (c1, c2, c3), from
-    seeds (a(0), a(1), a(2)).  c3 must be 1 or -1, so ``reversed`` is integral."""
-
+class _RecurrenceFields(NamedTuple):
     coeffs: Coeffs
     seeds: Coeffs
 
-    def __post_init__(self) -> None:
-        if abs(self.coeffs[2]) != 1:
-            raise ValueError(f"c3 must be 1 or -1, got coefficients {self.coeffs}")
+
+class Recurrence(_RecurrenceFields):
+    """a(n) = c1*a(n-1) + c2*a(n-2) + c3*a(n-3) for coeffs (c1, c2, c3), from
+    seeds (a(0), a(1), a(2)).  c3 must be 1 or -1, so ``reversed`` is integral.
+    An immutable named tuple; ``_make`` (and so ``_replace``) runs the check too."""
+
+    __slots__ = ()
+
+    def __new__(cls, coeffs: Coeffs, seeds: Coeffs) -> "Recurrence":
+        if abs(coeffs[2]) != 1:
+            raise ValueError(f"c3 must be 1 or -1, got coefficients {coeffs}")
+        return super().__new__(cls, coeffs, seeds)
+
+    @classmethod
+    def _make(cls, iterable) -> "Recurrence":
+        return cls(*iterable)
 
     @property
     def reversed(self) -> "Recurrence":

@@ -791,6 +791,48 @@ def test_cold_start_loads_mpmath_and_http_only_where_they_are_used():
     }
 
 
+# Run without site (-S), which on some installs preloads importlib.resources.
+_COMMAND_LOADS = """
+import contextlib, io, sys
+watched = ("dataclasses", "inspect", "json", "csv", "importlib.resources")
+preloaded = set(sys.modules)
+from tribokit import cli
+cli.transport_factory = lambda base_url: lambda sequence_id: "0 3\\n1 1\\n2 3\\n"
+with contextlib.redirect_stdout(io.StringIO()):
+    status = cli.main(sys.argv[1:])
+loaded = {name for name in sys.modules
+          if name not in preloaded and (name.startswith("tribokit.") or name in watched)}
+print(status, *sorted(loaded - {"tribokit.cli", "tribokit.seqcore"}))
+"""
+_FIXTURE = os.path.join(os.path.dirname(cli.__file__), "fixtures", "b001644.txt")
+_DATACLASSES = ("dataclasses", "inspect")
+_COMMAND_LAYERS = [
+    (["eval", "S", "0", "3"], ()),
+    (["eval", "S", "0", "3", "--format", "csv"], ()),  # integer rows need no csv quoting
+    (["eval", "S", "0", "3", "--format", "json"], ("json",)),
+    (["eval", "--strategy", "matrix", "S", "0", "3"], ("tribokit.tribomatrix", *_DATACLASSES)),
+    (["verify", "CN2", "--range", "0:3"], ("tribokit.identities", *_DATACLASSES)),
+    (["verify", "CN2", "--range", "0:3", "--format", "json"],
+     ("tribokit.identities", *_DATACLASSES, "json")),
+    (["expand", "S", "4"], ("tribokit.genfunc", *_DATACLASSES)),
+    (["matrix", "3"], ("tribokit.tribomatrix", *_DATACLASSES)),
+    (["matrix", "3", "--format", "csv"], ("tribokit.tribomatrix", *_DATACLASSES, "csv")),
+    (["crosscheck", "S", _FIXTURE, "5"], ("tribokit.oeis", *_DATACLASSES)),
+    (["crosscheck", "S", "--fetch"], ("tribokit.oeis", *_DATACLASSES)),
+    (["crosscheck", "S", "--rows", "5"], ("tribokit.oeis", *_DATACLASSES, "importlib.resources")),
+]
+
+
+@pytest.mark.parametrize("argv, layers", _COMMAND_LAYERS,
+                         ids=[" ".join(argv).replace(_FIXTURE, "PATH")
+                              for argv, _ in _COMMAND_LAYERS])
+def test_cold_start_loads_only_the_commands_own_layer(argv, layers):
+    done = subprocess.run([sys.executable, "-S", "-c", _COMMAND_LOADS, *argv],
+                          env=_module_env(), capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.split() == ["0", *sorted(layers)]
+
+
 def test_eval_matrix_strategy_multiplies_once_between_rows(monkeypatch, capsys):
     right_operands = []
     original = tribomatrix.mat_mul

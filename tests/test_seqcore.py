@@ -204,6 +204,14 @@ def test_recurrence_refuses_a_trailing_coefficient_other_than_plus_or_minus_one(
     # with c3 = 2, a(-1) = (a(2) - a(1) - a(0)) / 2 is not an integer step
     with pytest.raises(ValueError, match="c3 must be 1 or -1"):
         Recurrence(coeffs, (1, 2, 4))
+    # the named tuple's own constructors run the same check
+    recurrence = Recurrence((1, 1, 1), (1, 2, 4))
+    with pytest.raises(ValueError, match="c3 must be 1 or -1"):
+        recurrence._replace(coeffs=coeffs)
+    with pytest.raises(ValueError, match="c3 must be 1 or -1"):
+        Recurrence._make([coeffs, (1, 2, 4)])
+    with pytest.raises(AttributeError):
+        recurrence.coeffs = coeffs
 
 
 @settings(max_examples=40, deadline=None)
