@@ -9,7 +9,15 @@ it for every other command before any work is done.
 Each ``cmd_*`` returns ``(exit status, output)`` and writes nothing:
 the output is text for plain, csv and bfile, and for json a payload
 dict, to which ``main`` adds the ``command`` key first.  ``main`` is the
-one place that writes stdout.  Exit status: 0 success, 3 a verification
+one place that writes stdout: the output, then a newline unless it ends
+in one, each written as it is, never concatenated.  The rows of ``eval`` (every
+strategy) and ``expand`` come from one renderer, ``render_rows``, in one
+join over index, separator, text and newline pieces; in json it renders
+the rows' array itself, which the payload holds as a ``JSONText`` and
+``main`` writes between the pieces of the ``json.dumps`` envelope, so
+megabytes of digits never pass through ``json.dumps``.  Output stays
+all-or-nothing: every row is rendered, or refused, before the first
+byte is written.  Exit status: 0 success, 3 a verification
 or crosscheck reported mismatches or ``bench``'s exact strategies
 disagree, 2 a usage/domain/IO error: any ValueError or OSError (a failed
 ``--fetch`` or a failed write included), which ``main`` alone prints as
@@ -68,6 +76,13 @@ FORMATS = ("plain", "json", "csv", "bfile")
 
 # What a command returns: its exit status, and text or a json payload.
 Output = tuple[int, str | dict[str, Any]]
+
+
+class JSONText(NamedTuple):
+    """A json payload value whose JSON text is rendered already; ``main``
+    writes it into the envelope as it stands."""
+
+    text: str
 
 
 class CliConfig(NamedTuple):
@@ -174,12 +189,40 @@ def _eval_texts(kind: SequenceKind, lo: int, hi: int, strategy: str, precision: 
     return [str(analytic.binet_round(kind, n, roots)) for n in range(lo, hi + 1)]
 
 
-def _table(fmt: str, header: str, texts: list[str], start: int = 0) -> str:
-    """``n value`` lines, or csv rows under ``header``, for consecutive
-    indices from ``start``.  The fields are integers, which csv never quotes."""
-    if fmt == "csv":
-        return header + "\n" + "".join(f"{n},{text}\n" for n, text in enumerate(texts, start))
-    return "\n".join(f"{n} {text}" for n, text in enumerate(texts, start))
+def render_rows(fmt: str, header: str, start: int | None, texts: list[str]) -> str:
+    """Rows of consecutive indices and the decimal texts of their values,
+    built in one join: the one rendering of ``eval`` and ``expand`` rows and
+    of ``oeis.format_bfile``.
+
+    ``header`` is the csv header, ``index,value``.  plain and bfile give
+    ``n text`` lines, csv gives ``n,text`` lines under the header, and json
+    gives the array text ``[{"n": 0, "value": "3"}, ...]``, keyed by the
+    header's names.  With ``start`` None the rows are a bare list: the text
+    formats number them from 0, and json gives ``["3", ...]``.  A text is
+    ASCII digits with an optional minus sign, which csv never quotes and
+    json never escapes.
+    """
+    if fmt == "json" and not texts:
+        return "[]"
+    count = len(texts)
+    first = start or 0
+    indices = map(str, range(first, first + count))
+    if fmt != "json":
+        head = header + "\n" if fmt == "csv" else ""
+        columns = [indices, ["," if fmt == "csv" else " "] * count, texts, ["\n"] * count]
+    elif start is None:
+        head = '["'
+        columns = [texts, ['", "'] * (count - 1) + ['"]']]
+    else:
+        index_key, value_key = header.split(",")
+        head = f'[{{"{index_key}": '
+        columns = [indices, [f', "{value_key}": "'] * count, texts,
+                   [f'"}}, {{"{index_key}": '] * (count - 1) + ['"}]']]
+    width = len(columns)
+    pieces = [head] + [""] * (width * count)
+    for offset, column in enumerate(columns, 1):
+        pieces[offset::width] = column
+    return "".join(pieces)
 
 
 def cmd_eval(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
@@ -187,13 +230,10 @@ def cmd_eval(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
         raise ValueError("bfile format requires lo >= 0")
     kind = SequenceKind.from_string(args.kind)
     texts = _eval_texts(kind, args.lo, args.hi, args.strategy, config.precision)
+    rows = render_rows(fmt, "n,value", args.lo, texts)
     if fmt == "json":
-        return EXIT_OK, {
-            "kind": kind.value,
-            "strategy": args.strategy,
-            "values": [{"n": n, "value": text} for n, text in enumerate(texts, args.lo)],
-        }
-    return EXIT_OK, _table(fmt, "n,value", texts, args.lo)
+        return EXIT_OK, {"kind": kind.value, "strategy": args.strategy, "values": JSONText(rows)}
+    return EXIT_OK, rows
 
 
 # -------------------------------------------------------------- verify
@@ -266,14 +306,14 @@ def cmd_expand(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
         ogf = genfunc.RationalOGF(_parse_coeffs(args.num, "--num"), _parse_coeffs(args.den, "--den"))
     else:
         raise ValueError("expand needs a builtin name (S, C, CEven) or both --num and --den")
-    texts = genfunc.expand_text(ogf, args.count)
+    rows = render_rows(fmt, "n,coefficient", None, genfunc.expand_text(ogf, args.count))
     if fmt == "json":
         return EXIT_OK, {
             "numerator": list(ogf.numerator),
             "denominator": list(ogf.denominator),
-            "coefficients": texts,
+            "coefficients": JSONText(rows),
         }
-    return EXIT_OK, _table(fmt, "n,coefficient", texts)
+    return EXIT_OK, rows
 
 
 # -------------------------------------------------------------- matrix
@@ -576,6 +616,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json_pieces(payload: dict[str, Any]) -> list[str]:
+    """Pieces of ``json.dumps(payload)``, with each ``JSONText`` value's
+    text as one piece, so rows that are rendered already are not copied."""
+    import json
+
+    pieces = []
+    for key, value in payload.items():
+        pieces += (", " if pieces else "{", json.dumps(key), ": ",
+                   value.text if isinstance(value, JSONText) else json.dumps(value))
+    pieces.append("}")
+    return pieces
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -586,11 +639,11 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"bfile format does not apply to {args.command}")
         # looked up at call time, so a substituted cmd_* is the one that runs
         status, output = globals()[f"cmd_{args.command}"](args, config, fmt)
-        if fmt == "json":
-            import json
-
-            output = json.dumps({"command": args.command, **output})
-        sys.stdout.write(output if output.endswith("\n") else output + "\n")
+        pieces = _json_pieces({"command": args.command, **output}) if fmt == "json" else [output]
+        for piece in pieces:
+            sys.stdout.write(piece)
+        if not pieces[-1].endswith("\n"):
+            sys.stdout.write("\n")
         return status
     except (ValueError, OSError) as exc:
         print(f"tribokit: {exc}", file=sys.stderr)

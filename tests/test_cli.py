@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,10 +11,11 @@ import time
 import urllib.request
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tribokit import analytic, cli, genfunc, identities, oeis, seqcore, tribomatrix
 from tribokit.oeis import bundled_fixture_text
-from tribokit.seqcore import c_seq, s_lucas
+from tribokit.seqcore import SequenceKind, c_seq, s_lucas
 
 from conftest import oracle_c, oracle_s, oracle_t
 
@@ -673,6 +676,116 @@ def test_expand_json(capsys):
         "denominator": [1, -1, -1, -1],
         "coefficients": [str(v) for v in oracle_s(0, 39).values()],
     }
+
+
+def _captured(*argv):
+    """``run`` without capsys, which hypothesis tests cannot take."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _old_text_rows(fmt, header, rows):
+    """Rows as they printed before ``render_rows``: one f-string a row."""
+    if fmt == "csv":
+        return header + "\n" + "".join(f"{n},{value}\n" for n, value in rows)
+    return "\n".join(f"{n} {value}" for n, value in rows) + "\n"
+
+
+_ORACLES = {"T": oracle_t, "S": oracle_s, "C": oracle_c}
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("strategy", ["recurrence", "matrix", "binet"])
+@settings(max_examples=15, deadline=None)
+@given(kind=st.sampled_from("TSC"), lo=st.integers(-60, 60), width=st.integers(0, 30))
+@example(kind="T", lo=-9, width=0)  # one row, negative
+@example(kind="C", lo=-4, width=8)  # crossing zero
+@example(kind="S", lo=60, width=0)  # one row at binet's index cap for precision 30
+def test_eval_stdout_is_the_old_rendering(strategy, fmt, kind, lo, width):
+    hi = min(lo + width, 60)
+    if fmt == "bfile" and lo < 0:
+        expected = (2, "", "tribokit: bfile format requires lo >= 0\n")
+    elif strategy == "binet" and kind == "T":
+        expected = (2, "", "tribokit: binet strategy applies to S and C only\n")
+    else:
+        rows = sorted(_ORACLES[kind](lo, hi).items())
+        if fmt == "json":
+            out = json.dumps({"command": "eval", "kind": kind, "strategy": strategy,
+                              "values": [{"n": n, "value": str(v)} for n, v in rows]}) + "\n"
+        else:
+            out = _old_text_rows(fmt, "n,value", rows)
+        expected = (0, out, "")
+    argv = ["eval", "--format", fmt, "--strategy", strategy, kind, "--", str(lo), str(hi)]
+    assert _captured(*argv) == expected
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+@settings(max_examples=25, deadline=None)
+@given(
+    source=st.sampled_from(["S", "C", "CEven", None]),
+    num=st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=6),
+    den_tail=st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=5).filter(any),
+    count=st.integers(min_value=1, max_value=80),
+)
+@example(source=None, num=[-3, -1, 2], den_tail=[1, 1, -1], count=1)
+def test_expand_stdout_is_the_old_rendering(fmt, source, num, den_tail, count):
+    if source is None:
+        ogf = genfunc.RationalOGF(tuple(num), (1, *den_tail))
+        argv = [f"--num={','.join(map(str, num))}", f"--den={','.join(map(str, (1, *den_tail)))}"]
+    else:
+        ogf, argv = genfunc.builtin_ogf(source), [source]
+    values = genfunc.expand(ogf, count)
+    if fmt == "json":
+        out = json.dumps({"command": "expand", "numerator": list(ogf.numerator),
+                          "denominator": list(ogf.denominator),
+                          "coefficients": [str(v) for v in values]}) + "\n"
+    else:
+        out = _old_text_rows(fmt, "n,coefficient", enumerate(values))
+    assert _captured("expand", "--format", fmt, *argv, str(count)) == (0, out, "")
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(list(SequenceKind)), lo=st.integers(0, 300), width=st.integers(0, 40))
+def test_format_bfile_is_eval_bfile_stdout(kind, lo, width):
+    code, out, err = _captured("eval", "--format", "bfile", kind.value, str(lo), str(lo + width))
+    assert (code, err) == (0, "")
+    assert oeis.format_bfile(kind, lo, lo + width) == out
+
+
+# T(16230) has fewer digits than str(int) may print and T(16270) more, and
+# so have S(0) and S(16299): the output is refused whole, before any byte.
+_PAST_THE_DIGIT_LIMIT = [
+    *(["eval", "--format", fmt, "--strategy", strategy, "T", "16230", "16270"]
+      for fmt in cli.FORMATS for strategy in ("recurrence", "matrix")),
+    *(["expand", "--format", fmt, "S", "16300"] for fmt in ("plain", "json", "csv")),
+]
+
+
+@pytest.mark.parametrize("argv", _PAST_THE_DIGIT_LIMIT,
+                         ids=[" ".join(argv) for argv in _PAST_THE_DIGIT_LIMIT])
+def test_a_range_past_the_digit_limit_prints_nothing(argv, capsys):
+    message = (f"Exceeds the limit ({sys.get_int_max_str_digits()} digits) for integer string "
+               "conversion; use sys.set_int_max_str_digits() to increase the limit")
+    assert run(capsys, *argv) == (2, "", f"tribokit: {message}\n")
+
+
+def test_json_rows_do_not_pass_through_json_dumps(monkeypatch, capsys):
+    dumped = []
+    dumps = json.dumps
+
+    def recording(*args, **kwargs):
+        dumped.append(dumps(*args, **kwargs))
+        return dumped[-1]
+
+    monkeypatch.setattr(json, "dumps", recording)
+    for argv in (["eval", "--format", "json", "S", "0", "2000"],
+                 ["expand", "--format", "json", "C", "2000"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert len(out) > 100_000
+    assert 0 < sum(map(len, dumped)) < 1024
 
 
 def test_verify_plain_lists_ten_counterexamples_then_the_rest(monkeypatch, capsys):
