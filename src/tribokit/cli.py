@@ -24,29 +24,21 @@ disagree, 2 a usage/domain/IO error: any ValueError or OSError (a failed
 ``tribokit: <message>``.
 
 The module level imports only ``seqcore`` from the package; each command
-imports its own layer where it runs, so a launch pays only for what its
-command uses:
+imports its own layer where it runs (``verify`` ``identities``, ``expand``
+``genfunc``, ``matrix`` ``tribomatrix``, ``roots`` ``analytic`` and so
+mpmath, ``crosscheck`` ``oeis``), and ``eval`` and ``bench`` the layer of
+each strategy they run.  ``json`` and ``csv`` load only when their format
+is printed, so a plain ``eval`` loads neither, nor ``dataclasses``.
 
-* ``verify``: ``identities``
-* ``expand``: ``genfunc``
-* ``matrix``, ``bench`` and ``eval --strategy matrix``: ``tribomatrix``
-* ``crosscheck``: ``oeis``, which loads its HTTP stack at the first fetch
-* ``roots``, ``bench`` and ``eval --strategy binet``: ``analytic``, and so mpmath
-
-``json`` and ``csv`` load only when their format is printed, so a plain
-``eval`` loads neither, nor ``dataclasses``.
-
-Sequence values are arbitrary-precision integers; json and csv output
-renders them as decimal strings so nothing is ever truncated.
-Recurrence ranges (``eval --strategy recurrence`` and ``expand``) print
-from a decimal pass, linear in the digits of each row; the matrix and
-Binet strategies print their own values through str(int).  The matrix
-strategy and ``bench``'s matrix row read T and S off A^n and C off A^-n
-(``tribomatrix.terms``), never through 2x2 minors, so C at a negative
-index costs what S at the opposite index costs; ``matrix`` alone prints
-the minors of A^n.  ``eval``, ``matrix`` and ``bench`` take any integer
-index, and only the bfile format refuses a negative one.  Options go before ``--``, since all that
-follows it is positional: ``tribokit eval --strategy matrix S -- -20 5``.
+``STRATEGIES`` is the one list of the ways ``eval`` and ``bench`` reach
+a(n): recurrence, matrix and binet, each with its layer, the kinds it
+serves, whether its value is exact, and its evaluators; ``eval
+--strategy`` takes its names, and ``bench`` times one row of each.
+Values print as decimal strings in every format: recurrence ranges from a
+decimal pass linear in the digits of each row, the others through
+str(int).  ``eval``, ``matrix`` and ``bench`` take any integer index, and
+only bfile refuses a negative one.  Options go before ``--``, since all
+that follows it is positional: ``tribokit eval --strategy matrix S -- -20 5``.
 """
 from __future__ import annotations
 
@@ -166,27 +158,55 @@ def _csv(header: list[str], rows: list[list[Any]]) -> str:
 
 # ---------------------------------------------------------------- eval
 
-def _eval_texts(kind: SequenceKind, lo: int, hi: int, strategy: str, precision: int) -> list[str]:
-    """Decimal text of a(lo)..a(hi) by the chosen strategy."""
-    if lo > hi:
-        raise ValueError(f"empty range: {lo} exceeds {hi}")
-    if strategy == "recurrence":
-        return seqcore.range_text(kind, lo, hi)
-    if strategy == "matrix":
-        from . import tribomatrix
+class Strategy(NamedTuple):
+    """One way to evaluate a(n); ``STRATEGIES`` lists them all.  Each function
+    takes the layer's module first, imported by ``module()`` as it runs, and
+    calls the layer through it; ``point`` prepares its evaluator outside ``timed``."""
 
-        return [str(value) for value in islice(tribomatrix.terms(kind, lo), hi - lo + 1)]
-    if kind is SequenceKind.TRIBONACCI:
-        raise ValueError("binet strategy applies to S and C only")
-    from . import analytic
+    layer: str  # the package module it evaluates by
+    kinds: str  # the letters of the kinds it serves
+    exact: bool  # whether its value takes part in bench's exact_agreement
+    texts: Callable[..., list[str]]  # (layer, kind, lo, hi, precision): eval's a(lo)..a(hi)
+    point: Callable[..., dict[str, Any]]  # (layer, kind, n, precision, timed): bench's row
+    cap: Callable[..., float] = lambda layer, precision: float("inf")  # eval's largest |n|
 
-    cap = analytic.binet_index_cap(precision)
-    if max(abs(lo), abs(hi)) > cap:
-        raise ValueError(
-            f"binet strategy is certified only for |n| <= {cap} at precision {precision}"
-        )
+    def module(self) -> Any:
+        import importlib
+
+        return importlib.import_module(f"{__package__}.{self.layer}")
+
+
+def _binet_texts(analytic: Any, kind: SequenceKind, lo: int, hi: int, precision: int) -> list[str]:
     roots = analytic.char_roots(precision)
     return [str(analytic.binet_round(kind, n, roots)) for n in range(lo, hi + 1)]
+
+
+def _binet_point(analytic: Any, kind: SequenceKind, n: int, precision: int,
+                 timed: Callable) -> dict[str, Any]:
+    roots = analytic.char_roots(precision)
+    try:
+        row = timed(lambda: analytic.binet_round(kind, n, roots))
+    except analytic.PrecisionError as exc:
+        return {"seconds": None, "value": None, "note": f"bound exceeded: {exc}"}
+    return {**row, "bound": analytic.binet_error_bound(kind, n, roots)}
+
+
+STRATEGIES: dict[str, Strategy] = {
+    "recurrence": Strategy(
+        "seqcore", "TSC", True,
+        texts=lambda seqcore, kind, lo, hi, precision: seqcore.range_text(kind, lo, hi),
+        point=lambda seqcore, kind, n, precision, timed: timed(lambda: seqcore.term(kind, n))),
+    # T and S off A^n, C off A^-n (no 2x2 minors), one product a row after the first power
+    "matrix": Strategy(
+        "tribomatrix", "TSC", True,
+        texts=lambda tribomatrix, kind, lo, hi, precision:
+            [str(value) for value in islice(tribomatrix.terms(kind, lo), hi - lo + 1)],
+        point=lambda tribomatrix, kind, n, precision, timed:
+            timed(lambda: next(tribomatrix.terms(kind, n)))),
+    "binet": Strategy(
+        "analytic", "SC", False, _binet_texts, _binet_point,
+        cap=lambda analytic, precision: analytic.binet_index_cap(precision)),
+}
 
 
 def render_rows(fmt: str, header: str, start: int | None, texts: list[str]) -> str:
@@ -229,8 +249,15 @@ def cmd_eval(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
     if fmt == "bfile" and args.lo < 0:
         raise ValueError("bfile format requires lo >= 0")
     kind = SequenceKind.from_string(args.kind)
-    texts = _eval_texts(kind, args.lo, args.hi, args.strategy, config.precision)
-    rows = render_rows(fmt, "n,value", args.lo, texts)
+    if args.lo > args.hi:
+        raise ValueError(f"empty range: {args.lo} exceeds {args.hi}")
+    name, strategy, precision = args.strategy, STRATEGIES[args.strategy], config.precision
+    if kind.value not in strategy.kinds:
+        raise ValueError(f"{name} strategy applies to {' and '.join(strategy.kinds)} only")
+    layer = strategy.module()
+    if max(abs(args.lo), abs(args.hi)) > (cap := strategy.cap(layer, precision)):
+        raise ValueError(f"{name} strategy is certified only for |n| <= {cap} at precision {precision}")
+    rows = render_rows(fmt, "n,value", args.lo, strategy.texts(layer, kind, args.lo, args.hi, precision))
     if fmt == "json":
         return EXIT_OK, {"kind": kind.value, "strategy": args.strategy, "values": JSONText(rows)}
     return EXIT_OK, rows
@@ -465,48 +492,26 @@ def cmd_crosscheck(args: argparse.Namespace, config: CliConfig, fmt: str) -> Out
 def bench_strategies(
     kind: SequenceKind, n: int, repetitions: int, precision: int
 ) -> tuple[list[dict[str, Any]], bool]:
-    """Time each strategy at index n; returns (rows, exact_agreement)."""
+    """Time each strategy at index n; returns (rows, whether the exact ones agree)."""
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    if kind is SequenceKind.TRIBONACCI:
-        raise ValueError("bench compares recurrence, matrix and binet; use S or C")
+    served = [k.value for k in SequenceKind if all(k.value in s.kinds for s in STRATEGIES.values())]
+    if kind.value not in served:
+        *names, last = STRATEGIES
+        raise ValueError(f"bench compares {', '.join(names)} and {last}; use {' or '.join(served)}")
 
-    def best_of(fn: Callable[[], int]) -> tuple[float, int]:
-        best, value = None, None
+    def timed(evaluate: Callable[[], int]) -> dict[str, Any]:
+        seconds = []
         for _ in range(repetitions):
             start = time.perf_counter()
-            value = fn()
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None else min(best, elapsed)
-        return best, value
+            value = evaluate()
+            seconds.append(time.perf_counter() - start)
+        return {"seconds": min(seconds), "value": value}
 
-    rows: list[dict[str, Any]] = []
-    rec_seconds, rec_value = best_of(lambda: seqcore.term(kind, n))
-    rows.append({"strategy": "recurrence", "seconds": rec_seconds, "value": rec_value})
-    from . import tribomatrix
-
-    mat_seconds, mat_value = best_of(lambda: next(tribomatrix.terms(kind, n)))
-    rows.append({"strategy": "matrix", "seconds": mat_seconds, "value": mat_value})
-
-    from . import analytic
-
-    roots = analytic.char_roots(precision)
-    try:
-        bin_seconds, bin_value = best_of(lambda: analytic.binet_round(kind, n, roots))
-        rows.append({
-            "strategy": "binet",
-            "seconds": bin_seconds,
-            "value": bin_value,
-            "bound": analytic.binet_error_bound(kind, n, roots),
-        })
-    except analytic.PrecisionError as exc:
-        rows.append({
-            "strategy": "binet",
-            "seconds": None,
-            "value": None,
-            "note": f"bound exceeded: {exc}",
-        })
-    return rows, rec_value == mat_value
+    rows = [{"strategy": name, **strategy.point(strategy.module(), kind, n, precision, timed)}
+            for name, strategy in STRATEGIES.items()]
+    exact = {row["value"] for row, strategy in zip(rows, STRATEGIES.values()) if strategy.exact}
+    return rows, len(exact) < 2
 
 
 def _short_int(value: int) -> str:
@@ -521,16 +526,10 @@ def cmd_bench(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
     rows, agreement = bench_strategies(kind, args.n, args.reps, config.precision)
     status = EXIT_OK if agreement else EXIT_FAILED
     if fmt == "json":
-        return status, {
-            "kind": kind.value,
-            "n": args.n,
-            "repetitions": args.reps,
-            "strategies": [
-                {**row, "value": None if row["value"] is None else str(row["value"])}
-                for row in rows
-            ],
-            "exact_agreement": agreement,
-        }
+        strategies = [{**row, "value": None if row["value"] is None else str(row["value"])}
+                      for row in rows]
+        return status, {"kind": kind.value, "n": args.n, "repetitions": args.reps,
+                        "strategies": strategies, "exact_agreement": agreement}
     if fmt == "csv":
         return status, _csv(
             ["strategy", "seconds", "value", "note"],
@@ -570,8 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", help="T, S or C")
     p.add_argument("lo", type=int)
     p.add_argument("hi", type=int)
-    p.add_argument("--strategy", choices=("recurrence", "matrix", "binet"),
-                   default="recurrence")
+    p.add_argument("--strategy", choices=tuple(STRATEGIES), default=next(iter(STRATEGIES)))
 
     p = sub.add_parser("verify", parents=[common], help="check identities over index bounds")
     p.add_argument("identity", help="an identity name or 'all'")
@@ -584,7 +582,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="expand a rational generating function")
     p.add_argument("source", nargs="?", default=None, help="builtin: S, C or CEven")
     p.add_argument("count", type=int, help="number of coefficients")
-    p.add_argument("--num", default=None, metavar="CSV", help="numerator coefficients")
+    p.add_argument("--num", default=None, metavar="CSV",
+                   help="numerator coefficients; a list that starts with '-' is written --num=-3,-1,2")
     p.add_argument("--den", default=None, metavar="CSV", help="denominator coefficients")
 
     p = sub.add_parser("matrix", parents=[common],

@@ -10,6 +10,7 @@ import sys
 import time
 import urllib.request
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -325,21 +326,102 @@ def test_bench_json_reports_bound_exceeded_past_cap(capsys):
     assert payload["exact_agreement"] is True
 
 
-def test_bench_exits_3_when_the_exact_strategies_disagree(monkeypatch, capsys):
+@pytest.fixture
+def add_strategy(monkeypatch):
+    """Inserts one entry into the strategy table, as a new method would be."""
+    def add(name, strategy):
+        monkeypatch.setitem(cli.STRATEGIES, name, strategy)
+        cli.build_parser.cache_clear()  # so --strategy takes the new name
+
+    yield add
+    cli.build_parser.cache_clear()
+
+
+def _shifted(kinds, exact, shift):
+    """A strategy that reads the ladder and adds ``shift``: a wrong method
+    unless ``shift`` is 0."""
+    return cli.Strategy(
+        "seqcore", kinds, exact,
+        texts=lambda seqcore, kind, lo, hi, precision:
+            [str(seqcore.term(kind, n) + shift) for n in range(lo, hi + 1)],
+        point=lambda seqcore, kind, n, precision, timed:
+            timed(lambda: seqcore.term(kind, n) + shift),
+    )
+
+
+def test_bench_exits_3_when_the_exact_strategies_disagree(monkeypatch, capsys, add_strategy):
     original = tribomatrix.terms
-    monkeypatch.setattr(tribomatrix, "terms",
-                        lambda kind, lo: (value + 1 for value in original(kind, lo)))
+    # a wrong value from the matrix layer, then from one added exact strategy
+    for wrong in ("matrix", "dummy"):
+        if wrong == "matrix":
+            monkeypatch.setattr(tribomatrix, "terms",
+                                lambda kind, lo: (value + 1 for value in original(kind, lo)))
+            values = ["443", "444", "443"]
+        else:
+            monkeypatch.setattr(tribomatrix, "terms", original)
+            add_strategy("dummy", _shifted("TSC", True, 1))
+            values = ["443", "443", "443", "444"]
+        code, out, err = run(capsys, "bench", "S", "10", "1")
+        assert (code, err) == (3, "")
+        lines = out.splitlines()
+        assert [line.split("value=")[1].split()[0] for line in lines[1:-1]] == values
+        assert lines[-1] == "exact strategies agree: NO"
+        code, out, err = run(capsys, "bench", "S", "10", "1", "--format", "json")
+        assert (code, err) == (3, "")
+        payload = json.loads(out)
+        assert [row["value"] for row in payload["strategies"]] == values
+        assert payload["exact_agreement"] is False
+        code, out, err = run(capsys, "bench", "S", "10", "1", "--format", "csv")
+        assert (code, err) == (3, "")
+        assert [row.split(",")[2] for row in out.splitlines()[1:]] == values
+
+
+def test_a_strategy_added_to_the_table_reaches_eval_and_bench(capsys, add_strategy):
+    # not exact, and wrong by one: eval prints it, bench shows it but does not compare it
+    add_strategy("dummy", _shifted("S", False, 1))
+    rows = [(n, s_lucas(n) + 1) for n in range(-2, 4)]
+    argv = ["eval", "--strategy", "dummy", "S"]
+    assert run(capsys, *argv, "--", "-2", "3") == (
+        0, "".join(f"{n} {v}\n" for n, v in rows), "")
+    assert run(capsys, *argv, "--format", "csv", "--", "-2", "3") == (
+        0, "n,value\n" + "".join(f"{n},{v}\n" for n, v in rows), "")
+    code, out, err = run(capsys, *argv, "--format", "json", "--", "-2", "3")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"command": "eval", "kind": "S", "strategy": "dummy",
+                               "values": [{"n": n, "value": str(v)} for n, v in rows]}
+
     code, out, err = run(capsys, "bench", "S", "10", "1")
-    assert (code, err) == (3, "")
-    assert [line.split("value=")[1].split()[0] for line in out.splitlines()[1:4]] == [
-        "443", "444", "443"]
-    assert out.splitlines()[4:] == ["exact strategies agree: NO"]
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines[1:-1]] == ["recurrence", "matrix", "binet", "dummy"]
+    assert lines[4].endswith("value=444")
+    assert lines[-1] == "exact strategies agree: yes"
     code, out, err = run(capsys, "bench", "S", "10", "1", "--format", "json")
-    assert (code, err) == (3, "")
-    assert json.loads(out)["exact_agreement"] is False
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["strategies"][3]["strategy"] == "dummy"
+    assert payload["strategies"][3]["value"] == "444"
+    assert payload["exact_agreement"] is True
     code, out, err = run(capsys, "bench", "S", "10", "1", "--format", "csv")
-    assert (code, err) == (3, "")
-    assert [row.split(",")[2] for row in out.splitlines()[1:]] == ["443", "444", "443"]
+    assert (code, err) == (0, "")
+    assert out.splitlines()[4].split(",")[::2] == ["dummy", "444"]
+
+    # the kinds it serves bound eval and bench, and their refusals name it
+    assert run(capsys, "eval", "--strategy", "dummy", "C", "0", "3") == (
+        2, "", "tribokit: dummy strategy applies to S only\n")
+    assert run(capsys, "bench", "C", "10", "1") == (
+        2, "", "tribokit: bench compares recurrence, matrix, binet and dummy; use S\n")
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_strategy_refusals(fmt, capsys):
+    binet = ["eval", "--format", fmt, "--strategy", "binet"]
+    assert run(capsys, *binet, "T", "0", "3") == (
+        2, "", "tribokit: binet strategy applies to S and C only\n")
+    assert run(capsys, *binet, "S", "--", "-61", "0") == (
+        2, "", "tribokit: binet strategy is certified only for |n| <= 60 at precision 30\n")
+    assert run(capsys, "bench", "--format", fmt, "T", "10", "1") == (
+        2, "", "tribokit: bench compares recurrence, matrix and binet; use S or C\n")
 
 
 def test_bench_rejects_tribonacci(capsys):
@@ -933,6 +1015,8 @@ _COMMAND_LAYERS = [
     (["crosscheck", "S", _FIXTURE, "5"], ("tribokit.oeis", *_DATACLASSES)),
     (["crosscheck", "S", "--fetch"], ("tribokit.oeis", *_DATACLASSES)),
     (["crosscheck", "S", "--rows", "5"], ("tribokit.oeis", *_DATACLASSES, "importlib.resources")),
+    (["eval", "--strategy", "binet", "S", "0", "3"], ("tribokit.analytic", *_DATACLASSES)),
+    (["bench", "S", "10", "1"], ("tribokit.analytic", "tribokit.tribomatrix", *_DATACLASSES)),
 ]
 
 
@@ -940,8 +1024,11 @@ _COMMAND_LAYERS = [
                          ids=[" ".join(argv).replace(_FIXTURE, "PATH")
                               for argv, _ in _COMMAND_LAYERS])
 def test_cold_start_loads_only_the_commands_own_layer(argv, layers):
+    env = _module_env()
+    # without site, mpmath's own directory goes on the path
+    env["PYTHONPATH"] += os.pathsep + os.path.dirname(os.path.dirname(mpmath.__file__))
     done = subprocess.run([sys.executable, "-S", "-c", _COMMAND_LOADS, *argv],
-                          env=_module_env(), capture_output=True, text=True, timeout=60)
+                          env=env, capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.split() == ["0", *sorted(layers)]
 
