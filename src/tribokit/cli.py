@@ -196,7 +196,8 @@ STRATEGIES: dict[str, Strategy] = {
         "seqcore", "TSC", True,
         texts=lambda seqcore, kind, lo, hi, precision: seqcore.range_text(kind, lo, hi),
         point=lambda seqcore, kind, n, precision, timed: timed(lambda: seqcore.term(kind, n))),
-    # T and S off A^n, C off A^-n (no 2x2 minors), one product a row after the first power
+    # T and S off A^n, C off A^-n (no 2x2 minors): the first value off two half powers,
+    # then one product a row
     "matrix": Strategy(
         "tribomatrix", "TSC", True,
         texts=lambda tribomatrix, kind, lo, hi, precision:

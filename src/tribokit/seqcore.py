@@ -16,8 +16,9 @@ injection swaps the seeds).  ``T_FORMS`` holds the T-forms of S and C
 once, for ``s_from_t``, ``c_from_t`` and the identity catalogue.
 
 A term a(n), n >= 0, is x^n modulo the cubic: an O(log n) ladder of
-squarings (Fiduccia's method).  A negative index reads the sequence
-backwards (``Recurrence.reversed``), integral as c3 is +-1.  Every linear
+squarings (Fiduccia's method), each of five big squarings.  A negative
+index reads the sequence backwards (``Recurrence.reversed``), integral as
+c3 is +-1.  Every linear
 pass -- range rows, identity memos, printed ranges and expansions -- is one
 generator compiled per coefficient tuple (``_pass``) over int or exact
 decimal arithmetic; in decimal a printed row costs O(digits), where
@@ -84,9 +85,19 @@ Coeffs = tuple[int, int, int]
 
 
 def _square(coeffs: Coeffs, r: Coeffs) -> Coeffs:
-    """r(x)^2 mod x^3 - c1*x^2 - c2*x - c3: six big products, then a fold."""
+    """r(x)^2 mod x^3 - c1*x^2 - c2*x - c3: five big squarings, then a fold.
+
+    r(x)^2 = p0 + p1*x + ... + p4*x^4 is interpolated from p0 = r0^2,
+    p4 = r2^2 and the squares of r(1), r(-1) and r(2); its divisions by 2
+    and 6 are exact."""
     (c1, c2, c3), (r0, r1, r2) = coeffs, r
-    p0, p1, p2, p3, p4 = r0 * r0, 2 * r0 * r1, r1 * r1 + 2 * r0 * r2, 2 * r1 * r2, r2 * r2
+    p0, p4 = r0 * r0, r2 * r2
+    plus, minus, two = r0 + r1 + r2, r0 - r1 + r2, r0 + 2 * r1 + 4 * r2
+    plus, minus, two = plus * plus, minus * minus, two * two
+    odd = (plus - minus) // 2  # p1 + p3
+    p2 = (plus + minus) // 2 - p0 - p4
+    p3 = (two - p0 - 4 * p2 - 16 * p4 - 2 * odd) // 6
+    p1 = odd - p3
     p1, p2, p3 = p1 + c3 * p4, p2 + c2 * p4, p3 + c1 * p4  # x^4 = c1*x^3 + c2*x^2 + c3*x
     return p0 + c3 * p3, p1 + c2 * p3, p2 + c1 * p3  # x^3 = c1*x^2 + c2*x + c3
 

@@ -14,8 +14,12 @@ C(-k) is read off A^k, so it costs what S(k) costs.  ``minors_of`` and
 ``minor_sum`` keep the paper's definition for ``tribokit matrix``.
 
 ``mat_pow`` is left-to-right binary powering with an 18-product squaring.
-The squaring is an identity for every 3x3 matrix, not a fact about A, so
-this route shares nothing with ``seqcore``'s ladder but the definition of A.
+A single value off A^m (m = n, or -n for C) is read off two half powers
+X = A^(m//2) and Y = X, or Y = X*A when m is odd: tr(XY) costs 9 big
+products, 6 when Y is X, and (XY)_12 costs 3, where forming A^m = XY costs
+18 or more.  The squaring and both reads are identities for every 3x3
+matrix, not facts about A, so this route shares nothing with ``seqcore``'s
+ladder but the definition of A.
 """
 from __future__ import annotations
 
@@ -128,8 +132,8 @@ def determinant(m: Matrix3) -> int:
 
 
 def trace_pow(n: int) -> int:
-    """tr(A^n) = S(n) for any integer n."""
-    return trace(mat_pow(n))
+    """tr(A^n) = S(n) for any integer n, read off two half powers by ``terms``."""
+    return next(terms(SequenceKind.GENERALIZED_LUCAS, n))
 
 
 @dataclass(frozen=True)
@@ -159,14 +163,39 @@ def minor_sum(n: int) -> MinorSumReport:
     return minors_of(mat_pow(n))
 
 
+def _trace_of_product(x: Matrix3, y: Matrix3) -> int:
+    """tr(x*y) = sum of x_ij*y_ji for any 3x3 matrices, without forming x*y:
+    9 big products, or 6 when y is x, as then it is
+    a^2 + e^2 + i^2 + 2(bd + cg + fh)."""
+    (a, b, c), (d, e, f), (g, h, i) = x
+    if y is x:
+        return a * a + e * e + i * i + 2 * (b * d + c * g + f * h)
+    (p, q, r), (s, t, u), (v, w, z) = y
+    return a * p + b * s + c * v + d * q + e * t + f * w + g * r + h * u + i * z
+
+
+def _entry_12_of_product(x: Matrix3, y: Matrix3) -> int:
+    """(x*y)_12 for any 3x3 matrices: row 1 of x times column 2 of y, 3 big products."""
+    return x[0][0] * y[0][1] + x[0][1] * y[1][1] + x[0][2] * y[2][1]
+
+
 def terms(kind: SequenceKind, lo: int) -> Iterator[int]:
-    """a(lo), a(lo+1), ... without end: one ``mat_pow`` call for the first
-    power, then one product a term, by A, or by A^-1 for C."""
-    if kind is SequenceKind.MINOR_SUM:
-        power, step = mat_pow(-lo), _A_INV
+    """a(lo), a(lo+1), ... without end, off A^m with m = lo, or m = -lo for C.
+
+    The first value is read off the half powers X = A^(m//2) and Y = X, or
+    Y = X*A when m is odd, so A^m is not formed for it.  Only a second value
+    forms A^m, as X squared (times A when m is odd); then each value costs
+    one product, by A, or by A^-1 for C."""
+    m, step = (-lo, _A_INV) if kind is SequenceKind.MINOR_SUM else (lo, _A)
+    if kind is SequenceKind.TRIBONACCI:
+        first, read = _entry_12_of_product, (lambda power: power[0][1])
     else:
-        power, step = mat_pow(lo), _A
-    read = (lambda m: m[0][1]) if kind is SequenceKind.TRIBONACCI else trace
+        first, read = _trace_of_product, trace
+    half = mat_pow(m // 2)
+    yield first(half, mat_mul(half, _A) if m % 2 else half)
+    power = _square(half)
+    if m % 2:
+        power = mat_mul(power, _A)
     while True:
-        yield read(power)
         power = mat_mul(power, step)
+        yield read(power)

@@ -1052,6 +1052,29 @@ def test_eval_matrix_strategy_multiplies_once_between_rows(monkeypatch, capsys):
         assert right_operands == [step] * 6
 
 
+@pytest.mark.parametrize("n", [3001, 3000, -3001, -3000, 1, 0])
+def test_a_single_matrix_value_squares_only_up_to_the_half_power(monkeypatch, capsys, n):
+    # One value is read off A^(n//2) and its neighbour: A^n itself is never formed.
+    squarings = []
+    original = tribomatrix._square
+
+    def counting(m):
+        squarings.append(m)
+        return original(m)
+
+    monkeypatch.setattr(tribomatrix, "_square", counting)
+    half_power_squarings = len(bin(abs(n // 2))) - 2
+    code, out, _ = run(capsys, "eval", "--strategy", "matrix", "S", "--", str(n), str(n))
+    assert (code, out) == (0, f"{n} {s_lucas(n)}\n")
+    assert len(squarings) == half_power_squarings
+    squarings.clear()
+    code, out, _ = run(capsys, "bench", "--format", "json", "S", "--", str(n), "1")
+    assert code == 0
+    rows = {row["strategy"]: row for row in json.loads(out)["strategies"]}
+    assert rows["matrix"]["value"] == str(s_lucas(n))
+    assert len(squarings) == half_power_squarings
+
+
 def test_matrix_route_values_compute_no_minors(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("a matrix-route value computed 2x2 minors")

@@ -13,6 +13,7 @@ from tribokit.genfunc import RationalOGF, builtin_ogf, expand, expand_text
 from tribokit.seqcore import (
     _C_EVEN,
     RECURRENCES,
+    _square,
     CForm,
     Recurrence,
     SForm,
@@ -236,6 +237,25 @@ def test_memo_and_terms_match_the_ladder(c1, c2, c3, seeds, lo):
         a = values[n + 300 - 3:n + 300 + 1]
         assert a[3] == c1 * a[2] + c2 * a[1] + c3 * a[0], n
     assert list(islice(recurrence.terms(lo), 12)) == [recurrence.at(n) for n in range(lo, lo + 12)]
+
+
+def _square_by_six_products(coeffs, r):
+    (c1, c2, c3), (r0, r1, r2) = coeffs, r
+    p0, p1, p2, p3, p4 = r0 * r0, 2 * r0 * r1, r1 * r1 + 2 * r0 * r2, 2 * r1 * r2, r2 * r2
+    p1, p2, p3 = p1 + c3 * p4, p2 + c2 * p4, p3 + c1 * p4
+    return p0 + c3 * p3, p1 + c2 * p3, p2 + c1 * p3
+
+
+_SIGNED = st.integers(min_value=-10**60, max_value=10**60)
+
+
+@given(coeffs=st.tuples(*[st.integers(min_value=-10**6, max_value=10**6)] * 3),
+       r=st.tuples(_SIGNED, _SIGNED, _SIGNED))
+@example(coeffs=_C_EVEN.coeffs, r=(-3, 5, -7))
+@example(coeffs=RECURRENCES[SequenceKind.MINOR_SUM].coeffs, r=(10**40 + 1, -(10**39), 7))
+def test_five_squarings_square_as_six_products_do(coeffs, r):
+    # interpolation, not a fact about the cubic: any coefficients, any signs
+    assert _square(coeffs, r) == _square_by_six_products(coeffs, r)
 
 
 class NoProducts(int):

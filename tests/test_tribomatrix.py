@@ -3,13 +3,15 @@ from __future__ import annotations
 from itertools import islice
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tribokit import tribomatrix as tribomatrix_module
 from tribokit.seqcore import SequenceKind, c_seq, s_lucas, term
 from tribokit.tribomatrix import (
     MinorSumReport,
+    _entry_12_of_product,
     _square,
+    _trace_of_product,
     determinant,
     entries_from_tribonacci,
     identity,
@@ -69,6 +71,17 @@ _ROW = st.tuples(_BIG, _BIG, _BIG)
 def test_square_is_the_product_for_any_matrix(m):
     # An identity for every integer matrix, not a fact about powers of A.
     assert _square(m) == mat_mul(m, m)
+
+
+@given(x=st.tuples(_ROW, _ROW, _ROW), y=st.tuples(_ROW, _ROW, _ROW))
+def test_reads_of_a_product_hold_for_any_matrices(x, y):
+    # Identities for every integer matrix: no Cayley-Hamilton, no commuting with A.
+    assert _trace_of_product(x, y) == trace(mat_mul(x, y))
+    assert _entry_12_of_product(x, y) == mat_mul(x, y)[0][1]
+    # x is x: the six-product square read; an equal copy takes the nine-product read.
+    copy = tuple(tuple([*row]) for row in x)
+    assert copy is not x
+    assert _trace_of_product(x, x) == _trace_of_product(x, copy) == trace(mat_mul(x, x))
 
 
 @pytest.mark.parametrize("n", [2**17 - 1, -(2**17 - 1), 10**5, -(10**5)])
@@ -155,3 +168,21 @@ def test_minor_sum_of_a_power_is_the_trace_of_its_inverse():
         assert (report.minor_12, report.minor_13, report.minor_23) == (
             inverse[2][2], inverse[1][1], inverse[0][0])
         assert report.total == trace(inverse) == c_seq(n)
+
+
+_READS_OFF_MAT_POW = {
+    SequenceKind.TRIBONACCI: lambda n: mat_pow(n)[0][1],
+    SequenceKind.GENERALIZED_LUCAS: lambda n: trace(mat_pow(n)),
+    SequenceKind.MINOR_SUM: lambda n: trace(mat_pow(-n)),
+}
+
+
+@given(kind=st.sampled_from(SequenceKind), lo=st.integers(min_value=-3000, max_value=3000))
+@example(kind=SequenceKind.TRIBONACCI, lo=2999)
+@example(kind=SequenceKind.GENERALIZED_LUCAS, lo=-2999)
+@example(kind=SequenceKind.MINOR_SUM, lo=3000)
+@example(kind=SequenceKind.MINOR_SUM, lo=-1)
+def test_terms_match_the_values_read_off_mat_pow(kind, lo):
+    # The first value comes off two half powers, the later ones off A^lo stepped.
+    read = _READS_OFF_MAT_POW[kind]
+    assert list(islice(terms(kind, lo), 12)) == [read(n) for n in range(lo, lo + 12)]
