@@ -4,19 +4,22 @@ The cubic x^3 - x^2 - x - 1 has one real root alpha in (1.83, 1.84) and
 a conjugate pair beta, gamma with |beta| = 1/sqrt(alpha) < 1.  Then
 
     S(n) = alpha^n + beta^n + gamma^n
-    C(n) = (alpha*beta)^n + (alpha*gamma)^n + (beta*gamma)^n
+    C(n) = alpha^-n + beta^-n + gamma^-n
 
-hold for every integer n.  alpha is located by Newton's method started
-at 1.8; beta and gamma come from the deflated quadratic whose root
-sum is 1 - alpha and whose root product is 1/alpha, so the Vieta
-identities hold by construction up to rounding.
+hold for every integer n.  C is the power sum of the pairwise products
+alpha*beta, alpha*gamma, beta*gamma, and alpha*beta*gamma = 1 makes
+each product the reciprocal of the third root.  alpha is located by
+Newton's method started at 1.8; beta and gamma come from the deflated
+quadratic whose root sum is 1 - alpha and whose root product is
+1/alpha, so the Vieta identities hold by construction up to rounding.
 
 Precision is a decimal digit count (>= 15).  All arithmetic runs under
 an mpmath working precision with guard digits; because the working
 precision is a process-global context, callers that mix precisions
 across threads should serialize calls.  Each Binet evaluation computes
-its three power terms once and derives both the value and its error
-bound from them; nothing is cached between calls.
+its three power terms once, each by binary powering (products only,
+never exp(m*log z)), and derives both the value and its error bound
+from them; nothing is cached between calls.
 
 This is the one module of the package that imports mpmath.  The CLI
 imports this module only inside the commands that use it (``roots``,
@@ -127,12 +130,26 @@ def binet_index_cap(precision: int) -> int:
     return 2 * precision
 
 
+def _pow(z: Any, m: int) -> Any:
+    """z^m by left-to-right binary powering at the working precision.
+
+    mpmath's ``**`` switches to exp(m*log z) once |m| times the mantissa
+    length passes 10,000 bits, which costs more than these products.
+    """
+    if m < 0:
+        z, m = 1 / z, -m
+    power = mpmath.mpf(1)
+    for bit in bin(m)[2:]:
+        power *= power
+        if bit == "1":
+            power *= z
+    return power
+
+
 def _power_terms(kind: SequenceKind, n: int, roots: RootSet) -> tuple[Any, Any, Any]:
-    """The n-th powers summed by S (of the roots) or C (of their products)."""
-    a, b, g = roots.alpha, roots.beta, roots.gamma
-    if kind is SequenceKind.GENERALIZED_LUCAS:
-        return a ** n, b ** n, g ** n
-    return (a * b) ** n, (a * g) ** n, (b * g) ** n
+    """a_i^m for the three roots: m = n for S, m = -n for C."""
+    m = n if kind is SequenceKind.GENERALIZED_LUCAS else -n
+    return tuple(_pow(z, m) for z in (roots.alpha, roots.beta, roots.gamma))
 
 
 def _binet(kind: SequenceKind, n: int, roots: RootSet) -> tuple[Any, float]:
@@ -172,7 +189,8 @@ def binet_s(n: int, roots: RootSet) -> Any:
 
 
 def binet_c(n: int, roots: RootSet) -> Any:
-    """Real part of the pairwise-product power sum defining C(n)."""
+    """Real part of alpha^-n + beta^-n + gamma^-n, the power sum of the
+    pairwise root products that defines C(n)."""
     return _binet(SequenceKind.MINOR_SUM, n, roots)[0]
 
 

@@ -4,6 +4,7 @@ import dataclasses
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tribokit import analytic
 from tribokit.analytic import (
@@ -17,7 +18,7 @@ from tribokit.analytic import (
     vieta_check,
 )
 from tribokit.cli import bench_strategies
-from tribokit.seqcore import SequenceKind, c_seq, s_lucas
+from tribokit.seqcore import SequenceKind, c_seq, s_lucas, term
 
 
 def _alpha_by_bisection() -> float:
@@ -118,6 +119,35 @@ def test_binet_round_spot_values():
     assert binet_round(SequenceKind.GENERALIZED_LUCAS, 9, roots) == 241
     assert binet_round(SequenceKind.GENERALIZED_LUCAS, 10, roots) == 443
     assert binet_round(SequenceKind.MINOR_SUM, 4, roots) == -5
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.integers(15, 200).flatmap(
+    lambda p: st.tuples(st.just(p), st.integers(-2 * p, 2 * p))))
+@example(case=(1500, 3000))
+@example(case=(1500, -3000))
+@example(case=(1500, 2999))
+@example(case=(1500, -2999))
+def test_binet_round_is_exact_up_to_the_cap(case):
+    precision, n = case
+    roots = char_roots(precision)
+    for kind in (SequenceKind.GENERALIZED_LUCAS, SequenceKind.MINOR_SUM):
+        assert binet_round(kind, n, roots) == term(kind, n)
+
+
+def test_binet_powers_never_take_exp_of_a_log(monkeypatch):
+    # mpmath's ** on an mpc computes exp(n*log z) once |n| times the
+    # mantissa's bits passes 10,000, as it does here (p = 400, |n| = 799)
+    roots = char_roots(400)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Binet power went through exp(n*log z)")
+
+    monkeypatch.setattr(mpmath.libmp.libmpc, "mpc_log", refuse)
+    monkeypatch.setattr(mpmath.libmp.libmpc, "mpc_exp", refuse)
+    for kind in (SequenceKind.GENERALIZED_LUCAS, SequenceKind.MINOR_SUM):
+        for n in (799, -799):
+            assert binet_round(kind, n, roots) == term(kind, n)
 
 
 def test_index_cap():
