@@ -5,13 +5,15 @@ a conjugate pair beta, gamma with |beta| = 1/sqrt(alpha) < 1.  Then
 
     S(n) = alpha^n + beta^n + gamma^n
     C(n) = alpha^-n + beta^-n + gamma^-n
+    T(n) = k_1*alpha^n + k_2*beta^n + k_3*gamma^n,  k_i = (5/a_i + 1 + 2*a_i)/22
 
-hold for every integer n.  C is the power sum of the pairwise products
-alpha*beta, alpha*gamma, beta*gamma, and alpha*beta*gamma = 1 makes
-each product the reciprocal of the third root.  alpha is located by
-Newton's method started at 1.8; beta and gamma come from the deflated
-quadratic whose root sum is 1 - alpha and whose root product is
-1/alpha, so the Vieta identities hold by construction up to rounding.
+hold for every integer n: C is the power sum of the pairwise products,
+each the reciprocal of the third root (alpha*beta*gamma = 1), and T reads
+22*T(n) = 5*S(n-1) + S(n) + 2*S(n+1) (``seqcore.T_FROM_S``) root by root.
+alpha is located by Newton's method started at 1.8; beta and gamma come
+from the deflated quadratic whose root sum is 1 - alpha and whose root
+product is 1/alpha, so the Vieta identities hold by construction up to
+rounding.
 
 Precision is a decimal digit count (>= 15).  All arithmetic runs under
 an mpmath working precision with guard digits; because the working
@@ -33,7 +35,7 @@ from typing import Any
 
 import mpmath
 
-from .seqcore import SequenceKind
+from .seqcore import T_FROM_S, SequenceKind
 
 _GUARD_DIGITS = 10
 _NEWTON_MAX_ITER = 200
@@ -147,9 +149,12 @@ def _pow(z: Any, m: int) -> Any:
 
 
 def _power_terms(kind: SequenceKind, n: int, roots: RootSet) -> tuple[Any, Any, Any]:
-    """a_i^m for the three roots: m = n for S, m = -n for C."""
-    m = n if kind is SequenceKind.GENERALIZED_LUCAS else -n
-    return tuple(_pow(z, m) for z in (roots.alpha, roots.beta, roots.gamma))
+    """k_i * a_i^m for the three roots: m = -n for C, else n; k_i = 1 but for T."""
+    m = -n if kind is SequenceKind.MINOR_SUM else n
+    scale, (before, at, after) = T_FROM_S
+    return tuple(_pow(z, m) if kind is not SequenceKind.TRIBONACCI
+                 else (before / z + at + after * z) / scale * _pow(z, m)
+                 for z in (roots.alpha, roots.beta, roots.gamma))
 
 
 def _binet(kind: SequenceKind, n: int, roots: RootSet) -> tuple[Any, float]:
@@ -160,8 +165,6 @@ def _binet(kind: SequenceKind, n: int, roots: RootSet) -> tuple[Any, float]:
     index, and 10^(-precision); it decays with the conjugate-pair
     contribution for the terms below modulus one.
     """
-    if kind not in (SequenceKind.GENERALIZED_LUCAS, SequenceKind.MINOR_SUM):
-        raise ValueError(f"no Binet evaluator for {kind}; use S or C")
     cap = binet_index_cap(roots.precision)
     if abs(n) > cap:
         raise PrecisionError(

@@ -18,7 +18,7 @@ the rows' array itself, which the payload holds as a ``JSONText`` and
 megabytes of digits never pass through ``json.dumps``.  Output stays
 all-or-nothing: every row is rendered, or refused, before the first
 byte is written.  Exit status: 0 success, 3 a verification
-or crosscheck reported mismatches or ``bench``'s exact strategies
+or crosscheck reported mismatches or two of ``bench``'s printed values
 disagree, 2 a usage/domain/IO error: any ValueError or OSError (a failed
 ``--fetch`` or a failed write included), which ``main`` alone prints as
 ``tribokit: <message>``.
@@ -31,9 +31,9 @@ each strategy they run.  ``json`` and ``csv`` load only when their format
 is printed, so a plain ``eval`` loads neither, nor ``dataclasses``.
 
 ``STRATEGIES`` is the one list of the ways ``eval`` and ``bench`` reach
-a(n): recurrence, matrix and binet, each with its layer, the kinds it
-serves, whether its value is exact, and its evaluators; ``eval
---strategy`` takes its names, and ``bench`` times one row of each.
+a(n): recurrence, matrix and binet, each with its layer, its evaluators
+and its index cap, and each serving T, S and C; ``eval --strategy`` takes
+its names, and ``bench`` times one row of each and compares their values.
 Values print as decimal strings in every format: recurrence ranges from a
 decimal pass linear in the digits of each row, the others through
 str(int).  ``eval``, ``matrix`` and ``bench`` take any integer index, and
@@ -159,13 +159,12 @@ def _csv(header: list[str], rows: list[list[Any]]) -> str:
 # ---------------------------------------------------------------- eval
 
 class Strategy(NamedTuple):
-    """One way to evaluate a(n); ``STRATEGIES`` lists them all.  Each function
-    takes the layer's module first, imported by ``module()`` as it runs, and
-    calls the layer through it; ``point`` prepares its evaluator outside ``timed``."""
+    """One way to evaluate a(n) of T, S or C; ``STRATEGIES`` lists them all.
+    Each function takes the layer's module first, imported by ``module()`` as
+    it runs, and calls the layer through it; ``point`` prepares its evaluator
+    outside ``timed``."""
 
     layer: str  # the package module it evaluates by
-    kinds: str  # the letters of the kinds it serves
-    exact: bool  # whether its value takes part in bench's exact_agreement
     texts: Callable[..., list[str]]  # (layer, kind, lo, hi, precision): eval's a(lo)..a(hi)
     point: Callable[..., dict[str, Any]]  # (layer, kind, n, precision, timed): bench's row
     cap: Callable[..., float] = lambda layer, precision: float("inf")  # eval's largest |n|
@@ -193,19 +192,19 @@ def _binet_point(analytic: Any, kind: SequenceKind, n: int, precision: int,
 
 STRATEGIES: dict[str, Strategy] = {
     "recurrence": Strategy(
-        "seqcore", "TSC", True,
+        "seqcore",
         texts=lambda seqcore, kind, lo, hi, precision: seqcore.range_text(kind, lo, hi),
         point=lambda seqcore, kind, n, precision, timed: timed(lambda: seqcore.term(kind, n))),
     # T and S off A^n, C off A^-n (no 2x2 minors): the first value off two half powers,
     # then one product a row
     "matrix": Strategy(
-        "tribomatrix", "TSC", True,
+        "tribomatrix",
         texts=lambda tribomatrix, kind, lo, hi, precision:
             [str(value) for value in islice(tribomatrix.terms(kind, lo), hi - lo + 1)],
         point=lambda tribomatrix, kind, n, precision, timed:
             timed(lambda: next(tribomatrix.terms(kind, n)))),
     "binet": Strategy(
-        "analytic", "SC", False, _binet_texts, _binet_point,
+        "analytic", _binet_texts, _binet_point,
         cap=lambda analytic, precision: analytic.binet_index_cap(precision)),
 }
 
@@ -253,8 +252,6 @@ def cmd_eval(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
     if args.lo > args.hi:
         raise ValueError(f"empty range: {args.lo} exceeds {args.hi}")
     name, strategy, precision = args.strategy, STRATEGIES[args.strategy], config.precision
-    if kind.value not in strategy.kinds:
-        raise ValueError(f"{name} strategy applies to {' and '.join(strategy.kinds)} only")
     layer = strategy.module()
     if max(abs(args.lo), abs(args.hi)) > (cap := strategy.cap(layer, precision)):
         raise ValueError(f"{name} strategy is certified only for |n| <= {cap} at precision {precision}")
@@ -493,13 +490,10 @@ def cmd_crosscheck(args: argparse.Namespace, config: CliConfig, fmt: str) -> Out
 def bench_strategies(
     kind: SequenceKind, n: int, repetitions: int, precision: int
 ) -> tuple[list[dict[str, Any]], bool]:
-    """Time each strategy at index n; returns (rows, whether the exact ones agree)."""
+    """Time each strategy at index n; returns (rows, whether every value
+    they print agrees).  A row past its strategy's cap prints no value."""
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    served = [k.value for k in SequenceKind if all(k.value in s.kinds for s in STRATEGIES.values())]
-    if kind.value not in served:
-        *names, last = STRATEGIES
-        raise ValueError(f"bench compares {', '.join(names)} and {last}; use {' or '.join(served)}")
 
     def timed(evaluate: Callable[[], int]) -> dict[str, Any]:
         seconds = []
@@ -511,8 +505,7 @@ def bench_strategies(
 
     rows = [{"strategy": name, **strategy.point(strategy.module(), kind, n, precision, timed)}
             for name, strategy in STRATEGIES.items()]
-    exact = {row["value"] for row, strategy in zip(rows, STRATEGIES.values()) if strategy.exact}
-    return rows, len(exact) < 2
+    return rows, len({row["value"] for row in rows} - {None}) < 2
 
 
 def _short_int(value: int) -> str:
@@ -609,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", parents=[common],
                        help="time the evaluation strategies at one index")
-    p.add_argument("kind", help="S or C")
+    p.add_argument("kind", help="T, S or C")
     p.add_argument("n", type=int)
     p.add_argument("reps", nargs="?", type=int, default=3,
                    help="repetitions, min is reported (default 3)")

@@ -12,8 +12,8 @@ Three integer sequences share the cubic x^3 - x^2 - x - 1:
 
 ``RECURRENCES`` holds each sequence once, as a ``Recurrence`` of
 coefficients and seeds, which the identity sweeps also memoize (fault
-injection swaps the seeds).  ``T_FORMS`` holds the T-forms of S and C
-once, for ``s_from_t``, ``c_from_t`` and the identity catalogue.
+injection swaps the seeds).  ``T_FORMS`` holds the T-forms of S and C once
+(``s_from_t``, ``c_from_t``, identities), and ``T_FROM_S`` the S-form of T.
 
 A term a(n), n >= 0, is x^n modulo the cubic: an O(log n) ladder of
 squarings (Fiduccia's method), each of five big squarings.  A negative
@@ -259,6 +259,8 @@ T_FORMS: dict[SForm | CForm, Callable[[Callable[[int], int], int], int]] = {
         - 2 * t(n) * t(n - 1) + 2 * t(n) * t(n - 2) + 4 * t(n - 1) * t(n - 2)
     ),
 }
+
+T_FROM_S = (22, (5, 1, 2))  # 22*T(n) = 5*S(n-1) + S(n) + 2*S(n+1) at every n: analytic's T
 
 
 def tribonacci(n: int) -> int:

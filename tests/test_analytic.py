@@ -18,7 +18,7 @@ from tribokit.analytic import (
     vieta_check,
 )
 from tribokit.cli import bench_strategies
-from tribokit.seqcore import SequenceKind, c_seq, s_lucas, term
+from tribokit.seqcore import SequenceKind, c_seq, s_lucas, term, tribonacci
 
 
 def _alpha_by_bisection() -> float:
@@ -110,6 +110,7 @@ def test_binet_c_values():
 def test_binet_round_matches_recurrences():
     roots = char_roots(30)
     for n in range(-20, 41):
+        assert binet_round(SequenceKind.TRIBONACCI, n, roots) == tribonacci(n)
         assert binet_round(SequenceKind.GENERALIZED_LUCAS, n, roots) == s_lucas(n)
         assert binet_round(SequenceKind.MINOR_SUM, n, roots) == c_seq(n)
 
@@ -131,7 +132,7 @@ def test_binet_round_spot_values():
 def test_binet_round_is_exact_up_to_the_cap(case):
     precision, n = case
     roots = char_roots(precision)
-    for kind in (SequenceKind.GENERALIZED_LUCAS, SequenceKind.MINOR_SUM):
+    for kind in SequenceKind:
         assert binet_round(kind, n, roots) == term(kind, n)
 
 
@@ -145,7 +146,7 @@ def test_binet_powers_never_take_exp_of_a_log(monkeypatch):
 
     monkeypatch.setattr(mpmath.libmp.libmpc, "mpc_log", refuse)
     monkeypatch.setattr(mpmath.libmp.libmpc, "mpc_exp", refuse)
-    for kind in (SequenceKind.GENERALIZED_LUCAS, SequenceKind.MINOR_SUM):
+    for kind in SequenceKind:
         for n in (799, -799):
             assert binet_round(kind, n, roots) == term(kind, n)
 
@@ -171,12 +172,6 @@ def test_refuses_when_bound_too_large(monkeypatch):
     monkeypatch.setattr(analytic, "_BOUND_SAFETY", 10**40)
     with pytest.raises(PrecisionError, match="refusing to round"):
         binet_round(SequenceKind.GENERALIZED_LUCAS, 5, roots)
-
-
-def test_no_binet_for_tribonacci():
-    roots = char_roots(15)
-    with pytest.raises(ValueError):
-        binet_round(SequenceKind.TRIBONACCI, 3, roots)
 
 
 def test_error_bound_profile():

@@ -117,12 +117,6 @@ def test_eval_binet_strategy(capsys):
     ]
 
 
-def test_eval_binet_rejects_tribonacci(capsys):
-    code, _, err = run(capsys, "eval", "T", "0", "2", "--strategy", "binet")
-    assert code == 2
-    assert "binet" in err
-
-
 def test_eval_binet_rejects_range_past_cap(capsys):
     code, _, err = run(capsys, "eval", "S", "0", "61", "--strategy", "binet")
     assert code == 2
@@ -337,11 +331,11 @@ def add_strategy(monkeypatch):
     cli.build_parser.cache_clear()
 
 
-def _shifted(kinds, exact, shift):
+def _shifted(shift):
     """A strategy that reads the ladder and adds ``shift``: a wrong method
     unless ``shift`` is 0."""
     return cli.Strategy(
-        "seqcore", kinds, exact,
+        "seqcore",
         texts=lambda seqcore, kind, lo, hi, precision:
             [str(seqcore.term(kind, n) + shift) for n in range(lo, hi + 1)],
         point=lambda seqcore, kind, n, precision, timed:
@@ -351,7 +345,7 @@ def _shifted(kinds, exact, shift):
 
 def test_bench_exits_3_when_the_exact_strategies_disagree(monkeypatch, capsys, add_strategy):
     original = tribomatrix.terms
-    # a wrong value from the matrix layer, then from one added exact strategy
+    # a wrong value from the matrix layer, then from one added strategy
     for wrong in ("matrix", "dummy"):
         if wrong == "matrix":
             monkeypatch.setattr(tribomatrix, "terms",
@@ -359,7 +353,7 @@ def test_bench_exits_3_when_the_exact_strategies_disagree(monkeypatch, capsys, a
             values = ["443", "444", "443"]
         else:
             monkeypatch.setattr(tribomatrix, "terms", original)
-            add_strategy("dummy", _shifted("TSC", True, 1))
+            add_strategy("dummy", _shifted(1))
             values = ["443", "443", "443", "444"]
         code, out, err = run(capsys, "bench", "S", "10", "1")
         assert (code, err) == (3, "")
@@ -376,9 +370,23 @@ def test_bench_exits_3_when_the_exact_strategies_disagree(monkeypatch, capsys, a
         assert [row.split(",")[2] for row in out.splitlines()[1:]] == values
 
 
+def test_bench_exits_3_when_the_binet_value_is_wrong(monkeypatch, capsys):
+    original = analytic.binet_round
+    monkeypatch.setattr(analytic, "binet_round",
+                        lambda kind, n, roots: original(kind, n, roots) + 1)
+    code, out, err = run(capsys, "bench", "S", "10", "1")
+    assert (code, err) == (3, "")
+    assert out.splitlines()[-1] == "exact strategies agree: NO"
+    code, out, err = run(capsys, "bench", "S", "10", "1", "--format", "json")
+    assert (code, err) == (3, "")
+    assert json.loads(out)["exact_agreement"] is False
+    code, out, err = run(capsys, "bench", "S", "10", "1", "--format", "csv")
+    assert (code, err) == (3, "")
+
+
 def test_a_strategy_added_to_the_table_reaches_eval_and_bench(capsys, add_strategy):
-    # not exact, and wrong by one: eval prints it, bench shows it but does not compare it
-    add_strategy("dummy", _shifted("S", False, 1))
+    # wrong by one: eval prints it, and bench shows it and compares it
+    add_strategy("dummy", _shifted(1))
     rows = [(n, s_lucas(n) + 1) for n in range(-2, 4)]
     argv = ["eval", "--strategy", "dummy", "S"]
     assert run(capsys, *argv, "--", "-2", "3") == (
@@ -391,43 +399,27 @@ def test_a_strategy_added_to_the_table_reaches_eval_and_bench(capsys, add_strate
                                "values": [{"n": n, "value": str(v)} for n, v in rows]}
 
     code, out, err = run(capsys, "bench", "S", "10", "1")
-    assert (code, err) == (0, "")
+    assert (code, err) == (3, "")
     lines = out.splitlines()
     assert [line.split()[0] for line in lines[1:-1]] == ["recurrence", "matrix", "binet", "dummy"]
     assert lines[4].endswith("value=444")
-    assert lines[-1] == "exact strategies agree: yes"
+    assert lines[-1] == "exact strategies agree: NO"
     code, out, err = run(capsys, "bench", "S", "10", "1", "--format", "json")
-    assert (code, err) == (0, "")
+    assert (code, err) == (3, "")
     payload = json.loads(out)
     assert payload["strategies"][3]["strategy"] == "dummy"
     assert payload["strategies"][3]["value"] == "444"
-    assert payload["exact_agreement"] is True
+    assert payload["exact_agreement"] is False
     code, out, err = run(capsys, "bench", "S", "10", "1", "--format", "csv")
-    assert (code, err) == (0, "")
+    assert (code, err) == (3, "")
     assert out.splitlines()[4].split(",")[::2] == ["dummy", "444"]
-
-    # the kinds it serves bound eval and bench, and their refusals name it
-    assert run(capsys, "eval", "--strategy", "dummy", "C", "0", "3") == (
-        2, "", "tribokit: dummy strategy applies to S only\n")
-    assert run(capsys, "bench", "C", "10", "1") == (
-        2, "", "tribokit: bench compares recurrence, matrix, binet and dummy; use S\n")
 
 
 @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
 def test_strategy_refusals(fmt, capsys):
     binet = ["eval", "--format", fmt, "--strategy", "binet"]
-    assert run(capsys, *binet, "T", "0", "3") == (
-        2, "", "tribokit: binet strategy applies to S and C only\n")
     assert run(capsys, *binet, "S", "--", "-61", "0") == (
         2, "", "tribokit: binet strategy is certified only for |n| <= 60 at precision 30\n")
-    assert run(capsys, "bench", "--format", fmt, "T", "10", "1") == (
-        2, "", "tribokit: bench compares recurrence, matrix and binet; use S or C\n")
-
-
-def test_bench_rejects_tribonacci(capsys):
-    code, _, err = run(capsys, "bench", "T", "10")
-    assert code == 2
-    assert "use S or C" in err
 
 
 def test_config_env_var(tmp_path, monkeypatch, capsys):
@@ -726,10 +718,11 @@ def test_crosscheck_csv_with_mismatches(mismatching_s_fixture, capsys):
     assert out == f"index,local,bfile\n2,{s[2]},4\n4,{s[4]},12\n"
 
 
-# S(40) and S(-40) lie within the binet index cap of 60 at precision 30;
-# C(100) and C(-2000) do not.
+# S(40), S(-40), T(60) and T(-60) lie within the binet index cap of 60 at
+# precision 30; C(100) and C(-2000) do not.
 @pytest.mark.parametrize("kind, n, oracle", [
-    ("S", 40, oracle_s), ("S", -40, oracle_s), ("C", 100, oracle_c), ("C", -2000, oracle_c),
+    ("S", 40, oracle_s), ("S", -40, oracle_s), ("T", 60, oracle_t), ("T", -60, oracle_t),
+    ("C", 100, oracle_c), ("C", -2000, oracle_c),
 ])
 def test_bench_csv(kind, n, oracle, capsys):
     code, out, _ = run(capsys, "bench", "--format", "csv", kind, "--", str(n), "1")
@@ -741,7 +734,7 @@ def test_bench_csv(kind, n, oracle, capsys):
             assert float(row[1]) >= 0
             row[1] = "<seconds>"
     value = str(oracle(n, n)[n])
-    binet = (["binet", "<seconds>", value, ""] if kind == "S" else
+    binet = (["binet", "<seconds>", value, ""] if abs(n) <= 60 else
              ["binet", "", "", f"bound exceeded: |n| = {abs(n)} exceeds the certified index "
                               "cap 60 at precision 30"])
     assert rows == [["recurrence", "<seconds>", value, ""],
@@ -789,8 +782,6 @@ def test_eval_stdout_is_the_old_rendering(strategy, fmt, kind, lo, width):
     hi = min(lo + width, 60)
     if fmt == "bfile" and lo < 0:
         expected = (2, "", "tribokit: bfile format requires lo >= 0\n")
-    elif strategy == "binet" and kind == "T":
-        expected = (2, "", "tribokit: binet strategy applies to S and C only\n")
     else:
         rows = sorted(_ORACLES[kind](lo, hi).items())
         if fmt == "json":

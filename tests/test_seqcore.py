@@ -13,6 +13,7 @@ from tribokit.genfunc import RationalOGF, builtin_ogf, expand, expand_text
 from tribokit.seqcore import (
     _C_EVEN,
     RECURRENCES,
+    T_FROM_S,
     _square,
     CForm,
     Recurrence,
@@ -349,6 +350,14 @@ def test_c_from_t_agrees_with_recurrence():
         expected = c_seq(n)
         assert c_from_t(n, CForm.MINOR_EXPANSION) == expected
         assert c_from_t(n, CForm.SQUARE) == expected
+
+
+def test_t_from_the_s_window_agrees_with_recurrence():
+    scale, (before, at, after) = T_FROM_S
+    s = dict(sequence_range(SequenceKind.GENERALIZED_LUCAS, -301, 301))
+    t = dict(sequence_range(SequenceKind.TRIBONACCI, -300, 300))
+    for n in range(-300, 301):
+        assert scale * t[n] == before * s[n - 1] + at * s[n] + after * s[n + 1]
 
 
 def test_s_and_c_swap_under_negation():
