@@ -1,24 +1,24 @@
 """Machine-checkable identity catalogue for the S/C/T sequences.
 
 Every identity is a data record: a name, an index arity, its statement,
-a domain predicate, and a pair of exact integer evaluators.  The formula
-identities are written once, as statements in ``CATALOGUE`` (``lhs =
-rhs  [domain]``); ``registry`` compiles each statement into its arity,
-domain and both sides, so the text is what gets checked.  ``verify``
-sweeps a record over inclusive index bounds and reports every tuple
-where the two sides differ, so a claim is either confirmed over the
-stated range or refuted with concrete counterexamples; bounds holding no
-case of the record's domain are refused.  ``boundary_consistency`` runs
-the same sweep over one more record, the right sides of the catalogue's
-PROD_GE and PROD_LT on the diagonal n = m.  Nothing is ever compared in
-floating point.
+a domain predicate, and a pair of exact integer evaluators.  Each record
+is written once, as a statement (``lhs = rhs  [domain]``); ``registry``
+compiles each statement into its arity, domain and both sides, so the
+text is what gets checked.  ``verify`` sweeps a record over inclusive
+index bounds and reports every tuple where the two sides differ, so a
+claim is either confirmed over the stated range or refuted with concrete
+counterexamples; bounds holding no case of the record's domain are
+refused.  ``boundary_consistency`` runs the same sweep over one more
+record, the right sides of the catalogue's PROD_GE and PROD_LT on the
+diagonal n = m.  Nothing is ever compared in floating point.
 
 Records evaluate through a SequenceBackend, a triple of pure
 int -> int functions for T, S and C.  The default backend memoizes
 ``seqcore.RECURRENCES`` per backend; alternative seeds on the same
 recurrences can be injected to prove the checks are actually sensitive
-to faults.  The S_T_FORMS and C_T_FORMS records sweep every entry of
-``seqcore.T_FORMS``, the formulas ``s_from_t`` and ``c_from_t`` run.
+to faults.  The statements of S_T_FORMS and C_T_FORMS are built from
+``seqcore.T_FORMS``, the formula texts ``s_from_t`` and ``c_from_t`` run,
+so all 14 records are compiled from text.
 """
 from __future__ import annotations
 
@@ -155,11 +155,13 @@ def _compile(statement: str) -> tuple[int, CodeType]:
     return len(params), compile(f"({lambdas})", statement, "eval")
 
 
-def _catalogue(backend: SequenceBackend) -> list[IdentityRecord]:
-    """The compiled ``CATALOGUE`` records, evaluated over ``backend``."""
-    namespace = {"__builtins__": {}, "S": backend.s, "C": backend.c, "T": backend.t}
+def _records(statements: Iterable[tuple[str, str]],
+             backend: SequenceBackend | None) -> list[IdentityRecord]:
+    """The compiled (name, statement) records, evaluated over ``backend``."""
+    b = backend if backend is not None else SequenceBackend.default()
+    namespace = {"__builtins__": {}, "S": b.s, "C": b.c, "T": b.t}
     records = []
-    for name, statement in CATALOGUE:
+    for name, statement in statements:
         arity, code = _compile(statement)
         records.append(IdentityRecord(name, arity, statement, *eval(code, namespace)))
     return records
@@ -167,22 +169,12 @@ def _catalogue(backend: SequenceBackend) -> list[IdentityRecord]:
 
 def registry(backend: SequenceBackend | None = None) -> list[IdentityRecord]:
     """The 14 identity records, evaluated over ``backend``: the compiled
-    ``CATALOGUE`` followed by the two sweeps of ``seqcore.T_FORMS``."""
-    b = backend if backend is not None else SequenceBackend.default()
-
-    def t_forms(name: str, forms: type[SForm] | type[CForm], target: Callable[[int], int],
-                statement: str) -> IdentityRecord:
-        # the squared residual is zero exactly when every T-form reproduces the target
-        def residual(n: int) -> int:
-            return sum((T_FORMS[form](b.t, n) - target(n)) ** 2 for form in forms)
-        return IdentityRecord(name, 1, statement, lambda n: True, residual, lambda n: 0)
-
-    return _catalogue(b) + [
-        t_forms("S_T_FORMS", SForm, b.s,
-                "both linear T-forms of S(n) equal S(n) (zero squared residual)"),
-        t_forms("C_T_FORMS", CForm, b.c,
-                "both quadratic T-forms of C(n) equal C(n) (zero squared residual)"),
-    ]
+    ``CATALOGUE`` followed by S_T_FORMS and C_T_FORMS, whose statements join
+    one squared residual per ``seqcore.T_FORMS`` text, zero exactly when
+    every T-form gives S(n) or C(n)."""
+    t_forms = [(name, " + ".join(f"({T_FORMS[form]} - {target}(n))**2" for form in forms) + " = 0")
+               for name, forms, target in (("S_T_FORMS", SForm, "S"), ("C_T_FORMS", CForm, "C"))]
+    return _records([*CATALOGUE, *t_forms], backend)
 
 
 def _find(records: list[IdentityRecord], name: str) -> IdentityRecord:
@@ -253,7 +245,7 @@ def boundary_consistency(
     lo, hi = bounds
     if lo > hi:
         raise ValueError(f"BOUNDARY: empty bounds, {lo} exceeds {hi}")
-    records = _catalogue(backend if backend is not None else SequenceBackend.default())
+    records = _records(CATALOGUE, backend)
     diagonal = IdentityRecord(
         "BOUNDARY", 2, "PROD_GE and PROD_LT right sides agree at n = m", lambda n, m: True,
         _find(records, "PROD_GE").rhs, _find(records, "PROD_LT").rhs)

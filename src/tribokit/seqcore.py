@@ -12,8 +12,9 @@ Three integer sequences share the cubic x^3 - x^2 - x - 1:
 
 ``RECURRENCES`` holds each sequence once, as a ``Recurrence`` of
 coefficients and seeds, which the identity sweeps also memoize (fault
-injection swaps the seeds).  ``T_FORMS`` holds the T-forms of S and C once
-(``s_from_t``, ``c_from_t``, identities), and ``T_FROM_S`` the S-form of T.
+injection swaps the seeds).  ``T_FORMS`` holds the T-forms of S and C once,
+as formula texts that ``s_from_t``, ``c_from_t`` and the identity statements
+compile, and ``T_FROM_S`` the S-form of T.
 
 A term a(n), n >= 0, is x^n modulo the cubic: an O(log n) ladder of
 squarings (Fiduccia's method), each of five big squarings.  A negative
@@ -69,8 +70,8 @@ class SequenceKind(Enum):
 class SForm(Enum):
     """The two linear combinations of T values that produce S(n)."""
 
-    MINOR = "minor"  # S(n) = T(n) + 2*T(n-1) + 3*T(n-2)
-    OGF = "ogf"      # S(n) = 3*T(n+1) - 2*T(n) - T(n-1)
+    MINOR = "minor"
+    OGF = "ogf"
 
 
 @unique
@@ -244,20 +245,16 @@ RECURRENCES: dict[SequenceKind, Recurrence] = {
 # C(2k) satisfies an order-3 recurrence of its own in the half index k.
 _C_EVEN = Recurrence((-1, -3, 1), (3, -1, -5))
 
-# S(n) and C(n) as combinations of T values, each a function of (t, n)
-# where t(k) is T(k): the paper's T-forms, read by s_from_t, c_from_t and
-# the S_T_FORMS / C_T_FORMS identity sweeps.
-T_FORMS: dict[SForm | CForm, Callable[[Callable[[int], int], int], int]] = {
-    SForm.MINOR: lambda t, n: t(n) + 2 * t(n - 1) + 3 * t(n - 2),
-    SForm.OGF: lambda t, n: 3 * t(n + 1) - 2 * t(n) - t(n - 1),
-    CForm.MINOR_EXPANSION: lambda t, n: (
-        2 * t(n + 1) * t(n - 2) + t(n + 1) * t(n - 1) - t(n) ** 2
-        - 2 * t(n) * t(n - 1) - t(n - 1) * t(n - 3) + t(n - 2) ** 2
-    ),
-    CForm.SQUARE: lambda t, n: (
-        -t(n) ** 2 + 2 * t(n - 1) ** 2 + 3 * t(n - 2) ** 2
-        - 2 * t(n) * t(n - 1) + 2 * t(n) * t(n - 2) + 4 * t(n - 1) * t(n - 2)
-    ),
+# S(n) and C(n) as combinations of T values, each the text of one formula
+# in T and n: the paper's T-forms, evaluated by s_from_t and c_from_t and
+# compiled into the statements of the S_T_FORMS / C_T_FORMS identities.
+T_FORMS: dict[SForm | CForm, str] = {
+    SForm.MINOR: "T(n) + 2*T(n-1) + 3*T(n-2)",
+    SForm.OGF: "3*T(n+1) - 2*T(n) - T(n-1)",
+    CForm.MINOR_EXPANSION: "2*T(n+1)*T(n-2) + T(n+1)*T(n-1) - T(n)**2"
+                           " - 2*T(n)*T(n-1) - T(n-1)*T(n-3) + T(n-2)**2",
+    CForm.SQUARE: "-T(n)**2 + 2*T(n-1)**2 + 3*T(n-2)**2"
+                  " - 2*T(n)*T(n-1) + 2*T(n)*T(n-2) + 4*T(n-1)*T(n-2)",
 }
 
 T_FROM_S = (22, (5, 1, 2))  # 22*T(n) = 5*S(n-1) + S(n) + 2*S(n+1) at every n: analytic's T
@@ -340,11 +337,17 @@ def range_text(kind: SequenceKind, lo: int, hi: int) -> list[str]:
     return list(islice(_text_terms(recurrence.coeffs, recurrence.window(lo)), hi - lo + 1))
 
 
+@functools.cache
+def _t_form(text: str) -> Callable[[Callable[[int], int], int], int]:
+    """(T, n) -> the value of one ``T_FORMS`` text, compiled once per text."""
+    return eval(compile(f"lambda T, n: {text}", text, "eval"), {"__builtins__": {}})
+
+
 def s_from_t(n: int, form: SForm) -> int:
     """S(n) as a linear combination of Tribonacci numbers."""
-    return T_FORMS[SForm(form)](tribonacci_window(n), n)
+    return _t_form(T_FORMS[SForm(form)])(tribonacci_window(n), n)
 
 
 def c_from_t(n: int, form: CForm) -> int:
     """C(n) as a quadratic combination of Tribonacci numbers."""
-    return T_FORMS[CForm(form)](tribonacci_window(n), n)
+    return _t_form(T_FORMS[CForm(form)])(tribonacci_window(n), n)

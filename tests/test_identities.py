@@ -240,14 +240,33 @@ def test_faulty_backend_still_satisfies_its_own_recurrence():
     (CForm.SQUARE, "C_T_FORMS"),
 ])
 def test_t_form_sweeps_check_the_forms_seqcore_runs(monkeypatch, form, record):
-    # one wrong entry in seqcore's T-form table must show in the sweep
+    # one wrong text in seqcore's T-form table must show in the sweep
     # over it, as well as in s_from_t / c_from_t
-    right = seqcore.T_FORMS[form]
-    monkeypatch.setitem(seqcore.T_FORMS, form, lambda t, n: right(t, n) + (n == 7))
     from_t = seqcore.s_from_t if isinstance(form, SForm) else seqcore.c_from_t
-    assert from_t(7, form) == right(seqcore.tribonacci, 7) + 1
+    right = from_t(7, form)
+    monkeypatch.setitem(seqcore.T_FORMS, form, seqcore.T_FORMS[form] + " + (n == 7)")
+    assert from_t(7, form) == right + 1
     report = verify(record, (-20, 20))
     assert [point for point, _, _ in report.counterexamples] == [(7,)]
+
+
+def test_every_record_is_its_compiled_statement():
+    # all 14 statements compile, to the record's arity and to both its sides
+    texts = {"S_T_FORMS": [seqcore.T_FORMS[f] for f in SForm],
+             "C_T_FORMS": [seqcore.T_FORMS[f] for f in CForm]}
+    backend = SequenceBackend.default()
+    namespace = {"__builtins__": {}, "S": backend.s, "C": backend.c, "T": backend.t}
+    for record in registry(backend):
+        arity, code = identities._compile(record.statement)
+        assert arity == record.arity, record.name
+        domain, lhs, rhs = eval(code, namespace)
+        box = list(product(*(range(lo, hi + 1) for lo, hi in ((-5, 5), (0, 5))[:arity])))
+        points = [p for p in box if record.domain(*p)]
+        assert points and points == [p for p in box if domain(*p)], record.name
+        for point in points:
+            assert (lhs(*point), rhs(*point)) == (record.lhs(*point), record.rhs(*point))
+        assert all(text in record.statement for text in texts.get(record.name, []))
+    assert sum(map(len, texts.values())) == len(seqcore.T_FORMS)
 
 
 def test_statement_text_is_what_gets_checked(monkeypatch):
