@@ -21,7 +21,8 @@ precision is a process-global context, callers that mix precisions
 across threads should serialize calls.  Each Binet evaluation computes
 its three power terms once, each by binary powering (products only,
 never exp(m*log z)), and derives both the value and its error bound
-from them; nothing is cached between calls.
+from them, the bound an mpf, which keeps its exponent far below the
+float range; nothing is cached between calls.
 
 This is the one module of the package that imports mpmath.  The CLI
 imports this module only inside the commands that use it (``roots``,
@@ -157,9 +158,10 @@ def _power_terms(kind: SequenceKind, n: int, roots: RootSet) -> tuple[Any, Any, 
                  for z in (roots.alpha, roots.beta, roots.gamma))
 
 
-def _binet(kind: SequenceKind, n: int, roots: RootSet) -> tuple[Any, float]:
+def _binet(kind: SequenceKind, n: int, roots: RootSet) -> tuple[Any, Any]:
     """(value, bound): the real Binet sum at index n and its certified
-    absolute error, both from one evaluation of the power terms.
+    absolute error, both mpf (a float bound would underflow to 0 below
+    about 1e-308), from one evaluation of the power terms.
 
     The bound scales with the magnitudes of the three power terms, the
     index, and 10^(-precision); it decays with the conjugate-pair
@@ -183,7 +185,7 @@ def _binet(kind: SequenceKind, n: int, roots: RootSet) -> tuple[Any, float]:
             )
         magnitude = sum(abs(t) for t in terms)
         bound = magnitude * (abs(n) + 1) * _BOUND_SAFETY * mpmath.mpf(10) ** (-roots.precision)
-        return real, float(bound)
+        return real, bound
 
 
 def binet_s(n: int, roots: RootSet) -> Any:
@@ -197,9 +199,9 @@ def binet_c(n: int, roots: RootSet) -> Any:
     return _binet(SequenceKind.MINOR_SUM, n, roots)[0]
 
 
-def binet_error_bound(kind: SequenceKind, n: int, roots: RootSet) -> float:
-    """Certified absolute error of the Binet evaluation at index n; raises
-    PrecisionError past the index cap."""
+def binet_error_bound(kind: SequenceKind, n: int, roots: RootSet) -> Any:
+    """Certified absolute error of the Binet evaluation at index n, an mpf;
+    raises PrecisionError past the index cap."""
     return _binet(kind, n, roots)[1]
 
 
@@ -213,7 +215,7 @@ def binet_round(kind: SequenceKind, n: int, roots: RootSet) -> int:
     value, bound = _binet(kind, n, roots)
     if bound >= 0.5:
         raise PrecisionError(
-            f"error bound {bound} >= 0.5 at n={n}, precision {roots.precision}: "
+            f"error bound {float(bound)} >= 0.5 at n={n}, precision {roots.precision}: "
             "refusing to round"
         )
     with mpmath.workdps(roots.precision + _GUARD_DIGITS):

@@ -187,7 +187,10 @@ def _binet_point(analytic: Any, kind: SequenceKind, n: int, precision: int,
         row = timed(lambda: analytic.binet_round(kind, n, roots))
     except analytic.PrecisionError as exc:
         return {"seconds": None, "value": None, "note": f"bound exceeded: {exc}"}
-    return {**row, "bound": analytic.binet_error_bound(kind, n, roots)}
+    bound = analytic.binet_error_bound(kind, n, roots)
+    # a float below 1e-300 would underflow: such a bound keeps its true exponent, as number text
+    return {**row, "bound": float(bound) if bound >= 1e-300 else
+            JSONText(analytic.mpmath.nstr(bound, 4, strip_zeros=False, min_fixed=0, max_fixed=0))}
 
 
 STRATEGIES: dict[str, Strategy] = {
@@ -520,10 +523,11 @@ def cmd_bench(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
     rows, agreement = bench_strategies(kind, args.n, args.reps, config.precision)
     status = EXIT_OK if agreement else EXIT_FAILED
     if fmt == "json":
-        strategies = [{**row, "value": None if row["value"] is None else str(row["value"])}
-                      for row in rows]
+        strategies = ("".join(_json_pieces({**row, "value": None if row["value"] is None
+                                            else str(row["value"])})) for row in rows)
         return status, {"kind": kind.value, "n": args.n, "repetitions": args.reps,
-                        "strategies": strategies, "exact_agreement": agreement}
+                        "strategies": JSONText(f"[{', '.join(strategies)}]"),
+                        "exact_agreement": agreement}
     if fmt == "csv":
         return status, _csv(
             ["strategy", "seconds", "value", "note"],
@@ -537,7 +541,8 @@ def cmd_bench(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
             lines.append(f"{row['strategy']:<12} {row['note']}")
         else:
             seconds = f"{row['seconds']:.6f}s"
-            extra = f"  bound={row['bound']:.3e}" if "bound" in row else ""
+            bound = row.get("bound", "")
+            extra = bound and f"  bound={bound.text if isinstance(bound, JSONText) else f'{bound:.3e}'}"
             lines.append(f"{row['strategy']:<12} {seconds}  value={_short_int(row['value'])}{extra}")
     lines.append(f"exact strategies agree: {'yes' if agreement else 'NO'}")
     return status, "\n".join(lines)

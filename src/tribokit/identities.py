@@ -9,16 +9,24 @@ index bounds and reports every tuple where the two sides differ, so a
 claim is either confirmed over the stated range or refuted with concrete
 counterexamples; bounds holding no case of the record's domain are
 refused.  ``boundary_consistency`` runs the same sweep over one more
-record, the right sides of the catalogue's PROD_GE and PROD_LT on the
-diagonal n = m.  Nothing is ever compared in floating point.
+statement, the right sides of the catalogue's PROD_GE and PROD_LT joined
+on the diagonal n = m.  Nothing is ever compared in floating point.
+
+A sweep reads each sequence value once: the same statement compiles into
+the index sets its calls read at the in-domain points and into one
+comprehension over value tables, each call a subscript.  The backend is
+asked for those indices alone, going out from zero, so a sweep holds the
+values its points read and no others (CONS_3 reads S only at multiples
+of n).
 
 Records evaluate through a SequenceBackend, a triple of pure
-int -> int functions for T, S and C.  The default backend memoizes
-``seqcore.RECURRENCES`` per backend; alternative seeds on the same
-recurrences can be injected to prove the checks are actually sensitive
-to faults.  The statements of S_T_FORMS and C_T_FORMS are built from
-``seqcore.T_FORMS``, the formula texts ``s_from_t`` and ``c_from_t`` run,
-so all 14 records are compiled from text.
+int -> int functions for T, S and C.  The default backend runs the
+passes of ``seqcore.RECURRENCES`` (``Recurrence.memo``) per backend;
+alternative seeds on the same recurrences can be injected to prove the
+checks are actually sensitive to faults.  The statements of S_T_FORMS
+and C_T_FORMS are built from ``seqcore.T_FORMS``, the formula texts
+``s_from_t`` and ``c_from_t`` run, so all 14 records are compiled from
+text.
 """
 from __future__ import annotations
 
@@ -36,6 +44,8 @@ Bounds = tuple[int, int]
 Counterexample = tuple[tuple[int, ...], int, int]
 Points = Iterable[tuple[int, ...]]
 Seeds = tuple[int, int, int]
+Reads = Callable[[list[tuple[int, ...]]], tuple[set[int], set[int], set[int]]]
+Sweep = Callable[..., list[Counterexample]]
 
 
 @dataclass(frozen=True)
@@ -109,33 +119,46 @@ CATALOGUE: tuple[tuple[str, str], ...] = (
 _COMPARISONS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
 
 
-def _allowed(node: ast.AST) -> bool:
+def _allowed(node: ast.AST, calls: bool = True) -> bool:
     """Whether ``node`` uses only integers, n, m, one-argument S/C/T
-    calls, + - * **, unary minus, comparisons and ``and``."""
+    calls whose argument calls none, + - * **, unary minus, comparisons
+    and ``and``."""
     match node:
         case ast.Constant(value=value):
             return type(value) is int
         case ast.Name(id="n" | "m"):
             return True
         case ast.Call(func=ast.Name(id="S" | "C" | "T"), args=[arg], keywords=[]):
-            return _allowed(arg)
+            return calls and _allowed(arg, False)
         case ast.BinOp(left, ast.Add() | ast.Sub() | ast.Mult() | ast.Pow(), right):
-            return _allowed(left) and _allowed(right)
+            return _allowed(left, calls) and _allowed(right, calls)
         case ast.UnaryOp(ast.USub(), operand):
-            return _allowed(operand)
+            return _allowed(operand, calls)
         case ast.Compare(left, ops, comparators):
             return all(isinstance(op, _COMPARISONS) for op in ops) and all(
-                map(_allowed, (left, *comparators)))
+                _allowed(side, calls) for side in (left, *comparators))
         case ast.BoolOp(ast.And(), values):
-            return all(map(_allowed, values))
+            return all(_allowed(value, calls) for value in values)
     return False
 
 
+class _Tables(ast.NodeTransformer):
+    """Each S(k), C(k) and T(k) call turned into a subscript, S[k]: a read
+    of a value table."""
+
+    def visit_Call(self, node: ast.Call) -> ast.Subscript:
+        return ast.Subscript(node.func, node.args[0], ast.Load())
+
+
 @functools.cache
-def _compile(statement: str) -> tuple[int, CodeType]:
-    """Arity and the code of ``(domain, lhs, rhs)`` for one statement,
-    compiled once per process; evaluating the code in a namespace that
-    binds S, C and T yields the three functions."""
+def _compile(statement: str) -> tuple[int, CodeType, Reads, Sweep]:
+    """Arity, the code of ``(domain, lhs, rhs)``, and ``reads`` and ``sweep``
+    for one statement, compiled once per process from the same trees.
+    Evaluating the code in a namespace that binds S, C and T yields the
+    record's three functions.  ``reads(points)`` is the T, S and C index sets
+    that the calls of both sides read at the points; ``sweep(points, T, S,
+    C)`` evaluates both sides with each call a subscript of a value table
+    and lists (point, lhs, rhs) wherever they differ, in point order."""
     source = re.sub(r"(\d)(?=[A-Za-z(])", r"\1*", statement).replace("^", "**")
     equation, _, clause = source.partition("  [")
     sides = equation.split(" = ")
@@ -152,7 +175,19 @@ def _compile(statement: str) -> tuple[int, CodeType]:
     lhs, rhs, *domain = map(ast.unparse, trees)
     lambdas = ", ".join(f"lambda {', '.join(params)}: ({text})"
                         for text in (*(domain or ["True"]), lhs, rhs))
-    return len(params), compile(f"({lambdas})", statement, "eval")
+    args: dict[str, dict[str, None]] = {"T": {}, "S": {}, "C": {}}  # ordered sets
+    for node in (node for tree in trees[:2] for node in ast.walk(tree)):
+        if isinstance(node, ast.Call):
+            args[node.func.id][ast.unparse(node.args[0])] = None
+    point = "".join(f"{p}, " for p in params)
+    reads = ", ".join("{%s}" % ", ".join([f"*[{a} for {point}in points]" for a in texts] or ["*()"])
+                      for texts in args.values())
+    left, right = (ast.unparse(_Tables().visit(tree)) for tree in trees[:2])
+    sweep = (f"[(({point}), l, r) for {point}in points"
+             f" if (l := ({left})) != (r := ({right}))]")
+    functions = eval(compile(f"(lambda points: ({reads}), lambda points, T, S, C: {sweep})",
+                             statement, "eval"), {"__builtins__": {}})
+    return len(params), compile(f"({lambdas})", statement, "eval"), *functions
 
 
 def _records(statements: Iterable[tuple[str, str]],
@@ -162,7 +197,7 @@ def _records(statements: Iterable[tuple[str, str]],
     namespace = {"__builtins__": {}, "S": b.s, "C": b.c, "T": b.t}
     records = []
     for name, statement in statements:
-        arity, code = _compile(statement)
+        arity, code, _, _ = _compile(statement)
         records.append(IdentityRecord(name, arity, statement, *eval(code, namespace)))
     return records
 
@@ -193,23 +228,25 @@ def _box(arity: int, n_bounds: Bounds, m_bounds: Bounds | None) -> tuple[Points,
 
 
 def _run(record: IdentityRecord, points: Points, bounds: str) -> VerificationReport:
-    """Compare both sides at each in-domain point; refused if there is none."""
-    cases = 0
-    bad: list[Counterexample] = []
-    for point in points:
-        if not record.domain(*point):
-            continue
-        cases += 1
-        left, right = record.lhs(*point), record.rhs(*point)
-        if left != right:
-            bad.append((point, left, right))
-    if not cases:
+    """Compare both sides at each in-domain point; refused if there is none.
+
+    The backend is asked once for each value the points read, going out
+    from zero, and only those values are kept, in one table per sequence
+    that the compiled sweep reads."""
+    points = [point for point in points if record.domain(*point)]
+    if not points:
         raise ValueError(f"{record.name}: no case of its domain lies in {bounds}")
+    _, _, reads, sweep = _compile(record.statement)
+    backend = record.domain.__globals__  # the namespace ``_records`` evaluated it in
+    tables = []
+    for name, indices in zip("TSC", reads(points)):
+        ks = sorted(indices, key=abs)  # k >= 0 ascending, k < 0 descending: no pass restarts
+        tables.append(dict(zip(ks, map(backend[name], ks))))
     return VerificationReport(
         identity=record.name,
         bounds=bounds,
-        cases_checked=cases,
-        counterexamples=tuple(bad),
+        cases_checked=len(points),
+        counterexamples=tuple(sweep(points, *tables)),
     )
 
 
@@ -245,8 +282,7 @@ def boundary_consistency(
     lo, hi = bounds
     if lo > hi:
         raise ValueError(f"BOUNDARY: empty bounds, {lo} exceeds {hi}")
-    records = _records(CATALOGUE, backend)
-    diagonal = IdentityRecord(
-        "BOUNDARY", 2, "PROD_GE and PROD_LT right sides agree at n = m", lambda n, m: True,
-        _find(records, "PROD_GE").rhs, _find(records, "PROD_LT").rhs)
+    rhs = {name: statement.partition("  [")[0].split(" = ")[1] for name, statement in CATALOGUE}
+    statement = f"{rhs['PROD_GE']} = {rhs['PROD_LT']}  [n == m]"
+    [diagonal] = _records([("BOUNDARY", statement)], backend)
     return _run(diagonal, ((n, n) for n in range(lo, hi + 1)), f"n = m in [{lo}, {hi}]")

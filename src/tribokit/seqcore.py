@@ -11,16 +11,16 @@ Three integer sequences share the cubic x^3 - x^2 - x - 1:
   pairwise root products.
 
 ``RECURRENCES`` holds each sequence once, as a ``Recurrence`` of
-coefficients and seeds, which the identity sweeps also memoize (fault
-injection swaps the seeds).  ``T_FORMS`` holds the T-forms of S and C once,
-as formula texts that ``s_from_t``, ``c_from_t`` and the identity statements
-compile, and ``T_FROM_S`` the S-form of T.
+coefficients and seeds, whose passes the identity sweeps also read
+(``memo``; fault injection swaps the seeds).  ``T_FORMS`` holds the
+T-forms of S and C once, as formula texts that ``s_from_t``, ``c_from_t``
+and the identity statements compile, and ``T_FROM_S`` the S-form of T.
 
 A term a(n), n >= 0, is x^n modulo the cubic: an O(log n) ladder of
 squarings (Fiduccia's method), each of five big squarings.  A negative
 index reads the sequence backwards (``Recurrence.reversed``), integral as
 c3 is +-1.  Every linear
-pass -- range rows, identity memos, printed ranges and expansions -- is one
+pass -- range rows, identity sweeps, printed ranges and expansions -- is one
 generator compiled per coefficient tuple (``_pass``) over int or exact
 decimal arithmetic; in decimal a printed row costs O(digits), where
 CPython's int-to-str is quadratic.  Only compiled passes outlive a call.
@@ -218,21 +218,29 @@ class Recurrence(_RecurrenceFields):
         return _pass(self.coeffs, _INT)(*self.window(lo))
 
     def memo(self) -> Callable[[int], int]:
-        """Bi-infinite evaluator with extend-on-demand caching: a(0), a(1), ...
-        and a(2), a(1), a(0), a(-1), ..., each from the int pass of its seeds."""
-        forward, backward = (_pass(r.coeffs, _INT)(*r.seeds) for r in (self, self.reversed))
-        fwd, bwd = [], []  # fwd[n] and bwd[2 - n] hold a(n)
+        """Bi-infinite evaluator that holds no table: a(n) for n >= 0 continues
+        the int pass a(0), a(1), ... of the seeds, and for n < 0 the pass
+        a(2), a(1), a(0), a(-1), ... of ``reversed``; a pass asked below its
+        position restarts from the seeds.  Asked going out from zero
+        (ascending for n >= 0, descending for n < 0), each pass runs once
+        and holds only its window and its last value."""
 
-        def at(n: int) -> int:
-            if n >= 0:
-                if n >= len(fwd):
-                    fwd.extend(islice(forward, n + 1 - len(fwd)))
-                return fwd[n]
-            if 2 - n >= len(bwd):
-                bwd.extend(islice(backward, 3 - n - len(bwd)))
-            return bwd[2 - n]
+        def walk(r: Recurrence) -> Callable[[int], int]:
+            k, value, rest = -1, 0, _pass(r.coeffs, _INT)(*r.seeds)
 
-        return at
+            def at(j: int) -> int:  # the j-th value of r's pass
+                nonlocal k, value, rest
+                if j != k:
+                    if j < k:
+                        k, rest = -1, _pass(r.coeffs, _INT)(*r.seeds)
+                    value = next(rest) if j == k + 1 else next(islice(rest, j - k - 1, None))
+                    k = j
+                return value
+
+            return at
+
+        ahead, behind = walk(self), walk(self.reversed)
+        return lambda n: ahead(n) if n >= 0 else behind(2 - n)
 
 
 # The one recurrence table of the package.

@@ -320,6 +320,24 @@ def test_bench_json_reports_bound_exceeded_past_cap(capsys):
     assert payload["exact_agreement"] is True
 
 
+@pytest.mark.parametrize("precision,n", [(30, 40), (1500, 2999)])
+def test_bench_prints_the_binet_bound_at_its_true_exponent(capsys, tmp_path, precision, n):
+    # at precision 1500 the bound is about 1e-701, far below the smallest float
+    config = tmp_path / "tribokit.cfg"
+    config.write_text(f"precision = {precision}\n")
+    bound = analytic.binet_error_bound(SequenceKind.GENERALIZED_LUCAS, n, analytic.char_roots(precision))
+    text = f"{float(bound):.3e}" if precision == 30 else mpmath.nstr(bound, 4, strip_zeros=False)
+    number = repr(float(bound)) if precision == 30 else text
+    assert float(text.split("e")[1]) == mpmath.floor(mpmath.log10(bound))
+    code, out, err = run(capsys, "bench", "--config", str(config), "S", str(n), "1")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[3].endswith(f"  bound={text}")
+    code, out, err = run(capsys, "bench", "--config", str(config), "--format", "json", "S", str(n), "1")
+    assert (code, err) == (0, "")
+    assert out.count('"bound": ') == 1 and f'"bound": {number}}}' in out
+    assert json.loads(out)["strategies"][2]["bound"] == float(bound)
+
+
 @pytest.fixture
 def add_strategy(monkeypatch):
     """Inserts one entry into the strategy table, as a new method would be."""

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import functools
 import gc
 import runpy
+import tracemalloc
 import weakref
 from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tribokit import identities
 from tribokit.identities import (
@@ -256,8 +259,9 @@ def test_every_record_is_its_compiled_statement():
              "C_T_FORMS": [seqcore.T_FORMS[f] for f in CForm]}
     backend = SequenceBackend.default()
     namespace = {"__builtins__": {}, "S": backend.s, "C": backend.c, "T": backend.t}
+    wrong = SequenceBackend(backend.t, backend.s, lambda n: backend.c(n) + (n == 2))
     for record in registry(backend):
-        arity, code = identities._compile(record.statement)
+        arity, code, reads, sweep = identities._compile(record.statement)
         assert arity == record.arity, record.name
         domain, lhs, rhs = eval(code, namespace)
         box = list(product(*(range(lo, hi + 1) for lo, hi in ((-5, 5), (0, 5))[:arity])))
@@ -265,6 +269,13 @@ def test_every_record_is_its_compiled_statement():
         assert points and points == [p for p in box if domain(*p)], record.name
         for point in points:
             assert (lhs(*point), rhs(*point)) == (record.lhs(*point), record.rhs(*point))
+        # the sweep's sides over value tables are the record's sides, also where they differ
+        for b in (backend, wrong):
+            tables = [{k: f(k) for k in ks} for f, ks in zip((b.t, b.s, b.c), reads(points))]
+            sides = eval(code, {**namespace, "S": b.s, "C": b.c, "T": b.t})[1:]
+            assert sweep(points, *tables) == [
+                (p, *values) for p in points for values in [[side(*p) for side in sides]]
+                if values[0] != values[1]], record.name
         assert all(text in record.statement for text in texts.get(record.name, []))
     assert sum(map(len, texts.values())) == len(seqcore.T_FORMS)
 
@@ -289,6 +300,7 @@ def test_statement_text_is_what_gets_checked(monkeypatch):
     "len(n) = S(n)",                      # unknown function
     "S(n) = 1.5*S(n)",                    # float
     "S(n, m) = S(n)",                     # two arguments
+    "S(S(n)) = S(n)",                     # call in a call: no index set before the values
     "S(n) = S(n)  [n >= 0 or n < 0]",     # or
     "S(n) = S(n) = S(n)",                 # two equals signs
     "S(n) + 1",                           # no equation
@@ -359,3 +371,147 @@ def test_boundary_consistency_reports_a_seed_fault_at_every_diagonal_point():
     assert report.cases_checked == 6
     assert [point for point, _, _ in report.counterexamples] == [(n, n) for n in range(6)]
     assert all(ge - lt == 1 for _, ge, lt in report.counterexamples)
+
+
+_WORKLOADS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
+_LETTERS = dict(zip("tsc", SequenceKind))
+
+
+def _mutated(seq, position, delta):
+    seeds = list(seqcore.RECURRENCES[_LETTERS[seq]].seeds)
+    seeds[position] += delta
+    return {f"{seq}_seeds": tuple(seeds)}
+
+
+# the canonical seeds, then each single-seed fault that perfbench's certify workload injects
+SEED_SETS = [{}, *(_mutated(*mutation) for mutation in _WORKLOADS["MUTATIONS"])]
+
+
+def _ladder_backend(seeds):
+    """Each value from its own ladder call, cached: no memo pass involved."""
+    return SequenceBackend(*(
+        functools.cache(seqcore.Recurrence(recurrence.coeffs, seeds.get(f"{letter}_seeds")
+                                           or recurrence.seeds).at)
+        for letter, recurrence in zip("tsc", seqcore.RECURRENCES.values())))
+
+
+def _reference(name, domain, lhs, rhs, points, bounds):
+    """The report of one loop over the points through the record's own sides."""
+    points = [point for point in points if domain(*point)]
+    if not points:
+        raise ValueError(f"{name}: no case of its domain lies in {bounds}")
+    sides = ((point, lhs(*point), rhs(*point)) for point in points)
+    return identities.VerificationReport(
+        name, bounds, len(points), tuple((p, l, r) for p, l, r in sides if l != r))
+
+
+def _outcome(run, *args):
+    try:
+        return run(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+_BOUND = st.integers(min_value=-60, max_value=60)
+_M_BOUND = st.integers(min_value=0, max_value=40)
+
+
+@pytest.mark.parametrize("seeds", SEED_SETS, ids=lambda seeds: repr(seeds) if seeds else "canonical")
+@settings(max_examples=3, deadline=None)
+@given(n=st.tuples(_BOUND, _BOUND).map(sorted), m=st.tuples(_M_BOUND, _M_BOUND).map(sorted))
+@example(n=(-60, 60), m=(0, 40))
+def test_sweep_reports_are_those_of_a_loop_over_each_record(seeds, n, m):
+    # cases, counterexample points and both sides, in order, for every record
+    # and for BOUNDARY, at each seed set; one backend serves every sweep
+    (n_lo, n_hi), m_bounds = n, tuple(m)
+    backend, reference = SequenceBackend.with_seeds(**seeds), _ladder_backend(seeds)
+    for record in registry(reference):
+        bounds = "n in [{}, {}]".format(n_lo, n_hi) + (
+            ", m in [{}, {}]".format(*m_bounds) if record.arity == 2 else "")
+        box = product(range(n_lo, n_hi + 1), *[range(m_bounds[0], m_bounds[1] + 1)][:record.arity - 1])
+        expected = _outcome(_reference, record.name, record.domain, record.lhs, record.rhs, box, bounds)
+        assert _outcome(verify, record.name, (n_lo, n_hi), m_bounds, backend) == expected
+    ge, lt = (identities._find(registry(reference), name) for name in ("PROD_GE", "PROD_LT"))
+    diagonal = [(k, k) for k in range(n_lo, n_hi + 1)]
+    expected = _reference("BOUNDARY", lambda n, m: True, ge.rhs, lt.rhs, diagonal,
+                          f"n = m in [{n_lo}, {n_hi}]")
+    assert boundary_consistency((n_lo, n_hi), backend) == expected
+
+
+def _counting(backend, calls):
+    """The backend, with every index asked of each function recorded in ``calls``."""
+    def counted(letter, at):
+        def count(k):
+            calls[letter].append(k)
+            return at(k)
+        return count
+    return SequenceBackend(*(counted(letter, getattr(backend, letter)) for letter in "tsc"))
+
+
+@pytest.mark.parametrize("name", [*EXPECTED_NAMES, "BOUNDARY"])
+def test_a_sweep_asks_each_value_it_reads_once_going_out_from_zero(name):
+    n_bounds, m_bounds = (-30, 30), (0, 20)
+    calls = {letter: [] for letter in "tsc"}
+    counting = _counting(SequenceBackend.default(), calls)
+    # brute force: every index the record's own sides read at its points
+    reads = {letter: [] for letter in "tsc"}
+    recording = _counting(_ladder_backend({}), reads)
+    if name == "BOUNDARY":
+        boundary_consistency(n_bounds, counting)
+        records = {r.name: r for r in registry(recording)}
+        for n in range(n_bounds[0], n_bounds[1] + 1):
+            records["PROD_GE"].rhs(n, n), records["PROD_LT"].rhs(n, n)
+    else:
+        verify(name, n_bounds, m_bounds, counting)
+        record = identities._find(registry(recording), name)
+        box = product(range(n_bounds[0], n_bounds[1] + 1), range(m_bounds[0], m_bounds[1] + 1))
+        for point in {point[:record.arity] for point in box}:
+            if record.domain(*point):
+                record.lhs(*point), record.rhs(*point)
+    assert any(calls.values())
+    for letter, asked in calls.items():
+        assert sorted(asked) == sorted(set(reads[letter])), letter  # once per distinct index
+        ahead, behind = [k for k in asked if k >= 0], [k for k in asked if k < 0]
+        assert ahead == sorted(ahead) and behind == sorted(behind, reverse=True), letter
+
+
+def test_a_pass_asked_going_out_from_zero_never_restarts(monkeypatch):
+    starts = []
+    original = seqcore._pass
+
+    def counting(coeffs, arithmetic):
+        generator = original(coeffs, arithmetic)
+
+        def start(*window):
+            starts.append((coeffs, window))
+            return generator(*window)
+        return start
+
+    monkeypatch.setattr(seqcore, "_pass", counting)
+    for kind, recurrence in seqcore.RECURRENCES.items():
+        memo = recurrence.memo()
+        indices = [0, 1, 2, 5, 9, 40, 300, -1, -2, -7, -300]
+        assert [memo(k) for k in indices] == [term(kind, k) for k in indices]
+        assert len(starts) == 2
+        assert memo(300) == term(kind, 300) and len(starts) == 2  # the last value is kept
+        assert memo(3) == term(kind, 3) and len(starts) == 3  # below its position: restart
+        starts.clear()
+    # each sweep runs each pass it needs once: forward and backward per sequence
+    for name in EXPECTED_NAMES:
+        verify(name, (-40, 40), (0, 40))
+        assert starts and len(starts) == len(set(starts)), name
+        starts.clear()
+    boundary_consistency((-40, 40))
+    assert starts and len(starts) == len(set(starts))
+
+
+def test_a_sweep_holds_only_the_values_its_points_read():
+    # CONS_3 reads S only at multiples of n; a dense memo of every S up to
+    # n*(m+1) peaks at about 32 MB on this sweep
+    tracemalloc.start()
+    try:
+        assert verify("CONS_3", (0, 150), (2, 152)).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 10**6
