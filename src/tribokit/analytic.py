@@ -10,19 +10,21 @@ a conjugate pair beta, gamma with |beta| = 1/sqrt(alpha) < 1.  Then
 hold for every integer n: C is the power sum of the pairwise products,
 each the reciprocal of the third root (alpha*beta*gamma = 1), and T reads
 22*T(n) = 5*S(n-1) + S(n) + 2*S(n+1) (``seqcore.T_FROM_S``) root by root.
-alpha is located by Newton's method started at 1.8; beta and gamma come
-from the deflated quadratic whose root sum is 1 - alpha and whose root
-product is 1/alpha, so the Vieta identities hold by construction up to
-rounding.
+alpha is located by Newton's method started at 1.8, each step at about
+twice the digits of the one before, so that only the last one or two run
+at the full working precision; beta and gamma come from the deflated
+quadratic whose root sum is 1 - alpha and whose root product is
+1/alpha, so the Vieta identities hold by construction up to rounding.
 
 Precision is a decimal digit count (>= 15).  All arithmetic runs under
 an mpmath working precision with guard digits; because the working
 precision is a process-global context, callers that mix precisions
 across threads should serialize calls.  Each Binet evaluation computes
-its three power terms once, each by binary powering (products only,
-never exp(m*log z)), and derives both the value and its error bound
-from them, the bound an mpf, which keeps its exponent far below the
-float range; nothing is cached between calls.
+two powers, of alpha and of beta, by binary powering (products only,
+never exp(m*log z)), takes gamma's term as the conjugate of beta's, and
+derives both the value and its error bound from the three terms, the
+bound an mpf, which keeps its exponent far below the float range;
+nothing is cached between calls.
 
 This is the one module of the package that imports mpmath.  The CLI
 imports this module only inside the commands that use it (``roots``,
@@ -40,6 +42,9 @@ from .seqcore import T_FROM_S, SequenceKind
 
 _GUARD_DIGITS = 10
 _NEWTON_MAX_ITER = 200
+# Newton takes lower rungs of precision only from 2 * _LOW_DIGITS working
+# digits on; below that a step costs about the same at any precision.
+_LOW_DIGITS = 20
 # Safety factor absorbing ulp constants of the power evaluations and the
 # final Newton residual; deliberately generous, the certified window is
 # still far below the 0.5 rounding threshold.
@@ -62,11 +67,12 @@ class RootSet:
 
 @dataclass(frozen=True)
 class VietaResiduals:
-    """|e1 - 1|, |e2 + 1|, |e3 - 1| for the elementary symmetric sums."""
+    """|e1 - 1|, |e2 + 1|, |e3 - 1| for the elementary symmetric sums, each
+    an mpf (a float would underflow to 0 below about 1e-308)."""
 
-    sum_res: float
-    pair_res: float
-    prod_res: float
+    sum_res: Any  # mpmath.mpf
+    pair_res: Any
+    prod_res: Any
 
 
 def _poly(x: Any) -> Any:
@@ -77,23 +83,40 @@ def _poly_deriv(x: Any) -> Any:
     return (3 * x - 2) * x - 1
 
 
+def _converge(start: Any, digits: int, moved: int) -> Any:
+    """Newton steps for alpha from ``start`` at ``digits`` working digits,
+    until a step moves x by at most 10^-moved."""
+    with mpmath.workdps(digits):
+        x = mpmath.mpf(start)
+        tol = mpmath.mpf(10) ** -moved
+        for _ in range(_NEWTON_MAX_ITER):
+            x, prev = x - _poly(x) / _poly_deriv(x), x
+            if abs(x - prev) <= tol:
+                return x
+    raise RuntimeError(f"Newton iteration did not converge within {_NEWTON_MAX_ITER} steps")
+
+
 def char_roots(precision: int) -> RootSet:
     """Compute all three roots to ``precision`` decimal digits (>= 15)."""
     if precision < 15:
         raise ValueError(f"precision must be >= 15 decimal digits, got {precision}")
-    with mpmath.workdps(precision + _GUARD_DIGITS):
-        # The cubic is increasing and convex on [1.8, 2], so the first
-        # step lands past alpha and every later step falls toward it.
-        x = mpmath.mpf("1.8")
-        tol = mpmath.mpf(10) ** (-(precision + _GUARD_DIGITS - 2))
-        for _ in range(_NEWTON_MAX_ITER):
-            x, prev = x - _poly(x) / _poly_deriv(x), x
-            if abs(x - prev) <= tol:
-                break
-        else:
-            raise RuntimeError(
-                f"Newton iteration did not converge within {_NEWTON_MAX_ITER} steps"
-            )
+    work = precision + _GUARD_DIGITS
+    # Each rung of the ladder has about twice the digits of the one below.
+    # Below the working precision a rung stops at a step that moves x by
+    # 10^-(digits/2): the next error is about 0.83 times its square, so x
+    # is then correct to about the rung's digits, and the next rung needs
+    # one step.  Only the last one or two steps run at the working
+    # precision, under its own stopping test.
+    ladder = [work]
+    while ladder[-1] >= 2 * _LOW_DIGITS:
+        ladder.append(ladder[-1] // 2 + 1)
+    # The cubic is increasing and convex on [1.8, 2], so the first step
+    # lands past alpha and every later step falls toward it.
+    x = "1.8"
+    for digits in reversed(ladder[1:]):
+        x = _converge(x, digits, digits // 2)
+    x = _converge(x, work, work - 2)
+    with mpmath.workdps(work):
         alpha = x
         real = (1 - alpha) / 2
         imag = mpmath.sqrt(4 / alpha - (1 - alpha) ** 2) / 2
@@ -109,9 +132,9 @@ def vieta_check(roots: RootSet) -> VietaResiduals:
     with mpmath.workdps(roots.precision + 2 * _GUARD_DIGITS):
         a, b, g = roots.alpha, roots.beta, roots.gamma
         return VietaResiduals(
-            sum_res=float(abs(a + b + g - 1)),
-            pair_res=float(abs(a * b + a * g + b * g + 1)),
-            prod_res=float(abs(a * b * g - 1)),
+            sum_res=abs(a + b + g - 1),
+            pair_res=abs(a * b + a * g + b * g + 1),
+            prod_res=abs(a * b * g - 1),
         )
 
 
@@ -150,18 +173,25 @@ def _pow(z: Any, m: int) -> Any:
 
 
 def _power_terms(kind: SequenceKind, n: int, roots: RootSet) -> tuple[Any, Any, Any]:
-    """k_i * a_i^m for the three roots: m = -n for C, else n; k_i = 1 but for T."""
+    """k_i * a_i^m for the three roots: m = -n for C, else n; k_i = 1 but for T.
+
+    gamma is conj(beta), and mpmath rounds the real and imaginary parts
+    alike, so the gamma term is the conjugate of the beta term bit for
+    bit: one power serves the pair.
+    """
     m = -n if kind is SequenceKind.MINOR_SUM else n
     scale, (before, at, after) = T_FROM_S
-    return tuple(_pow(z, m) if kind is not SequenceKind.TRIBONACCI
-                 else (before / z + at + after * z) / scale * _pow(z, m)
-                 for z in (roots.alpha, roots.beta, roots.gamma))
+    alpha_term, beta_term = (_pow(z, m) if kind is not SequenceKind.TRIBONACCI
+                             else (before / z + at + after * z) / scale * _pow(z, m)
+                             for z in (roots.alpha, roots.beta))
+    return alpha_term, beta_term, mpmath.conj(beta_term)
 
 
 def _binet(kind: SequenceKind, n: int, roots: RootSet) -> tuple[Any, Any]:
     """(value, bound): the real Binet sum at index n and its certified
     absolute error, both mpf (a float bound would underflow to 0 below
-    about 1e-308), from one evaluation of the power terms.
+    about 1e-308), from one evaluation of the power terms: a power of
+    alpha, one of beta, and its conjugate for gamma.
 
     The bound scales with the magnitudes of the three power terms, the
     index, and 10^(-precision); it decays with the conjugate-pair
@@ -205,12 +235,14 @@ def binet_error_bound(kind: SequenceKind, n: int, roots: RootSet) -> Any:
     return _binet(kind, n, roots)[1]
 
 
-def binet_round(kind: SequenceKind, n: int, roots: RootSet) -> int:
+def binet_round(kind: SequenceKind, n: int, roots: RootSet,
+                with_bound: bool = False) -> int | tuple[int, Any]:
     """Nearest integer to the Binet value, refused unless certified.
 
     Raises PrecisionError when |n| exceeds the index cap or the error
     bound reaches 0.5, so a successful return is the exact sequence
-    value.
+    value.  With ``with_bound`` it returns (value, bound), the bound that
+    certified it, from the same evaluation.
     """
     value, bound = _binet(kind, n, roots)
     if bound >= 0.5:
@@ -219,4 +251,5 @@ def binet_round(kind: SequenceKind, n: int, roots: RootSet) -> int:
             "refusing to round"
         )
     with mpmath.workdps(roots.precision + _GUARD_DIGITS):
-        return int(mpmath.nint(value))
+        rounded = int(mpmath.nint(value))
+    return (rounded, bound) if with_bound else rounded

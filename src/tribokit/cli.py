@@ -76,6 +76,9 @@ class JSONText(NamedTuple):
 
     text: str
 
+    def __str__(self) -> str:  # csv writes each field through str()
+        return self.text
+
 
 class CliConfig(NamedTuple):
     default_range: tuple[int, int] = (0, 100)
@@ -183,14 +186,32 @@ def _binet_texts(analytic: Any, kind: SequenceKind, lo: int, hi: int, precision:
 def _binet_point(analytic: Any, kind: SequenceKind, n: int, precision: int,
                  timed: Callable) -> dict[str, Any]:
     roots = analytic.char_roots(precision)
+    bounds = []
+
+    def evaluate() -> int:
+        value, bound = analytic.binet_round(kind, n, roots, with_bound=True)
+        bounds.append(bound)
+        return value
+
     try:
-        row = timed(lambda: analytic.binet_round(kind, n, roots))
+        row = timed(evaluate)
     except analytic.PrecisionError as exc:
         return {"seconds": None, "value": None, "note": f"bound exceeded: {exc}"}
-    bound = analytic.binet_error_bound(kind, n, roots)
-    # a float below 1e-300 would underflow: such a bound keeps its true exponent, as number text
-    return {**row, "bound": float(bound) if bound >= 1e-300 else
-            JSONText(analytic.mpmath.nstr(bound, 4, strip_zeros=False, min_fixed=0, max_fixed=0))}
+    return {**row, "bound": _number(analytic, bounds[-1])}
+
+
+def _number(analytic: Any, value: Any) -> float | JSONText:
+    """An mpf as a float or, nonzero below 1e-300, where a float would
+    underflow, as number text at its true decimal exponent (four digits),
+    which json, csv and ``_sci`` print as it stands."""
+    if not value or value >= 1e-300:
+        return float(value)
+    return JSONText(analytic.mpmath.nstr(value, 4, strip_zeros=False, min_fixed=0, max_fixed=0))
+
+
+def _sci(value: float | JSONText) -> str:
+    """Plain text of a ``_number`` value: a float to four digits, as 1.448e-26."""
+    return value.text if isinstance(value, JSONText) else f"{value:.3e}"
 
 
 STRATEGIES: dict[str, Strategy] = {
@@ -384,7 +405,9 @@ def cmd_roots(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
 
     precision = args.precision if args.precision is not None else config.precision
     roots = analytic.char_roots(precision)
-    residuals = analytic.vieta_check(roots)
+    vieta = analytic.vieta_check(roots)
+    sum_res, pair_res, prod_res = (_number(analytic, r)
+                                   for r in (vieta.sum_res, vieta.pair_res, vieta.prod_res))
     alpha, beta_re, beta_im, abs_beta = analytic.root_texts(roots)
     if fmt == "json":
         return EXIT_OK, {
@@ -392,11 +415,8 @@ def cmd_roots(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
             "alpha": alpha,
             "beta": {"real": beta_re, "imag": beta_im},
             "abs_beta": abs_beta,
-            "residuals": {
-                "sum": residuals.sum_res,
-                "pair": residuals.pair_res,
-                "product": residuals.prod_res,
-            },
+            "residuals": JSONText("".join(_json_pieces(
+                {"sum": sum_res, "pair": pair_res, "product": prod_res}))),
             "index_cap": analytic.binet_index_cap(precision),
         }
     if fmt == "csv":
@@ -406,9 +426,9 @@ def cmd_roots(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
             ["beta_real", beta_re],
             ["beta_imag", beta_im],
             ["abs_beta", abs_beta],
-            ["residual_sum", residuals.sum_res],
-            ["residual_pair", residuals.pair_res],
-            ["residual_product", residuals.prod_res],
+            ["residual_sum", sum_res],
+            ["residual_pair", pair_res],
+            ["residual_product", prod_res],
             ["index_cap", analytic.binet_index_cap(precision)],
         ])
     return EXIT_OK, "\n".join([
@@ -417,9 +437,9 @@ def cmd_roots(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
         f"beta {beta_re} + {beta_im}i",
         f"gamma {beta_re} - {beta_im}i",
         f"|beta| {abs_beta}",
-        f"residual_sum {residuals.sum_res:.3e}",
-        f"residual_pair {residuals.pair_res:.3e}",
-        f"residual_product {residuals.prod_res:.3e}",
+        f"residual_sum {_sci(sum_res)}",
+        f"residual_pair {_sci(pair_res)}",
+        f"residual_product {_sci(prod_res)}",
         f"index_cap {analytic.binet_index_cap(precision)}",
     ])
 
@@ -542,7 +562,7 @@ def cmd_bench(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
         else:
             seconds = f"{row['seconds']:.6f}s"
             bound = row.get("bound", "")
-            extra = bound and f"  bound={bound.text if isinstance(bound, JSONText) else f'{bound:.3e}'}"
+            extra = bound and f"  bound={_sci(bound)}"
             lines.append(f"{row['strategy']:<12} {seconds}  value={_short_int(row['value'])}{extra}")
     lines.append(f"exact strategies agree: {'yes' if agreement else 'NO'}")
     return status, "\n".join(lines)

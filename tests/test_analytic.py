@@ -18,7 +18,7 @@ from tribokit.analytic import (
     vieta_check,
 )
 from tribokit.cli import bench_strategies
-from tribokit.seqcore import SequenceKind, c_seq, s_lucas, term, tribonacci
+from tribokit.seqcore import T_FROM_S, SequenceKind, c_seq, s_lucas, term, tribonacci
 
 
 def _alpha_by_bisection() -> float:
@@ -221,14 +221,66 @@ def test_binet_round_computes_its_power_terms_once(monkeypatch, kind):
 
 def test_bench_times_every_binet_repetition(monkeypatch):
     # no cache between calls: each timed repetition evaluates the power
-    # terms afresh, and the reported bound takes one more evaluation
+    # terms afresh, and the reported bound is the last one's
     calls = _count_power_terms(monkeypatch)
     rows, agree = bench_strategies(SequenceKind.GENERALIZED_LUCAS, 50, 3, 30)
     assert agree
     binet = next(row for row in rows if row["strategy"] == "binet")
     assert binet["value"] == s_lucas(50)
     assert binet["bound"] < 0.5
-    assert calls == [50] * 4
+    assert calls == [50] * 3
+
+
+def test_root_texts_match_an_independent_oracle():
+    # the secant method of mpmath.findroot from points near each root, at 30
+    # more digits, shares neither the Newton ladder nor the deflation
+    cubic = lambda x: ((x - 1) * x - 1) * x - 1
+    for precision in range(15, 1501, 7):
+        with mpmath.workdps(precision + 30):
+            alpha = mpmath.findroot(cubic, mpmath.mpf("1.84"))
+            beta = mpmath.findroot(cubic, mpmath.mpc("-0.42", "0.6"))
+            expected = tuple(mpmath.nstr(x, precision)
+                             for x in (alpha, beta.real, beta.imag, abs(beta)))
+        assert analytic.root_texts(char_roots(precision)) == expected, precision
+
+
+@pytest.mark.parametrize("precision", [29, 30, 1500])
+def test_char_roots_runs_few_newton_steps_at_the_working_precision(monkeypatch, precision):
+    # each step runs at about twice the digits of the one before, so only
+    # the last one or two pay for the full working precision; below
+    # 2 * _LOW_DIGITS working digits every step runs there, as it always did
+    digits = []
+    original = analytic._poly
+
+    def counted(x):
+        digits.append(mpmath.mp.dps)
+        return original(x)
+
+    monkeypatch.setattr(analytic, "_poly", counted)
+    char_roots(precision)
+    work = precision + analytic._GUARD_DIGITS
+    assert max(digits) == work
+    full = digits.count(work)
+    assert full == len(digits) if work < 2 * analytic._LOW_DIGITS else 1 <= full <= 3
+
+
+@pytest.mark.parametrize("precision", [15, 30, 400, 1500])
+def test_gamma_term_is_the_conjugate_of_the_beta_term_bit_for_bit(precision):
+    # the gamma term is taken as conj of the beta term; it must be exactly
+    # what powering gamma itself gives
+    roots = char_roots(precision)
+    scale, (before, at, after) = T_FROM_S
+    cap = binet_index_cap(precision)
+    for n in sorted({-cap, -cap + 1, -precision - 3, -7, -1, 0, 1, 2, 5, precision, cap - 1, cap}):
+        for kind in SequenceKind:
+            m = -n if kind is SequenceKind.MINOR_SUM else n
+            with mpmath.workdps(precision + analytic._GUARD_DIGITS):
+                expected = analytic._pow(roots.gamma, m)
+                if kind is SequenceKind.TRIBONACCI:
+                    z = roots.gamma
+                    expected = (before / z + at + after * z) / scale * expected
+                gamma_term = analytic._power_terms(kind, n, roots)[2]
+            assert gamma_term == expected, (kind, n)  # exact: mpmath compares values, not digits
 
 
 def test_char_roots_raises_when_newton_does_not_converge(monkeypatch):

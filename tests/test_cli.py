@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -338,6 +339,33 @@ def test_bench_prints_the_binet_bound_at_its_true_exponent(capsys, tmp_path, pre
     assert json.loads(out)["strategies"][2]["bound"] == float(bound)
 
 
+@pytest.mark.parametrize("precision", [30, 400, 1500])
+def test_roots_prints_the_vieta_residuals_at_their_true_exponent(capsys, precision):
+    # from about precision 300 the residuals are far below the smallest float
+    vieta = analytic.vieta_check(analytic.char_roots(precision))
+    residuals = [vieta.sum_res, vieta.pair_res, vieta.prod_res]
+    assert (max(residuals) < 1e-300) is (precision > 300) and max(residuals) > 0
+
+    def check(texts):  # each text read back exactly: 0 only for 0, else within its digits
+        for text, residual in zip(texts, residuals):
+            printed = mpmath.mpf(text)
+            assert printed == residual == 0 or abs(printed / residual - 1) < 1e-3, (text, residual)
+
+    code, out, err = run(capsys, "roots", str(precision))
+    assert (code, err) == (0, "")
+    plain = dict(line.split(" ", 1) for line in out.splitlines())
+    check([plain[f"residual_{key}"] for key in ("sum", "pair", "product")])
+    code, out, err = run(capsys, "roots", str(precision), "--format", "json")
+    assert (code, err) == (0, "")
+    json.loads(out)
+    texts = re.search(r'"residuals": \{"sum": (\S+), "pair": (\S+), "product": (\S+)\}', out)
+    check(texts.groups())
+    code, out, err = run(capsys, "roots", str(precision), "--format", "csv")
+    assert (code, err) == (0, "")
+    rows = dict(line.split(",") for line in out.splitlines())
+    check([rows[f"residual_{key}"] for key in ("sum", "pair", "product")])
+
+
 @pytest.fixture
 def add_strategy(monkeypatch):
     """Inserts one entry into the strategy table, as a new method would be."""
@@ -389,9 +417,14 @@ def test_bench_exits_3_when_the_exact_strategies_disagree(monkeypatch, capsys, a
 
 
 def test_bench_exits_3_when_the_binet_value_is_wrong(monkeypatch, capsys):
-    original = analytic.binet_round
-    monkeypatch.setattr(analytic, "binet_round",
-                        lambda kind, n, roots: original(kind, n, roots) + 1)
+    # wrong by one where eval and bench both evaluate, whatever each asks of binet_round
+    original = analytic._binet
+
+    def wrong_by_one(kind, n, roots):
+        value, bound = original(kind, n, roots)
+        return value + 1, bound
+
+    monkeypatch.setattr(analytic, "_binet", wrong_by_one)
     code, out, err = run(capsys, "bench", "S", "10", "1")
     assert (code, err) == (3, "")
     assert out.splitlines()[-1] == "exact strategies agree: NO"
