@@ -10,21 +10,29 @@ a conjugate pair beta, gamma with |beta| = 1/sqrt(alpha) < 1.  Then
 hold for every integer n: C is the power sum of the pairwise products,
 each the reciprocal of the third root (alpha*beta*gamma = 1), and T reads
 22*T(n) = 5*S(n-1) + S(n) + 2*S(n+1) (``seqcore.T_FROM_S``) root by root.
-alpha is located by Newton's method started at 1.8, each step at about
-twice the digits of the one before, so that only the last one or two run
-at the full working precision; beta and gamma come from the deflated
-quadratic whose root sum is 1 - alpha and whose root product is
-1/alpha, so the Vieta identities hold by construction up to rounding.
 
-Precision is a decimal digit count (>= 15).  All arithmetic runs under
-an mpmath working precision with guard digits; because the working
-precision is a process-global context, callers that mix precisions
-across threads should serialize calls.  Each Binet evaluation computes
-two powers, of alpha and of beta, by binary powering (products only,
-never exp(m*log z)), takes gamma's term as the conjugate of beta's, and
-derives both the value and its error bound from the three terms, the
-bound an mpf, which keeps its exponent far below the float range;
-nothing is cached between calls.
+The Binet path is exact integer arithmetic, proved, not estimated.  alpha
+is enclosed between a/2^W and (a+1)/2^W by an exact sign change of the
+cubic; beta, 1/alpha and 1/beta follow from alpha by Vieta with outward
+rounding (``math.isqrt`` for Im beta); each power is binary powering on a
+Gaussian ball, a fixed-point midpoint and a radius rounded outward at every
+product; gamma's term is the conjugate of beta's, so the sum is the alpha
+term plus twice the real part of the beta term.  W is chosen from n, so
+the precision only sets the index cap, ``binet_index_cap``, past which
+rounding is refused.  ``binet_round`` returns the one integer within the
+enclosure and raises PrecisionError when there is not exactly one; the
+enclosure's half-width is the bound it reports.  Nothing is cached
+between calls, and the Binet path reads no process-global state.
+
+``char_roots`` locates alpha by Newton's method started at 1.8, each step
+at about twice the digits of the one before, so that only the last one or
+two run at the full working precision; beta and gamma come from the
+deflated quadratic whose root sum is 1 - alpha and whose root product is
+1/alpha.  Its precision is a decimal digit count (>= 15), and it,
+``vieta_check`` and ``root_texts``, which serve ``roots``, run under an
+mpmath working precision with guard digits: mpmath's precision is a
+process-global context, so callers that mix precisions across threads
+should serialize calls to those three.
 
 This is the one module of the package that imports mpmath.  The CLI
 imports this module only inside the commands that use it (``roots``,
@@ -33,7 +41,9 @@ loading mpmath; ``root_texts`` prints the roots for ``roots``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Any
 
 import mpmath
@@ -45,10 +55,6 @@ _NEWTON_MAX_ITER = 200
 # Newton takes lower rungs of precision only from 2 * _LOW_DIGITS working
 # digits on; below that a step costs about the same at any precision.
 _LOW_DIGITS = 20
-# Safety factor absorbing ulp constants of the power evaluations and the
-# final Newton residual; deliberately generous, the certified window is
-# still far below the 0.5 rounding threshold.
-_BOUND_SAFETY = 100
 
 
 class PrecisionError(ArithmeticError):
@@ -156,100 +162,179 @@ def binet_index_cap(precision: int) -> int:
     return 2 * precision
 
 
-def _pow(z: Any, m: int) -> Any:
-    """z^m by left-to-right binary powering at the working precision.
+_MARGIN_BITS = 40  # fractional bits past a power's own size: enclosures near 2^-30 wide
+_ALPHA_FLOAT = 1.8392867552141612  # alpha to about 2^-52, where integer Newton starts
+_FLOAT_BITS = 48
 
-    mpmath's ``**`` switches to exp(m*log z) once |m| times the mantissa
-    length passes 10,000 bits, which costs more than these products.
+Ball = tuple[int, int, int]
+
+
+def _cubic(a: int, w: int) -> int:
+    """2^(3w) * (x^3 - x^2 - x - 1) at x = a / 2^w, exactly."""
+    one = 1 << w
+    return ((a - one) * a - one * one) * a - (one * one << w)
+
+
+def _alpha(w: int) -> int:
+    """The integer a with a / 2^w < alpha < (a + 1) / 2^w.
+
+    Integer Newton starts from a float and climbs bit counts that about
+    double each step (a step leaves about 0.83 times the square of the
+    error before it), so only the last step divides at w bits.  The result
+    is then certified, not trusted: the cubic is negative at a / 2^w and
+    positive at (a + 1) / 2^w, and alpha is its one real root.
     """
-    if m < 0:
-        z, m = 1 / z, -m
-    power = mpmath.mpf(1)
-    for bit in bin(m)[2:]:
-        power *= power
+    rungs = [w]
+    while rungs[-1] > _FLOAT_BITS:
+        rungs.append((rungs[-1] + 5) // 2)
+    bits = rungs.pop()
+    a = int(_ALPHA_FLOAT * (1 << bits))
+    for more in reversed(rungs):
+        a <<= more - bits
+        bits, one = more, 1 << more
+        a -= _cubic(a, bits) // ((3 * a - 2 * one) * a - one * one)
+    while _cubic(a, w) > 0:
+        a -= 1
+    while _cubic(a + 1, w) < 0:
+        a += 1
+    return a
+
+
+# A Ball (x, y, r) at f fractional bits holds every complex number within
+# r / 2^f of (x + iy) / 2^f.  A product floors its midpoint back to f bits,
+# which moves it by less than sqrt(2) units, so its radius, floored too,
+# takes 3 more: 1 for its own floor and 2 for the midpoint's move.
+
+def _ball(lo: int, hi: int) -> tuple[int, int]:
+    """Midpoint and radius of the integer interval [lo, hi]."""
+    mid = (lo + hi) >> 1
+    return mid, hi - mid
+
+
+def _mul(p: Ball, q: Ball, f: int) -> Ball:
+    (x1, y1, r1), (x2, y2, r2) = p, q
+    spread = (abs(x1) + abs(y1)) * r2 + (abs(x2) + abs(y2) + r2) * r1
+    return (x1 * x2 - y1 * y2) >> f, (x1 * y2 + x2 * y1) >> f, (spread >> f) + 3
+
+
+def _square(p: Ball, f: int) -> Ball:
+    x, y, r = p
+    spread = (2 * (abs(x) + abs(y)) + r) * r
+    return ((x - y) * (x + y)) >> f, (2 * x * y) >> f, (spread >> f) + 3
+
+
+def _power(z: Ball, m: int, f: int) -> Ball:
+    """z^m (m >= 0) by left-to-right binary powering; z^0 is one exactly."""
+    if m == 0:
+        return 1 << f, 0, 0
+    power = z
+    for bit in bin(m)[3:]:
+        power = _square(power, f)
         if bit == "1":
-            power *= z
+            power = _mul(power, z, f)
     return power
 
 
-def _power_terms(kind: SequenceKind, n: int, roots: RootSet) -> tuple[Any, Any, Any]:
-    """k_i * a_i^m for the three roots: m = -n for C, else n; k_i = 1 but for T.
+def _real_root(a: int, f: int) -> tuple[Ball, Ball]:
+    """Balls of alpha and 1/alpha at f bits, from alpha in [a, a + 1] / 2^f.
+    1/alpha = alpha^2 - alpha - 1 (Vieta), increasing in alpha past 1/2."""
+    one = 1 << f
 
-    gamma is conj(beta), and mpmath rounds the real and imaginary parts
-    alike, so the gamma term is the conjugate of the beta term bit for
-    bit: one power serves the pair.
+    def inverse(c: int) -> int:  # 2^(2f) / alpha at alpha = c / 2^f
+        return (c - one) * c - one * one
+
+    mid, rad = _ball(inverse(a) >> f, -(-inverse(a + 1) >> f))
+    return (a, 0, 1), (mid, 0, rad)
+
+
+def _complex_root(a: int, f: int) -> tuple[Ball, Ball]:
+    """Balls of beta and 1/beta at f bits, from alpha in [a, a + 1] / 2^f.
+
+    By Vieta Re beta = (1 - alpha) / 2 and |beta|^2 = 1/alpha, so
+    (Im beta)^2 = 1/alpha - (Re beta)^2 = (3*alpha^2 - 2*alpha - 5) / 4,
+    both monotone in alpha past 1: the ends of alpha's interval bound them,
+    and math.isqrt rounds Im beta outward.  1/beta = alpha * conj(beta).
     """
-    m = -n if kind is SequenceKind.MINOR_SUM else n
-    scale, (before, at, after) = T_FROM_S
-    alpha_term, beta_term = (_pow(z, m) if kind is not SequenceKind.TRIBONACCI
-                             else (before / z + at + after * z) / scale * _pow(z, m)
-                             for z in (roots.alpha, roots.beta))
-    return alpha_term, beta_term, mpmath.conj(beta_term)
+    one, b = 1 << f, a + 1
+    re, re_rad = _ball((one - b) >> 1, (one - a + 1) >> 1)
+    im, im_rad = _ball(math.isqrt(((3 * a - 2 * one) * a - 5 * one * one) >> 2),
+                       math.isqrt(((3 * b - 2 * one) * b - 5 * one * one + 3) >> 2) + 1)
+    return (re, im, re_rad + im_rad), _mul((a, 0, 1), (re, -im, re_rad + im_rad), f)
 
 
-def _binet(kind: SequenceKind, n: int, roots: RootSet) -> tuple[Any, Any]:
-    """(value, bound): the real Binet sum at index n and its certified
-    absolute error, both mpf (a float bound would underflow to 0 below
-    about 1e-308), from one evaluation of the power terms: a power of
-    alpha, one of beta, and its conjugate for gamma.
+def _binet(kind: SequenceKind, n: int, precision: int) -> tuple[int, int, int]:
+    """(x, r, d): the Binet sum at index n lies within r / d of x / d.
 
-    The bound scales with the magnitudes of the three power terms, the
-    index, and 10^(-precision); it decays with the conjugate-pair
-    contribution for the terms below modulus one.
+    The sum is w_1 * alpha^m + 2 * Re(w_2 * beta^m), m = -n for C and n
+    otherwise; w = 1 but for T, where w_i = 22 * k_i = 5/a_i + 1 + 2*a_i
+    and d carries the 22.  For m >= 0 alpha's term dominates, about
+    0.88*m bits before the point; for m < 0 the conjugate pair's, about
+    0.44*|m|.  That term runs at its size plus bitlength(|m|) +
+    _MARGIN_BITS fractional bits, the term of modulus below one at
+    bitlength(|m|) + _MARGIN_BITS, so the work is sized by n alone.
     """
-    cap = binet_index_cap(roots.precision)
+    cap = binet_index_cap(precision)
     if abs(n) > cap:
         raise PrecisionError(
             f"|n| = {abs(n)} exceeds the certified index cap {cap} "
-            f"at precision {roots.precision}"
+            f"at precision {precision}"
         )
-    with mpmath.workdps(roots.precision + _GUARD_DIGITS):
-        terms = _power_terms(kind, n, roots)
-        total = mpmath.mpc(0)
-        for t in terms:
-            total += t
-        real, imag = total.real, abs(total.imag)
-        if imag > mpmath.mpf("1e-6") * max(1, abs(real)):
-            raise PrecisionError(
-                f"imaginary residue {imag} at n={n}: precision exhausted"
-            )
-        magnitude = sum(abs(t) for t in terms)
-        bound = magnitude * (abs(n) + 1) * _BOUND_SAFETY * mpmath.mpf(10) ** (-roots.precision)
-        return real, bound
+    m = -n if kind is SequenceKind.MINOR_SUM else n
+    k = abs(m)
+    small = k.bit_length() + _MARGIN_BITS
+    big = (88 * k if m >= 0 else 44 * k) // 100 + small
+    a = _alpha(big)
+    weighted = kind is SequenceKind.TRIBONACCI
+    scale, (before, at, after) = T_FROM_S
+    x = r = 0
+    for root, f, times in ((_real_root, big if m >= 0 else small, 1),
+                           (_complex_root, small if m >= 0 else big, 2)):
+        z, inv = root(a >> (big - f), f)
+        term = _power(z if m >= 0 else inv, k, f)
+        if weighted:
+            (ix, iy, ir), (zx, zy, zr) = inv, z
+            weight = (before * ix + (at << f) + after * zx, before * iy + after * zy,
+                      before * ir + after * zr)
+            term = _mul(term, weight, f)
+        x += times * term[0] << (big - f)
+        r += times * term[2] << (big - f)
+    return x, r, (scale if weighted else 1) << big
 
 
-def binet_s(n: int, roots: RootSet) -> Any:
-    """Real part of alpha^n + beta^n + gamma^n (imaginary part must vanish)."""
-    return _binet(SequenceKind.GENERALIZED_LUCAS, n, roots)[0]
+def binet_s(n: int, precision: int) -> Fraction:
+    """The midpoint of the enclosure of alpha^n + beta^n + gamma^n."""
+    x, _, d = _binet(SequenceKind.GENERALIZED_LUCAS, n, precision)
+    return Fraction(x, d)
 
 
-def binet_c(n: int, roots: RootSet) -> Any:
-    """Real part of alpha^-n + beta^-n + gamma^-n, the power sum of the
-    pairwise root products that defines C(n)."""
-    return _binet(SequenceKind.MINOR_SUM, n, roots)[0]
+def binet_c(n: int, precision: int) -> Fraction:
+    """The midpoint of the enclosure of alpha^-n + beta^-n + gamma^-n, the
+    power sum of the pairwise root products that defines C(n)."""
+    x, _, d = _binet(SequenceKind.MINOR_SUM, n, precision)
+    return Fraction(x, d)
 
 
-def binet_error_bound(kind: SequenceKind, n: int, roots: RootSet) -> Any:
-    """Certified absolute error of the Binet evaluation at index n, an mpf;
-    raises PrecisionError past the index cap."""
-    return _binet(kind, n, roots)[1]
+def binet_error_bound(kind: SequenceKind, n: int, precision: int) -> Fraction:
+    """Half-width of the Binet enclosure at index n; raises PrecisionError
+    past the index cap."""
+    _, r, d = _binet(kind, n, precision)
+    return Fraction(r, d)
 
 
-def binet_round(kind: SequenceKind, n: int, roots: RootSet,
-                with_bound: bool = False) -> int | tuple[int, Any]:
-    """Nearest integer to the Binet value, refused unless certified.
+def binet_round(kind: SequenceKind, n: int, precision: int,
+                with_bound: bool = False) -> int | tuple[int, Fraction]:
+    """The one integer in the Binet enclosure at index n.
 
-    Raises PrecisionError when |n| exceeds the index cap or the error
-    bound reaches 0.5, so a successful return is the exact sequence
-    value.  With ``with_bound`` it returns (value, bound), the bound that
-    certified it, from the same evaluation.
+    Raises PrecisionError when |n| exceeds the index cap or the enclosure
+    does not hold exactly one integer, so a successful return is the exact
+    sequence value.  With ``with_bound`` it returns (value, bound), the
+    bound the enclosure's half-width.
     """
-    value, bound = _binet(kind, n, roots)
-    if bound >= 0.5:
+    x, r, d = _binet(kind, n, precision)
+    low, high = -((r - x) // d), (x + r) // d
+    if low != high:
         raise PrecisionError(
-            f"error bound {float(bound)} >= 0.5 at n={n}, precision {roots.precision}: "
-            "refusing to round"
+            f"the Binet enclosure at n={n}, precision {precision} holds "
+            f"{max(high - low + 1, 0)} integers: refusing to round"
         )
-    with mpmath.workdps(roots.precision + _GUARD_DIGITS):
-        rounded = int(mpmath.nint(value))
-    return (rounded, bound) if with_bound else rounded
+    return (low, Fraction(r, d)) if with_bound else low

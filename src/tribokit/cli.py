@@ -179,17 +179,15 @@ class Strategy(NamedTuple):
 
 
 def _binet_texts(analytic: Any, kind: SequenceKind, lo: int, hi: int, precision: int) -> list[str]:
-    roots = analytic.char_roots(precision)
-    return [str(analytic.binet_round(kind, n, roots)) for n in range(lo, hi + 1)]
+    return [str(analytic.binet_round(kind, n, precision)) for n in range(lo, hi + 1)]
 
 
 def _binet_point(analytic: Any, kind: SequenceKind, n: int, precision: int,
                  timed: Callable) -> dict[str, Any]:
-    roots = analytic.char_roots(precision)
     bounds = []
 
     def evaluate() -> int:
-        value, bound = analytic.binet_round(kind, n, roots, with_bound=True)
+        value, bound = analytic.binet_round(kind, n, precision, with_bound=True)
         bounds.append(bound)
         return value
 
@@ -197,7 +195,9 @@ def _binet_point(analytic: Any, kind: SequenceKind, n: int, precision: int,
         row = timed(evaluate)
     except analytic.PrecisionError as exc:
         return {"seconds": None, "value": None, "note": f"bound exceeded: {exc}"}
-    return {**row, "bound": _number(analytic, bounds[-1])}
+    # a Fraction 0 or above 2^-60: the radius of a term of modulus below one
+    # is at least 3 units of its bitlength(|n|) + 40 fractional bits
+    return {**row, "bound": float(bounds[-1])}
 
 
 def _number(analytic: Any, value: Any) -> float | JSONText:
@@ -550,10 +550,10 @@ def cmd_bench(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
                         "exact_agreement": agreement}
     if fmt == "csv":
         return status, _csv(
-            ["strategy", "seconds", "value", "note"],
+            ["strategy", "seconds", "value", "note", "bound"],
             [[row["strategy"], row["seconds"],
               "" if row["value"] is None else str(row["value"]),
-              row.get("note", "")] for row in rows],
+              row.get("note", ""), row.get("bound", "")] for row in rows],
         )
     lines = [f"bench {kind.value} n={args.n} repetitions={args.reps}"]
     for row in rows:
@@ -561,8 +561,7 @@ def cmd_bench(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
             lines.append(f"{row['strategy']:<12} {row['note']}")
         else:
             seconds = f"{row['seconds']:.6f}s"
-            bound = row.get("bound", "")
-            extra = bound and f"  bound={_sci(bound)}"
+            extra = f"  bound={_sci(row['bound'])}" if "bound" in row else ""
             lines.append(f"{row['strategy']:<12} {seconds}  value={_short_int(row['value'])}{extra}")
     lines.append(f"exact strategies agree: {'yes' if agreement else 'NO'}")
     return status, "\n".join(lines)

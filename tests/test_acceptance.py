@@ -92,16 +92,15 @@ def test_05_analytic_conformance():
             assert vieta.pair_res < 1e-12
             assert vieta.prod_res < 1e-12
 
-            roots30 = analytic.char_roots(30)
             for n in range(41):
-                assert analytic.binet_round(SequenceKind.GENERALIZED_LUCAS, n, roots30) == s_lucas(n)
-                assert analytic.binet_round(SequenceKind.MINOR_SUM, n, roots30) == c_seq(n)
+                assert analytic.binet_round(SequenceKind.GENERALIZED_LUCAS, n, 30) == s_lucas(n)
+                assert analytic.binet_round(SequenceKind.MINOR_SUM, n, 30) == c_seq(n)
             cap = analytic.binet_index_cap(30)
             assert cap == 60
             with pytest.raises(analytic.PrecisionError):
-                analytic.binet_round(SequenceKind.GENERALIZED_LUCAS, cap + 1, roots30)
+                analytic.binet_round(SequenceKind.GENERALIZED_LUCAS, cap + 1, 30)
             with pytest.raises(analytic.PrecisionError):
-                analytic.binet_round(SequenceKind.MINOR_SUM, -(cap + 1), roots30)
+                analytic.binet_round(SequenceKind.MINOR_SUM, -(cap + 1), 30)
 
 
 def test_06_cross_strategy_agreement():

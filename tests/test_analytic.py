@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -94,32 +95,28 @@ def test_vieta_detects_perturbation():
 
 
 def test_binet_s_values():
-    roots = char_roots(30)
-    assert abs(float(binet_s(0, roots)) - 3) < 1e-12
-    assert abs(float(binet_s(5, roots)) - 21) < 1e-9
-    assert abs(float(binet_s(-1, roots)) + 1) < 1e-9
+    assert abs(float(binet_s(0, 30)) - 3) < 1e-12
+    assert abs(float(binet_s(5, 30)) - 21) < 1e-9
+    assert abs(float(binet_s(-1, 30)) + 1) < 1e-9
 
 
 def test_binet_c_values():
-    roots = char_roots(30)
-    assert abs(float(binet_c(0, roots)) - 3) < 1e-12
-    assert abs(float(binet_c(1, roots)) + 1) < 1e-9
-    assert abs(float(binet_c(6, roots)) - 11) < 1e-8
+    assert abs(float(binet_c(0, 30)) - 3) < 1e-12
+    assert abs(float(binet_c(1, 30)) + 1) < 1e-9
+    assert abs(float(binet_c(6, 30)) - 11) < 1e-8
 
 
 def test_binet_round_matches_recurrences():
-    roots = char_roots(30)
     for n in range(-20, 41):
-        assert binet_round(SequenceKind.TRIBONACCI, n, roots) == tribonacci(n)
-        assert binet_round(SequenceKind.GENERALIZED_LUCAS, n, roots) == s_lucas(n)
-        assert binet_round(SequenceKind.MINOR_SUM, n, roots) == c_seq(n)
+        assert binet_round(SequenceKind.TRIBONACCI, n, 30) == tribonacci(n)
+        assert binet_round(SequenceKind.GENERALIZED_LUCAS, n, 30) == s_lucas(n)
+        assert binet_round(SequenceKind.MINOR_SUM, n, 30) == c_seq(n)
 
 
 def test_binet_round_spot_values():
-    roots = char_roots(30)
-    assert binet_round(SequenceKind.GENERALIZED_LUCAS, 9, roots) == 241
-    assert binet_round(SequenceKind.GENERALIZED_LUCAS, 10, roots) == 443
-    assert binet_round(SequenceKind.MINOR_SUM, 4, roots) == -5
+    assert binet_round(SequenceKind.GENERALIZED_LUCAS, 9, 30) == 241
+    assert binet_round(SequenceKind.GENERALIZED_LUCAS, 10, 30) == 443
+    assert binet_round(SequenceKind.MINOR_SUM, 4, 30) == -5
 
 
 @settings(max_examples=40, deadline=None)
@@ -131,24 +128,63 @@ def test_binet_round_spot_values():
 @example(case=(1500, -2999))
 def test_binet_round_is_exact_up_to_the_cap(case):
     precision, n = case
-    roots = char_roots(precision)
     for kind in SequenceKind:
-        assert binet_round(kind, n, roots) == term(kind, n)
+        assert binet_round(kind, n, precision) == term(kind, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(-10**4, 10**4), kind=st.sampled_from(SequenceKind))
+@example(n=10**4, kind=SequenceKind.TRIBONACCI)
+@example(n=-10**4, kind=SequenceKind.TRIBONACCI)
+@example(n=10**4, kind=SequenceKind.MINOR_SUM)
+@example(n=-10**4, kind=SequenceKind.GENERALIZED_LUCAS)
+def test_binet_round_is_exact_to_ten_thousand(n, kind):
+    # the cap is the only use of the precision: 5000 lets every |n| <= 10^4 through
+    assert binet_round(kind, n, 5000) == term(kind, n)
+
+
+def test_binet_round_is_exact_on_every_index_up_to_500():
+    for kind in SequenceKind:
+        assert [binet_round(kind, n, 250) for n in range(-500, 501)] == \
+            [term(kind, n) for n in range(-500, 501)], kind
+
+
+def _cubic_at(x: Fraction) -> Fraction:
+    return x**3 - x**2 - x - 1
+
+
+@pytest.mark.parametrize("w", [1, 7, 40, 48, 49, 53, 97, 100, 1000, 2691, 9000])
+def test_alpha_enclosure_is_a_sign_change_of_the_cubic(w):
+    a = analytic._alpha(w)
+    assert _cubic_at(Fraction(a, 2**w)) < 0 < _cubic_at(Fraction(a + 1, 2**w))
+    with mpmath.workdps(w // 3 + 30):  # and alpha is the cubic's root there
+        assert a == int(mpmath.floor(mpmath.findroot(_cubic_at, mpmath.mpf("1.84")) * 2**w))
 
 
 def test_binet_powers_never_take_exp_of_a_log(monkeypatch):
-    # mpmath's ** on an mpc computes exp(n*log z) once |n| times the
-    # mantissa's bits passes 10,000, as it does here (p = 400, |n| = 799)
-    roots = char_roots(400)
+    # nor any other mpmath call: every name the Binet path could reach
+    # mpmath by is cut off
+    class Refuse:
+        def __getattr__(self, name):
+            raise AssertionError(f"the Binet path read mpmath.{name}")
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a Binet power went through exp(n*log z)")
-
-    monkeypatch.setattr(mpmath.libmp.libmpc, "mpc_log", refuse)
-    monkeypatch.setattr(mpmath.libmp.libmpc, "mpc_exp", refuse)
+    monkeypatch.setattr(analytic, "mpmath", Refuse())
     for kind in SequenceKind:
-        for n in (799, -799):
-            assert binet_round(kind, n, roots) == term(kind, n)
+        for n in (-799, -1, 0, 1, 799):
+            assert binet_round(kind, n, 400) == term(kind, n)
+            assert binet_error_bound(kind, n, 400) < 0.5
+    assert binet_s(7, 400) and binet_c(7, 400)
+
+
+def test_binet_results_do_not_depend_on_mpmaths_precision():
+    def results():
+        return [(binet_round(kind, n, 1500, with_bound=True), binet_s(n, 1500), binet_c(n, 1500))
+                for kind in SequenceKind for n in (-2999, -60, -1, 0, 1, 60, 2999)]
+
+    expected = results()
+    for dps in (5, 3000):
+        with mpmath.workdps(dps):
+            assert results() == expected
 
 
 def test_index_cap():
@@ -157,78 +193,99 @@ def test_index_cap():
 
 
 def test_refuses_beyond_cap():
-    roots30 = char_roots(30)
     with pytest.raises(PrecisionError):
-        binet_round(SequenceKind.GENERALIZED_LUCAS, 61, roots30)
+        binet_round(SequenceKind.GENERALIZED_LUCAS, 61, 30)
     with pytest.raises(PrecisionError):
-        binet_s(-61, roots30)
-    roots15 = char_roots(15)
+        binet_s(-61, 30)
     with pytest.raises(PrecisionError):
-        binet_round(SequenceKind.MINOR_SUM, 31, roots15)
+        binet_round(SequenceKind.MINOR_SUM, 31, 15)
 
 
 def test_refuses_when_bound_too_large(monkeypatch):
-    roots = char_roots(15)
-    monkeypatch.setattr(analytic, "_BOUND_SAFETY", 10**40)
-    with pytest.raises(PrecisionError, match="refusing to round"):
-        binet_round(SequenceKind.GENERALIZED_LUCAS, 5, roots)
+    # an enclosure one unit wider on each side holds three integers
+    original = analytic._binet
+    monkeypatch.setattr(analytic, "_binet",
+                        lambda kind, n, precision: (lambda x, r, d: (x, r + d, d))(
+                            *original(kind, n, precision)))
+    with pytest.raises(PrecisionError, match="holds 3 integers: refusing to round"):
+        binet_round(SequenceKind.GENERALIZED_LUCAS, 5, 15)
+    # and with too few fractional bits the computed enclosure itself grows
+    # past one integer: refused, never rounded to a wrong value
+    monkeypatch.setattr(analytic, "_binet", original)
+    refused = 0
+    for margin in (-4, -2, 0):
+        monkeypatch.setattr(analytic, "_MARGIN_BITS", margin)
+        for kind in SequenceKind:
+            for n in (-2999, -1000, 1000, 2999):
+                try:
+                    assert binet_round(kind, n, 1500) == term(kind, n)
+                except PrecisionError as exc:
+                    assert "refusing to round" in str(exc)
+                    refused += 1
+    assert refused >= 12
+
+
+def test_binet_round_refuses_an_enclosure_holding_no_integer(monkeypatch):
+    # an enclosure strictly between two integers cannot be a sequence value
+    monkeypatch.setattr(analytic, "_binet", lambda kind, n, precision: (21 * 8 + 4, 1, 8))
+    with pytest.raises(PrecisionError, match="holds 0 integers: refusing to round"):
+        binet_round(SequenceKind.GENERALIZED_LUCAS, 5, 30)
 
 
 def test_error_bound_profile():
-    roots = char_roots(30)
-    bounds = [
-        binet_error_bound(SequenceKind.GENERALIZED_LUCAS, n, roots) for n in range(41)
-    ]
+    bounds = [binet_error_bound(SequenceKind.GENERALIZED_LUCAS, n, 30) for n in range(41)]
     assert all(b < 0.5 for b in bounds)
-    # flat up to float-accumulation growth
-    assert all(bounds[n] < bounds[0] + n * 1e-12 for n in range(1, 41))
-    assert bounds[0] < 1e-12
+    # S(0) = 3 has the exact powers 1; past it the fractional bits grow with
+    # the powers' size, so the half-width stays flat, near 2^-40
+    assert bounds[0] == 0
+    assert all(0 < bound < 1e-11 for bound in bounds[1:])
 
 
 def test_bound_certifies_rounding_at_the_cap():
-    roots = char_roots(30)
-    assert binet_round(SequenceKind.GENERALIZED_LUCAS, 60, roots) == s_lucas(60)
-    assert binet_round(SequenceKind.MINOR_SUM, -60, roots) == c_seq(-60)
+    assert binet_round(SequenceKind.GENERALIZED_LUCAS, 60, 30) == s_lucas(60)
+    assert binet_round(SequenceKind.MINOR_SUM, -60, 30) == c_seq(-60)
 
 
 def test_error_bound_refuses_beyond_cap():
-    roots = char_roots(30)
-    assert binet_error_bound(SequenceKind.MINOR_SUM, -60, roots) < 0.5
+    assert binet_error_bound(SequenceKind.MINOR_SUM, -60, 30) < 0.5
     with pytest.raises(PrecisionError, match="exceeds the certified index cap 60"):
-        binet_error_bound(SequenceKind.MINOR_SUM, -61, roots)
+        binet_error_bound(SequenceKind.MINOR_SUM, -61, 30)
 
 
-def _count_power_terms(monkeypatch) -> list:
+def _count_calls(monkeypatch, name: str) -> list:
+    """The argument tuples of the calls to analytic.<name>."""
     calls = []
-    original = analytic._power_terms
+    original = getattr(analytic, name)
 
-    def counted(kind, n, roots):
-        calls.append(n)
-        return original(kind, n, roots)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(analytic, "_power_terms", counted)
+    monkeypatch.setattr(analytic, name, counted)
     return calls
 
 
 @pytest.mark.parametrize("kind", [SequenceKind.GENERALIZED_LUCAS, SequenceKind.MINOR_SUM])
 def test_binet_round_computes_its_power_terms_once(monkeypatch, kind):
-    calls = _count_power_terms(monkeypatch)
-    roots = char_roots(40)
+    # one enclosure of alpha, then one power of each of alpha and beta (or
+    # of their reciprocals), to the exponent 57
+    enclosures, powers = _count_calls(monkeypatch, "_alpha"), _count_calls(monkeypatch, "_power")
     expected = s_lucas(57) if kind is SequenceKind.GENERALIZED_LUCAS else c_seq(57)
-    assert binet_round(kind, 57, roots) == expected
-    assert calls == [57]
+    assert binet_round(kind, 57, 40) == expected
+    assert len(enclosures) == 1
+    assert [args[1] for args in powers] == [57, 57]
 
 
 def test_bench_times_every_binet_repetition(monkeypatch):
-    # no cache between calls: each timed repetition evaluates the power
-    # terms afresh, and the reported bound is the last one's
-    calls = _count_power_terms(monkeypatch)
+    # no cache between calls: each timed repetition evaluates the Binet
+    # enclosure afresh, and the reported bound is the last one's
+    calls = _count_calls(monkeypatch, "_binet")
     rows, agree = bench_strategies(SequenceKind.GENERALIZED_LUCAS, 50, 3, 30)
     assert agree
     binet = next(row for row in rows if row["strategy"] == "binet")
     assert binet["value"] == s_lucas(50)
-    assert binet["bound"] < 0.5
-    assert calls == [50] * 3
+    assert [args[1] for args in calls] == [50] * 3
+    assert binet["bound"] == binet_error_bound(SequenceKind.GENERALIZED_LUCAS, 50, 30) < 0.5
 
 
 def test_root_texts_match_an_independent_oracle():
@@ -265,34 +322,30 @@ def test_char_roots_runs_few_newton_steps_at_the_working_precision(monkeypatch, 
 
 
 @pytest.mark.parametrize("precision", [15, 30, 400, 1500])
-def test_gamma_term_is_the_conjugate_of_the_beta_term_bit_for_bit(precision):
-    # the gamma term is taken as conj of the beta term; it must be exactly
-    # what powering gamma itself gives
-    roots = char_roots(precision)
-    scale, (before, at, after) = T_FROM_S
+def test_power_balls_enclose_the_powers_of_the_roots(precision):
+    # gamma's term is taken as the conjugate of beta's; the ball of each
+    # power must hold that power of the root, and its conjugate gamma's,
+    # against mpmath's polyroots at more digits than the ball carries
     cap = binet_index_cap(precision)
     for n in sorted({-cap, -cap + 1, -precision - 3, -7, -1, 0, 1, 2, 5, precision, cap - 1, cap}):
-        for kind in SequenceKind:
-            m = -n if kind is SequenceKind.MINOR_SUM else n
-            with mpmath.workdps(precision + analytic._GUARD_DIGITS):
-                expected = analytic._pow(roots.gamma, m)
-                if kind is SequenceKind.TRIBONACCI:
-                    z = roots.gamma
-                    expected = (before / z + at + after * z) / scale * expected
-                gamma_term = analytic._power_terms(kind, n, roots)[2]
-            assert gamma_term == expected, (kind, n)  # exact: mpmath compares values, not digits
+        k = abs(n)
+        for f in {k.bit_length() + 40, (88 * k if n >= 0 else 44 * k) // 100 + k.bit_length() + 40}:
+            a = analytic._alpha(f)
+            with mpmath.workdps((f + k) // 3 + 30):
+                alpha, beta, gamma = sorted(mpmath.polyroots([1, -1, -1, -1], extraprec=2 * f),
+                                            key=lambda z: (mpmath.im(z) != 0, mpmath.im(z) < 0))
+                one = mpmath.mpf(2) ** f
+                for root, roots in ((alpha, analytic._real_root(a, f)),
+                                    (beta, analytic._complex_root(a, f))):
+                    for z, (x, y, r) in zip((root, 1 / root), roots):
+                        assert abs(z - mpmath.mpc(x, y) / one) <= r / one, (f, z)
+                    x, y, r = analytic._power(roots[0] if n >= 0 else roots[1], k, f)
+                    assert abs(root**n - mpmath.mpc(x, y) / one) <= r / one, (n, f, root)
+                    if root is beta:
+                        assert abs(gamma**n - mpmath.mpc(x, -y) / one) <= r / one, (n, f)
 
 
 def test_char_roots_raises_when_newton_does_not_converge(monkeypatch):
     monkeypatch.setattr(analytic, "_NEWTON_MAX_ITER", 1)
     with pytest.raises(RuntimeError, match="did not converge within 1 steps"):
         char_roots(30)
-
-
-def test_binet_round_refuses_a_sum_that_is_not_real(monkeypatch):
-    def skewed(kind, n, roots):
-        return mpmath.mpc(5, 1), mpmath.mpc(0), mpmath.mpc(0)
-
-    monkeypatch.setattr(analytic, "_power_terms", skewed)
-    with pytest.raises(PrecisionError, match="imaginary residue"):
-        binet_round(SequenceKind.GENERALIZED_LUCAS, 10, char_roots(30))

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -323,13 +324,14 @@ def test_bench_json_reports_bound_exceeded_past_cap(capsys):
 
 @pytest.mark.parametrize("precision,n", [(30, 40), (1500, 2999)])
 def test_bench_prints_the_binet_bound_at_its_true_exponent(capsys, tmp_path, precision, n):
-    # at precision 1500 the bound is about 1e-701, far below the smallest float
+    # the bound is the half-width of the Binet enclosure, an exact fraction
+    # near 2^-40 at any n, since the working size grows with n
     config = tmp_path / "tribokit.cfg"
     config.write_text(f"precision = {precision}\n")
-    bound = analytic.binet_error_bound(SequenceKind.GENERALIZED_LUCAS, n, analytic.char_roots(precision))
-    text = f"{float(bound):.3e}" if precision == 30 else mpmath.nstr(bound, 4, strip_zeros=False)
-    number = repr(float(bound)) if precision == 30 else text
-    assert float(text.split("e")[1]) == mpmath.floor(mpmath.log10(bound))
+    bound = analytic.binet_error_bound(SequenceKind.GENERALIZED_LUCAS, n, precision)
+    text, number = f"{float(bound):.3e}", repr(float(bound))
+    assert int(text.split("e")[1]) == math.floor(math.log10(bound))
+    assert 1e-16 < bound < 1e-10
     code, out, err = run(capsys, "bench", "--config", str(config), "S", str(n), "1")
     assert (code, err) == (0, "")
     assert out.splitlines()[3].endswith(f"  bound={text}")
@@ -337,6 +339,9 @@ def test_bench_prints_the_binet_bound_at_its_true_exponent(capsys, tmp_path, pre
     assert (code, err) == (0, "")
     assert out.count('"bound": ') == 1 and f'"bound": {number}}}' in out
     assert json.loads(out)["strategies"][2]["bound"] == float(bound)
+    code, out, err = run(capsys, "bench", "--config", str(config), "--format", "csv", "S", str(n), "1")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[3].endswith(f",{number}")
 
 
 @pytest.mark.parametrize("precision", [30, 400, 1500])
@@ -417,12 +422,13 @@ def test_bench_exits_3_when_the_exact_strategies_disagree(monkeypatch, capsys, a
 
 
 def test_bench_exits_3_when_the_binet_value_is_wrong(monkeypatch, capsys):
-    # wrong by one where eval and bench both evaluate, whatever each asks of binet_round
+    # wrong by one where eval and bench both evaluate, whatever each asks of
+    # binet_round: the enclosure moved up by one
     original = analytic._binet
 
-    def wrong_by_one(kind, n, roots):
-        value, bound = original(kind, n, roots)
-        return value + 1, bound
+    def wrong_by_one(kind, n, precision):
+        x, r, d = original(kind, n, precision)
+        return x + d, r, d
 
     monkeypatch.setattr(analytic, "_binet", wrong_by_one)
     code, out, err = run(capsys, "bench", "S", "10", "1")
@@ -463,7 +469,7 @@ def test_a_strategy_added_to_the_table_reaches_eval_and_bench(capsys, add_strate
     assert payload["exact_agreement"] is False
     code, out, err = run(capsys, "bench", "S", "10", "1", "--format", "csv")
     assert (code, err) == (3, "")
-    assert out.splitlines()[4].split(",")[::2] == ["dummy", "444"]
+    assert out.splitlines()[4].split(",")[:3:2] == ["dummy", "444"]
 
 
 @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
@@ -556,7 +562,7 @@ def test_bfile_format_refused_before_any_work(command, source, tmp_path, monkeyp
 
 
 def test_eval_bfile_negative_lo_refused_before_the_strategy_runs(monkeypatch, capsys):
-    _forbid(monkeypatch, [(analytic, "char_roots"), (tribomatrix, "mat_pow")])
+    _forbid(monkeypatch, [(analytic, "binet_round"), (tribomatrix, "mat_pow")])
     for strategy in ("binet", "matrix"):
         code, out, err = run(capsys, "eval", "--format", "bfile", "--strategy", strategy,
                              "S", "--", "-5", "5")
@@ -778,18 +784,20 @@ def test_crosscheck_csv_with_mismatches(mismatching_s_fixture, capsys):
 def test_bench_csv(kind, n, oracle, capsys):
     code, out, _ = run(capsys, "bench", "--format", "csv", kind, "--", str(n), "1")
     assert code == 0
-    header, *rows = [line.split(",", 3) for line in out.splitlines()]
-    assert header == ["strategy", "seconds", "value", "note"]
+    header, *rows = [line.split(",") for line in out.splitlines()]
+    assert header == ["strategy", "seconds", "value", "note", "bound"]
     for row in rows:
         if row[1]:
             assert float(row[1]) >= 0
             row[1] = "<seconds>"
     value = str(oracle(n, n)[n])
-    binet = (["binet", "<seconds>", value, ""] if abs(n) <= 60 else
+    binet = (["binet", "<seconds>", value, "",
+              repr(float(analytic.binet_error_bound(SequenceKind.from_string(kind), n, 30)))]
+             if abs(n) <= 60 else
              ["binet", "", "", f"bound exceeded: |n| = {abs(n)} exceeds the certified index "
-                              "cap 60 at precision 30"])
-    assert rows == [["recurrence", "<seconds>", value, ""],
-                    ["matrix", "<seconds>", value, ""],
+                              "cap 60 at precision 30", ""])
+    assert rows == [["recurrence", "<seconds>", value, "", ""],
+                    ["matrix", "<seconds>", value, "", ""],
                     binet]
 
 

@@ -28,7 +28,7 @@ def test_tracing_installs_and_undoes_over_every_wrapped_name():
         for layer, names in tracing["_PUBLIC"].items():
             assert {(f"tribokit.{layer}", name) for name in names} <= changed
         tracer.begin(0)
-        value = analytic.binet_round(SequenceKind.GENERALIZED_LUCAS, 10, analytic.char_roots(30))
+        value = analytic.binet_round(SequenceKind.GENERALIZED_LUCAS, 10, 30)
         tracer.end()
         assert value == 443
         assert ("analytic", "binet_round") in {(node.layer, node.name) for node in tracer.nodes}
