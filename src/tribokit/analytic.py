@@ -34,10 +34,12 @@ mpmath working precision with guard digits: mpmath's precision is a
 process-global context, so callers that mix precisions across threads
 should serialize calls to those three.
 
-This is the one module of the package that imports mpmath.  The CLI
+This is the one module of the package that imports mpmath, and it does
+so only inside the functions that call it: ``char_roots``, ``vieta_check``,
+``root_texts`` and ``exponent_text``, which serve ``roots`` alone.  The CLI
 imports this module only inside the commands that use it (``roots``,
-``bench`` and ``eval --strategy binet``), so no other command pays for
-loading mpmath; ``root_texts`` prints the roots for ``roots``.
+``bench`` and ``eval --strategy binet``), and of those only ``roots`` pays
+for loading mpmath; ``root_texts`` prints the roots for ``roots``.
 """
 from __future__ import annotations
 
@@ -45,8 +47,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
-
-import mpmath
 
 from .seqcore import T_FROM_S, SequenceKind
 
@@ -92,6 +92,8 @@ def _poly_deriv(x: Any) -> Any:
 def _converge(start: Any, digits: int, moved: int) -> Any:
     """Newton steps for alpha from ``start`` at ``digits`` working digits,
     until a step moves x by at most 10^-moved."""
+    import mpmath
+
     with mpmath.workdps(digits):
         x = mpmath.mpf(start)
         tol = mpmath.mpf(10) ** -moved
@@ -106,6 +108,8 @@ def char_roots(precision: int) -> RootSet:
     """Compute all three roots to ``precision`` decimal digits (>= 15)."""
     if precision < 15:
         raise ValueError(f"precision must be >= 15 decimal digits, got {precision}")
+    import mpmath
+
     work = precision + _GUARD_DIGITS
     # Each rung of the ladder has about twice the digits of the one below.
     # Below the working precision a rung stops at a step that moves x by
@@ -135,6 +139,8 @@ def vieta_check(roots: RootSet) -> VietaResiduals:
     """Residuals of the three Vieta identities (sum 1, pairs -1, product 1),
     with twice the roots' guard digits, so they measure the roots and not
     the rounding of the check itself."""
+    import mpmath
+
     with mpmath.workdps(roots.precision + 2 * _GUARD_DIGITS):
         a, b, g = roots.alpha, roots.beta, roots.gamma
         return VietaResiduals(
@@ -147,6 +153,8 @@ def vieta_check(roots: RootSet) -> VietaResiduals:
 def root_texts(roots: RootSet) -> tuple[str, str, str, str]:
     """alpha, the real and imaginary parts of beta, and |beta|, each
     printed to ``roots.precision`` significant digits."""
+    import mpmath
+
     digits = roots.precision
     with mpmath.workdps(digits + _GUARD_DIGITS):
         return (
@@ -155,6 +163,14 @@ def root_texts(roots: RootSet) -> tuple[str, str, str, str]:
             mpmath.nstr(roots.beta.imag, digits),
             mpmath.nstr(abs(roots.beta), digits),
         )
+
+
+def exponent_text(value: Any, digits: int) -> str:
+    """An mpf as ``digits`` significant digits in exponent form, as
+    1.448e-701, at any exponent: no float underflow."""
+    import mpmath
+
+    return mpmath.nstr(value, digits, strip_zeros=False, min_fixed=0, max_fixed=0)
 
 
 def binet_index_cap(precision: int) -> int:

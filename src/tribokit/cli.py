@@ -34,8 +34,9 @@ is printed, so a plain ``eval`` loads neither, nor ``dataclasses``.
 a(n): recurrence, matrix and binet, each with its layer, its evaluators
 and its index cap, and each serving T, S and C; ``eval --strategy`` takes
 its names, and ``bench`` times one row of each and compares their values.
-Values print as decimal strings in every format: recurrence ranges from a
-decimal pass linear in the digits of each row, the others through
+Values print as decimal strings in every format: recurrence and matrix
+ranges from exact decimal steps linear in the digits of each row (the
+matrix route's first row through str(int)), Binet values through
 str(int).  ``eval``, ``matrix`` and ``bench`` take any integer index, and
 only bfile refuses a negative one.  Options go before ``--``, since all
 that follows it is positional: ``tribokit eval --strategy matrix S -- -20 5``.
@@ -49,7 +50,6 @@ import os
 import re
 import sys
 import time
-from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from . import seqcore
@@ -206,7 +206,7 @@ def _number(analytic: Any, value: Any) -> float | JSONText:
     which json, csv and ``_sci`` print as it stands."""
     if not value or value >= 1e-300:
         return float(value)
-    return JSONText(analytic.mpmath.nstr(value, 4, strip_zeros=False, min_fixed=0, max_fixed=0))
+    return JSONText(analytic.exponent_text(value, 4))
 
 
 def _sci(value: float | JSONText) -> str:
@@ -220,11 +220,10 @@ STRATEGIES: dict[str, Strategy] = {
         texts=lambda seqcore, kind, lo, hi, precision: seqcore.range_text(kind, lo, hi),
         point=lambda seqcore, kind, n, precision, timed: timed(lambda: seqcore.term(kind, n))),
     # T and S off A^n, C off A^-n (no 2x2 minors): the first value off two half powers,
-    # then one product a row
+    # then one step by A or A^-1 a row, in exact decimal
     "matrix": Strategy(
         "tribomatrix",
-        texts=lambda tribomatrix, kind, lo, hi, precision:
-            [str(value) for value in islice(tribomatrix.terms(kind, lo), hi - lo + 1)],
+        texts=lambda tribomatrix, kind, lo, hi, precision: tribomatrix.range_text(kind, lo, hi),
         point=lambda tribomatrix, kind, n, precision, timed:
             timed(lambda: next(tribomatrix.terms(kind, n)))),
     "binet": Strategy(

@@ -31,7 +31,7 @@ import decimal
 import functools
 import operator
 import sys
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from decimal import Decimal
 from enum import Enum, unique
 from itertools import islice
@@ -145,6 +145,19 @@ def _pairwise(join: str, xs: list[str]) -> str:
     return xs[0]
 
 
+def _linear(coeffs: Iterable[int], names: Iterable[str], arithmetic: tuple[str, str, str]) -> str:
+    """Source of the sum of coeffs[k]*names[k] in ``arithmetic``: a name of
+    coefficient +-1 is added or subtracted, one of 0 left out, and only the
+    others are multiplied; the sums nest pairwise."""
+    add, subtract, multiply = arithmetic
+    plus, minus = [], []
+    for c, x in zip(map(operator.index, coeffs), names):
+        if c:
+            (plus if c > 0 else minus).append(x if abs(c) == 1 else multiply.format(abs(c), x))
+    step = _pairwise(add, plus or ["0"])
+    return subtract.format(step, _pairwise(add, minus)) if minus else step
+
+
 @functools.lru_cache(maxsize=256)
 def _pass(coeffs: tuple[int, ...], arithmetic: tuple[str, str, str]) -> Callable[..., Iterator]:
     """Generator function: from a window a(n), ..., a(n+d-1), d = len(coeffs),
@@ -153,15 +166,8 @@ def _pass(coeffs: tuple[int, ...], arithmetic: tuple[str, str, str]) -> Callable
     or subtracts a neighbour of coefficient +-1, leaves out one of 0 and
     multiplies only by the others, its sums nested pairwise.  At most 256
     are cached, as ``expand --num/--den`` brings coefficients from outside."""
-    add, subtract, multiply = arithmetic
     names = [f"x{k}" for k in range(len(coeffs))]  # x0 holds a(k-d), the last a(k-1)
-    plus, minus = [], []
-    for c, x in zip(map(operator.index, coeffs), reversed(names)):
-        if c:
-            (plus if c > 0 else minus).append(x if abs(c) == 1 else multiply.format(abs(c), x))
-    step = _pairwise(add, plus or ["0"])
-    if minus:
-        step = subtract.format(step, _pairwise(add, minus))
+    step = _linear(coeffs, reversed(names), arithmetic)
     window = ", ".join(names)
     source = (f"def _pass({window}):\n    yield from ({window},)[:-1]\n    while True:\n"
               f"        yield {names[-1]}\n        {window} = {', '.join([*names[1:], step])}\n")
@@ -315,25 +321,32 @@ _STR_LIMIT_MESSAGE = (
 )
 
 
+def _decimal_texts(values: Iterable[Decimal]) -> Iterator[str]:
+    """Text of each exact decimal integer, equal to str() of the int, in
+    O(digits) each; past the digit limit of str(int) (sign not counted) it
+    raises str(int)'s ValueError, with its message, at the value it meets."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before 3.10.7
+    for value in values:
+        if limit and value.adjusted() >= limit:
+            raise ValueError(_STR_LIMIT_MESSAGE.format(limit))
+        yield _EXACT.to_sci_string(value)
+
+
 def _text_terms(coeffs: tuple[int, ...], window: Sequence[int]) -> Iterator[str]:
     """Decimal text of the window values, then of each later term
     a(n) = coeffs[0]*a(n-1) + ... + coeffs[d-1]*a(n-d), d = len(coeffs) <= len(window),
     without end.
 
     Window values go through str(int) one at a time, as they are asked for;
-    later terms run the decimal pass, O(digits) each to compute and to print,
-    and obey the digit limit of str(int) (sign not counted) with its message.
+    later terms run the decimal pass, O(digits) each to compute and to print
+    (``_decimal_texts``).
     """
     texts = []
     for text in map(str, window):
         yield text
         texts.append(text)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before 3.10.7
     d = len(coeffs)
-    for value in islice(_pass(coeffs, _DECIMAL)(*map(Decimal, texts[-d:])), d, None):
-        if limit and value.adjusted() >= limit:
-            raise ValueError(_STR_LIMIT_MESSAGE.format(limit))
-        yield _EXACT.to_sci_string(value)
+    yield from _decimal_texts(islice(_pass(coeffs, _DECIMAL)(*map(Decimal, texts[-d:])), d, None))
 
 
 def range_text(kind: SequenceKind, lo: int, hi: int) -> list[str]:

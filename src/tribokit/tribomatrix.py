@@ -20,11 +20,21 @@ products, 6 when Y is X, and (XY)_12 costs 3, where forming A^m = XY costs
 18 or more.  The squaring and both reads are identities for every 3x3
 matrix, not facts about A, so this route shares nothing with ``seqcore``'s
 ladder but the definition of A.
+
+A range forms A^m once and then steps it, each row one product by A or
+A^-1 compiled from the constant (``_times``) as ``seqcore._pass`` compiles
+a recurrence, over ``seqcore``'s arithmetics: six additions, no products.
+``terms`` steps over int; ``range_text`` lifts A^m to exact decimal once
+and steps there, so each printed row after the first costs time linear in
+its digits, where CPython's int-to-str is quadratic.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
+import functools
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from decimal import Decimal
+from itertools import islice
 
 from . import seqcore
 # ``tribonacci`` stays bound here for perfbench/tracing.py, which wraps it by this name.
@@ -179,23 +189,69 @@ def _entry_12_of_product(x: Matrix3, y: Matrix3) -> int:
     return x[0][0] * y[0][1] + x[0][1] * y[1][1] + x[0][2] * y[2][1]
 
 
-def terms(kind: SequenceKind, lo: int) -> Iterator[int]:
-    """a(lo), a(lo+1), ... without end, off A^m with m = lo, or m = -lo for C.
+@functools.cache
+def _times(constant: Matrix3, arithmetic: tuple[str, str, str]) -> Callable[[Matrix3], Matrix3]:
+    """m -> m*constant for any 3x3 matrix m, compiled once per constant and
+    arithmetic (``seqcore._INT`` or ``seqcore._DECIMAL``), as ``seqcore._pass``
+    compiles a recurrence: each entry is a row of m against a column of the
+    constant, leaving out its 0s and adding or subtracting at its +-1s.  By A
+    or A^-1 that is six additions, where ``mat_mul`` makes 27 products."""
+    rows = [[f"m{i}{j}" for j in range(3)] for i in range(3)]
+    unpack = ", ".join(f"({', '.join(row)})" for row in rows)
+    product = ", ".join(
+        f"({', '.join(seqcore._linear(column, row, arithmetic) for column in zip(*constant))})"
+        for row in rows)
+    namespace: dict[str, Callable[[Matrix3], Matrix3]] = {}
+    exec(f"def _times(m):\n    {unpack} = m\n    return {product}\n",
+         {"_EXACT": seqcore._EXACT}, namespace)
+    return namespace["_times"]
+
+
+def _exact_trace(m: Matrix3) -> Decimal:
+    """tr(m) of a matrix of exact Decimals, in ``seqcore._EXACT``."""
+    add = seqcore._EXACT.add
+    return add(add(m[0][0], m[1][1]), m[2][2])
+
+
+def _walk(kind: SequenceKind, lo: int, exact_decimal: bool) -> Iterator:
+    """a(lo) as an int, then a(lo+1), a(lo+2), ... without end, off A^m with
+    m = lo, or m = -lo for C: ints, or exact Decimals with ``exact_decimal``.
 
     The first value is read off the half powers X = A^(m//2) and Y = X, or
     Y = X*A when m is odd, so A^m is not formed for it.  Only a second value
-    forms A^m, as X squared (times A when m is odd); then each value costs
-    one product, by A, or by A^-1 for C."""
-    m, step = (-lo, _A_INV) if kind is SequenceKind.MINOR_SUM else (lo, _A)
-    if kind is SequenceKind.TRIBONACCI:
-        first, read = _entry_12_of_product, (lambda power: power[0][1])
-    else:
-        first, read = _trace_of_product, trace
+    forms A^m, as X squared (times A when m is odd), with ``exact_decimal``
+    lifted to Decimal entry by entry; then each value costs one compiled
+    step (``_times``), by A, or by A^-1 for C, in the same arithmetic."""
+    m, constant = (-lo, _A_INV) if kind is SequenceKind.MINOR_SUM else (lo, _A)
+    times_a = _times(_A, seqcore._INT)
     half = mat_pow(m // 2)
-    yield first(half, mat_mul(half, _A) if m % 2 else half)
-    power = _square(half)
-    if m % 2:
-        power = mat_mul(power, _A)
+    other = times_a(half) if m % 2 else half
+    tribonacci_kind = kind is SequenceKind.TRIBONACCI
+    yield (_entry_12_of_product if tribonacci_kind else _trace_of_product)(half, other)
+    power = times_a(_square(half)) if m % 2 else _square(half)
+    if exact_decimal:
+        power = tuple(tuple(map(Decimal, row)) for row in power)
+    diagonal_sum = _exact_trace if exact_decimal else trace
+    read = (lambda power: power[0][1]) if tribonacci_kind else diagonal_sum
+    step = _times(constant, seqcore._DECIMAL if exact_decimal else seqcore._INT)
     while True:
-        power = mat_mul(power, step)
+        power = step(power)
         yield read(power)
+
+
+def terms(kind: SequenceKind, lo: int) -> Iterator[int]:
+    """a(lo), a(lo+1), ... without end, off A^m with m = lo, or m = -lo for C
+    (``_walk`` over int)."""
+    return _walk(kind, lo, exact_decimal=False)
+
+
+def range_text(kind: SequenceKind, lo: int, hi: int) -> list[str]:
+    """Decimal text of a(lo)..a(hi), equal to str() of each value of ``terms``.
+
+    The first value is str() of the half-power read; the rest step A^m in
+    exact decimal (``_walk``) and print in O(digits) each, under the digit
+    limit of str(int) with its message (``seqcore._decimal_texts``)."""
+    if lo > hi:
+        raise ValueError(f"empty range: lo={lo} exceeds hi={hi}")
+    values = _walk(kind, lo, exact_decimal=True)
+    return [str(next(values)), *islice(seqcore._decimal_texts(values), hi - lo)]

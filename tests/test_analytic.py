@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -165,10 +166,12 @@ def test_binet_powers_never_take_exp_of_a_log(monkeypatch):
     # nor any other mpmath call: every name the Binet path could reach
     # mpmath by is cut off
     class Refuse:
+        __spec__ = None  # read by the import system when the name is imported
+
         def __getattr__(self, name):
             raise AssertionError(f"the Binet path read mpmath.{name}")
 
-    monkeypatch.setattr(analytic, "mpmath", Refuse())
+    monkeypatch.setitem(sys.modules, "mpmath", Refuse())
     for kind in SequenceKind:
         for n in (-799, -1, 0, 1, 799):
             assert binet_round(kind, n, 400) == term(kind, n)

@@ -888,10 +888,16 @@ def test_format_bfile_is_eval_bfile_stdout(kind, lo, width):
 
 # T(16230) has fewer digits than str(int) may print and T(16270) more, and
 # so have S(0) and S(16299): the output is refused whole, before any byte.
+# The matrix route's decimal steps refuse as str(int) does: S(19801) is past
+# the limit at the first row, S 16200..16300 and C 32000..32600 cross it.
 _PAST_THE_DIGIT_LIMIT = [
     *(["eval", "--format", fmt, "--strategy", strategy, "T", "16230", "16270"]
       for fmt in cli.FORMATS for strategy in ("recurrence", "matrix")),
     *(["expand", "--format", fmt, "S", "16300"] for fmt in ("plain", "json", "csv")),
+    *(["eval", "--format", fmt, "--strategy", "matrix", kind, lo, hi]
+      for fmt in cli.FORMATS
+      for kind, lo, hi in (("S", "19801", "20000"), ("S", "16200", "16300"),
+                           ("C", "32000", "32600"))),
 ]
 
 
@@ -1001,8 +1007,9 @@ def test_module_entry_point_exit_statuses(mismatching_s_fixture):
 
 
 # Run in a fresh interpreter: the commands that need neither mpmath nor the
-# HTTP stack, and a refused transport, then ``roots``.  A module that a
-# site hook loaded before tribokit was imported does not count against it.
+# HTTP stack (Binet's integer balls included), and a refused transport,
+# then ``roots``.  A module that a site hook loaded before tribokit was
+# imported does not count against it.
 _COLD_START = """
 import json, sys
 heavy = ("mpmath", "urllib.request")
@@ -1024,11 +1031,12 @@ print(json.dumps({"statuses": statuses, "refused": refused, "loaded": loaded,
 def test_cold_start_loads_mpmath_and_http_only_where_they_are_used():
     requests = [argv for argv in _JSON_REQUESTS
                 if argv[0] in ("eval", "verify", "expand", "matrix", "crosscheck")]
+    requests += [["bench", "S", "40", "1"], ["eval", "--strategy", "binet", "S", "0", "3"]]
     done = subprocess.run([sys.executable, "-c", _COLD_START, json.dumps(requests)],
                           env=_module_env(), capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
     assert json.loads(done.stdout.splitlines()[-1]) == {
-        "statuses": [0] * 5,
+        "statuses": [0] * 7,
         "refused": True,
         "loaded": [],
         "roots": 0,
@@ -1084,22 +1092,35 @@ def test_cold_start_loads_only_the_commands_own_layer(argv, layers):
 
 
 def test_eval_matrix_strategy_multiplies_once_between_rows(monkeypatch, capsys):
-    right_operands = []
-    original = tribomatrix.mat_mul
+    # Each row after the first is one call of the compiled step by a constant
+    # matrix, and no general product.
+    steps, products = [], []
+    original_times, original_mul = tribomatrix._times, tribomatrix.mat_mul
 
-    def counting(a, b):
-        right_operands.append(b)
-        return original(a, b)
+    def counting_times(constant, arithmetic):
+        step = original_times(constant, arithmetic)
 
-    monkeypatch.setattr(tribomatrix, "mat_mul", counting)
-    # S steps by A, C by A^-1: six products for seven rows.
-    for kind, oracle, step in (("S", oracle_s, tribomatrix.mat_pow(1)),
-                               ("C", oracle_c, tribomatrix.mat_pow(-1))):
-        right_operands.clear()
+        def counted(m):
+            steps.append((constant, arithmetic))
+            return step(m)
+
+        return counted
+
+    def counting_mul(a, b):
+        products.append(b)
+        return original_mul(a, b)
+
+    monkeypatch.setattr(tribomatrix, "_times", counting_times)
+    monkeypatch.setattr(tribomatrix, "mat_mul", counting_mul)
+    # S steps by A, C by A^-1, in exact decimal: six steps for seven rows.
+    for kind, oracle, constant in (("S", oracle_s, tribomatrix.mat_pow(1)),
+                                   ("C", oracle_c, tribomatrix.mat_pow(-1))):
+        steps.clear()
+        products.clear()
         code, out, _ = run(capsys, "eval", kind, "0", "6", "--strategy", "matrix")
         assert code == 0
         assert out.splitlines() == [f"{n} {v}" for n, v in oracle(0, 6).items()]
-        assert right_operands == [step] * 6
+        assert (steps, products) == ([(constant, seqcore._DECIMAL)] * 6, [])
 
 
 @pytest.mark.parametrize("n", [3001, 3000, -3001, -3000, 1, 0])

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import decimal
+import sys
+from decimal import Decimal
 from itertools import islice
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tribokit import tribomatrix as tribomatrix_module
 from tribokit.seqcore import SequenceKind, c_seq, s_lucas, term
@@ -20,6 +23,7 @@ from tribokit.tribomatrix import (
     mat_pow_naive,
     minor_sum,
     minors_of,
+    range_text,
     terms,
     trace,
     trace_pow,
@@ -186,3 +190,51 @@ def test_terms_match_the_values_read_off_mat_pow(kind, lo):
     # The first value comes off two half powers, the later ones off A^lo stepped.
     read = _READS_OFF_MAT_POW[kind]
     assert list(islice(terms(kind, lo), 12)) == [read(n) for n in range(lo, lo + 12)]
+
+
+@settings(deadline=None)
+@given(kind=st.sampled_from(SequenceKind), lo=st.integers(min_value=-3000, max_value=3000),
+       count=st.integers(min_value=1, max_value=40))
+@example(kind=SequenceKind.TRIBONACCI, lo=-3000, count=40)
+@example(kind=SequenceKind.GENERALIZED_LUCAS, lo=2999, count=2)
+@example(kind=SequenceKind.MINOR_SUM, lo=-1, count=40)
+def test_range_text_is_str_of_each_value_of_terms(kind, lo, count):
+    # The first row off the half powers, the rest stepped in exact decimal.
+    assert range_text(kind, lo, lo + count - 1) == list(map(str, islice(terms(kind, lo), count)))
+
+
+def test_range_text_refuses_an_empty_range():
+    with pytest.raises(ValueError, match="empty range"):
+        range_text(SequenceKind.TRIBONACCI, 1, 0)
+
+
+_STR_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(_STR_LIMIT != 4300, reason="needs the default 4300-digit int-to-str limit")
+@pytest.mark.parametrize("kind, lo, hi", [
+    (SequenceKind.GENERALIZED_LUCAS, 19801, 20000),
+    (SequenceKind.GENERALIZED_LUCAS, 16200, 16300),
+    (SequenceKind.MINOR_SUM, 32000, 32600),
+], ids=["S past at the first row", "S crossing", "C crossing"])
+def test_range_text_fails_on_the_row_that_str_fails_on(kind, lo, hi):
+    values = list(islice(terms(kind, lo), hi - lo + 1))
+    past = next(k for k, value in enumerate(values) if Decimal(value).adjusted() >= _STR_LIMIT)
+    message = (f"Exceeds the limit ({_STR_LIMIT} digits) for integer string conversion; "
+               "use sys.set_int_max_str_digits() to increase the limit")
+    with pytest.raises(ValueError) as info:
+        range_text(kind, lo, lo + past)
+    assert str(info.value) == message
+    if past:
+        assert range_text(kind, lo, lo + past - 1) == list(map(str, values[:past]))
+
+
+def test_range_text_ignores_the_callers_decimal_context():
+    # Five digits and no traps: a step through Decimal operators would round
+    # silently here.
+    spans = [(kind, lo, lo + 60) for kind in SequenceKind for lo in (-3000, 2940)]
+    expected = [list(map(str, islice(terms(kind, lo), hi - lo + 1))) for kind, lo, hi in spans]
+    with decimal.localcontext() as context:
+        context.prec = 5
+        context.traps = dict.fromkeys(context.traps, False)
+        assert [range_text(kind, lo, hi) for kind, lo, hi in spans] == expected
