@@ -24,11 +24,11 @@ enclosure and raises PrecisionError when there is not exactly one; the
 enclosure's half-width is the bound it reports.  Nothing is cached
 between calls, and the Binet path reads no process-global state.
 
-``char_roots`` locates alpha by Newton's method started at 1.8, each step
-at about twice the digits of the one before, so that only the last one or
-two run at the full working precision; beta and gamma come from the
-deflated quadratic whose root sum is 1 - alpha and whose root product is
-1/alpha.  Its precision is a decimal digit count (>= 15), and it,
+``char_roots`` reads alpha off the same certified enclosure, at as many
+bits as its working digits carry: the midpoint of a/2^W and (a+1)/2^W,
+rounded to those bits, is alpha correctly rounded.  beta and gamma come
+from the deflated quadratic whose root sum is 1 - alpha and whose root
+product is 1/alpha.  Its precision is a decimal digit count (>= 15), and it,
 ``vieta_check`` and ``root_texts``, which serve ``roots``, run under an
 mpmath working precision with guard digits: mpmath's precision is a
 process-global context, so callers that mix precisions across threads
@@ -44,25 +44,19 @@ for loading mpmath; ``root_texts`` prints the roots for ``roots``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, NamedTuple
 
 from .seqcore import T_FROM_S, SequenceKind
 
 _GUARD_DIGITS = 10
-_NEWTON_MAX_ITER = 200
-# Newton takes lower rungs of precision only from 2 * _LOW_DIGITS working
-# digits on; below that a step costs about the same at any precision.
-_LOW_DIGITS = 20
 
 
 class PrecisionError(ArithmeticError):
     """A numeric result could not be certified at the requested precision."""
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(NamedTuple):
     """The three roots of x^3 - x^2 - x - 1 at a given decimal precision."""
 
     alpha: Any  # mpmath.mpf
@@ -71,8 +65,7 @@ class RootSet:
     precision: int
 
 
-@dataclass(frozen=True)
-class VietaResiduals:
+class VietaResiduals(NamedTuple):
     """|e1 - 1|, |e2 + 1|, |e3 - 1| for the elementary symmetric sums, each
     an mpf (a float would underflow to 0 below about 1e-308)."""
 
@@ -81,53 +74,19 @@ class VietaResiduals:
     prod_res: Any
 
 
-def _poly(x: Any) -> Any:
-    return ((x - 1) * x - 1) * x - 1
-
-
-def _poly_deriv(x: Any) -> Any:
-    return (3 * x - 2) * x - 1
-
-
-def _converge(start: Any, digits: int, moved: int) -> Any:
-    """Newton steps for alpha from ``start`` at ``digits`` working digits,
-    until a step moves x by at most 10^-moved."""
-    import mpmath
-
-    with mpmath.workdps(digits):
-        x = mpmath.mpf(start)
-        tol = mpmath.mpf(10) ** -moved
-        for _ in range(_NEWTON_MAX_ITER):
-            x, prev = x - _poly(x) / _poly_deriv(x), x
-            if abs(x - prev) <= tol:
-                return x
-    raise RuntimeError(f"Newton iteration did not converge within {_NEWTON_MAX_ITER} steps")
-
-
 def char_roots(precision: int) -> RootSet:
     """Compute all three roots to ``precision`` decimal digits (>= 15)."""
     if precision < 15:
         raise ValueError(f"precision must be >= 15 decimal digits, got {precision}")
     import mpmath
 
-    work = precision + _GUARD_DIGITS
-    # Each rung of the ladder has about twice the digits of the one below.
-    # Below the working precision a rung stops at a step that moves x by
-    # 10^-(digits/2): the next error is about 0.83 times its square, so x
-    # is then correct to about the rung's digits, and the next rung needs
-    # one step.  Only the last one or two steps run at the working
-    # precision, under its own stopping test.
-    ladder = [work]
-    while ladder[-1] >= 2 * _LOW_DIGITS:
-        ladder.append(ladder[-1] // 2 + 1)
-    # The cubic is increasing and convex on [1.8, 2], so the first step
-    # lands past alpha and every later step falls toward it.
-    x = "1.8"
-    for digits in reversed(ladder[1:]):
-        x = _converge(x, digits, digits // 2)
-    x = _converge(x, work, work - 2)
-    with mpmath.workdps(work):
-        alpha = x
+    with mpmath.workdps(precision + _GUARD_DIGITS):
+        # w, mpmath's (digits + 1) * log2(10) bits, is at least the working
+        # digits' worth; as alpha's ulp is 2^(1 - w), no rounding tie lies
+        # strictly between a / 2^w and (a + 1) / 2^w, so the mpf of their
+        # midpoint is alpha correctly rounded
+        w = mpmath.mp.prec
+        alpha = mpmath.mpf((2 * _alpha(w) + 1, -(w + 1)))
         real = (1 - alpha) / 2
         imag = mpmath.sqrt(4 / alpha - (1 - alpha) ** 2) / 2
         beta = mpmath.mpc(real, imag)

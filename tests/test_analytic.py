@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-import dataclasses
+import math
 import sys
 from fractions import Fraction
 
@@ -43,8 +43,8 @@ def test_rejects_low_precision():
 
 @pytest.mark.parametrize("precision", [*range(15, 401), 1500])
 def test_newton_converges_at_every_precision(precision):
-    # a converged Newton step lands on the bracket end it started from; it
-    # must end the iteration, not send the root back to bisection
+    # alpha comes from _alpha's integer Newton and sign change, at the bits
+    # of the working precision, so the cubic vanishes to the digits asked
     roots = char_roots(precision)
     with mpmath.workdps(precision + 10):
         cubic = roots.alpha**3 - roots.alpha**2 - roots.alpha - 1
@@ -90,7 +90,7 @@ def test_vieta_residuals_do_not_blow_up_with_precision():
 def test_vieta_detects_perturbation():
     roots = char_roots(15)
     with mpmath.workdps(30):
-        off = dataclasses.replace(roots, alpha=roots.alpha + mpmath.mpf("1e-6"))
+        off = roots._replace(alpha=roots.alpha + mpmath.mpf("1e-6"))
     residuals = vieta_check(off)
     assert 5e-7 < residuals.sum_res < 2e-6
 
@@ -293,7 +293,9 @@ def test_bench_times_every_binet_repetition(monkeypatch):
 
 def test_root_texts_match_an_independent_oracle():
     # the secant method of mpmath.findroot from points near each root, at 30
-    # more digits, shares neither the Newton ladder nor the deflation
+    # more digits, shares neither the integer enclosure nor the deflation;
+    # the roots carry _GUARD_DIGITS past the printed ones, so every Vieta
+    # residual stays far below the last printed digit
     cubic = lambda x: ((x - 1) * x - 1) * x - 1
     for precision in range(15, 1501, 7):
         with mpmath.workdps(precision + 30):
@@ -301,27 +303,29 @@ def test_root_texts_match_an_independent_oracle():
             beta = mpmath.findroot(cubic, mpmath.mpc("-0.42", "0.6"))
             expected = tuple(mpmath.nstr(x, precision)
                              for x in (alpha, beta.real, beta.imag, abs(beta)))
-        assert analytic.root_texts(char_roots(precision)) == expected, precision
+        roots = char_roots(precision)
+        assert analytic.root_texts(roots) == expected, precision
+        for residual in vieta_check(roots):
+            assert residual < mpmath.mpf(10) ** -(precision + 9), precision
 
 
-@pytest.mark.parametrize("precision", [29, 30, 1500])
-def test_char_roots_runs_few_newton_steps_at_the_working_precision(monkeypatch, precision):
-    # each step runs at about twice the digits of the one before, so only
-    # the last one or two pay for the full working precision; below
-    # 2 * _LOW_DIGITS working digits every step runs there, as it always did
-    digits = []
-    original = analytic._poly
+@pytest.mark.parametrize("precision", [15, 29, 30, 400, 1500])
+def test_char_roots_reads_alpha_off_one_enclosure(monkeypatch, precision):
+    # alpha is the midpoint of the one enclosure [a, a + 1] / 2^w that
+    # Binet uses, with w at least the working digits' worth of bits
+    calls = []
+    original = analytic._alpha
 
-    def counted(x):
-        digits.append(mpmath.mp.dps)
-        return original(x)
+    def counted(w):
+        calls.append((w, original(w)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(analytic, "_poly", counted)
-    char_roots(precision)
-    work = precision + analytic._GUARD_DIGITS
-    assert max(digits) == work
-    full = digits.count(work)
-    assert full == len(digits) if work < 2 * analytic._LOW_DIGITS else 1 <= full <= 3
+    monkeypatch.setattr(analytic, "_alpha", counted)
+    roots = char_roots(precision)
+    assert len(calls) == 1
+    (w, a), = calls
+    assert w >= (precision + analytic._GUARD_DIGITS) * math.log2(10)
+    assert a <= mpmath.ldexp(roots.alpha, w) <= a + 1
 
 
 @pytest.mark.parametrize("precision", [15, 30, 400, 1500])
@@ -346,9 +350,3 @@ def test_power_balls_enclose_the_powers_of_the_roots(precision):
                     assert abs(root**n - mpmath.mpc(x, y) / one) <= r / one, (n, f, root)
                     if root is beta:
                         assert abs(gamma**n - mpmath.mpc(x, -y) / one) <= r / one, (n, f)
-
-
-def test_char_roots_raises_when_newton_does_not_converge(monkeypatch):
-    monkeypatch.setattr(analytic, "_NEWTON_MAX_ITER", 1)
-    with pytest.raises(RuntimeError, match="did not converge within 1 steps"):
-        char_roots(30)

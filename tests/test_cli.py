@@ -1073,7 +1073,7 @@ _COMMAND_LAYERS = [
     (["crosscheck", "S", _FIXTURE, "5"], ("tribokit.oeis", *_DATACLASSES)),
     (["crosscheck", "S", "--fetch"], ("tribokit.oeis", *_DATACLASSES)),
     (["crosscheck", "S", "--rows", "5"], ("tribokit.oeis", *_DATACLASSES, "importlib.resources")),
-    (["eval", "--strategy", "binet", "S", "0", "3"], ("tribokit.analytic", *_DATACLASSES)),
+    (["eval", "--strategy", "binet", "S", "0", "3"], ("tribokit.analytic",)),
     (["bench", "S", "10", "1"], ("tribokit.analytic", "tribokit.tribomatrix", *_DATACLASSES)),
 ]
 
