@@ -28,7 +28,8 @@ imports its own layer where it runs (``verify`` ``identities``, ``expand``
 ``genfunc``, ``matrix`` ``tribomatrix``, ``roots`` ``analytic`` and so
 mpmath, ``crosscheck`` ``oeis``), and ``eval`` and ``bench`` the layer of
 each strategy they run.  ``json`` and ``csv`` load only when their format
-is printed, so a plain ``eval`` loads neither, nor ``dataclasses``.
+is printed, so a plain ``eval`` loads neither; only ``verify`` and
+``expand`` load ``dataclasses``, for their layers' records.
 
 ``STRATEGIES`` is the one list of the ways ``eval`` and ``bench`` reach
 a(n): recurrence, matrix and binet, each with its layer, its evaluators
@@ -225,7 +226,7 @@ STRATEGIES: dict[str, Strategy] = {
         "tribomatrix",
         texts=lambda tribomatrix, kind, lo, hi, precision: tribomatrix.range_text(kind, lo, hi),
         point=lambda tribomatrix, kind, n, precision, timed:
-            timed(lambda: next(tribomatrix.terms(kind, n)))),
+            timed(lambda: tribomatrix.term(kind, n))),
     "binet": Strategy(
         "analytic", _binet_texts, _binet_point,
         cap=lambda analytic, precision: analytic.binet_index_cap(precision)),

@@ -15,10 +15,9 @@ from __future__ import annotations
 import re
 import sys
 import urllib.parse
-from dataclasses import dataclass
 from itertools import count
 from time import monotonic
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import seqcore
 # ``term`` stays bound here for perfbench/tracing.py, which wraps it by this name.
@@ -59,14 +58,12 @@ class BFileFetchError(OSError):
     """Transport failure while retrieving a b-file."""
 
 
-@dataclass(frozen=True)
-class BFile:
+class BFile(NamedTuple):
     sequence_id: str
     rows: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
+class CrosscheckReport(NamedTuple):
     sequence_id: str
     offset_used: int
     rows_compared: int

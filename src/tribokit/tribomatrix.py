@@ -7,13 +7,14 @@ Tribonacci numbers; see ``entries_from_tribonacci``.  det A = 1, so the
 inverse of A is integral too, and all of this holds at every integer n.
 
 det A = 1 also makes adj(A^n) = A^-n, whose diagonal holds those minors,
-so C(n) = tr(A^-n).  ``terms`` reads T(n) = (A^n)_12 and S(n) = tr(A^n)
+so C(n) = tr(A^-n).  ``term`` reads T(n) = (A^n)_12 and S(n) = tr(A^n)
 off A^n, and C(n) = tr(A^-n) off A^-n, whose entries have about half the
 digits of A^n's at n > 0.  The trade is at negative indices: for k > 0,
 C(-k) is read off A^k, so it costs what S(k) costs.  ``minors_of`` and
 ``minor_sum`` keep the paper's definition for ``tribokit matrix``.
 
-``mat_pow`` is left-to-right binary powering with an 18-product squaring.
+``mat_pow`` is left-to-right binary powering with an 18-product squaring
+and, at each set bit, one compiled product by A or A^-1 (``_times``).
 A single value off A^m (m = n, or -n for C) is read off two half powers
 X = A^(m//2) and Y = X, or Y = X*A when m is odd: tr(XY) costs 9 big
 products, 6 when Y is X, and (XY)_12 costs 3, where forming A^m = XY costs
@@ -21,20 +22,20 @@ products, 6 when Y is X, and (XY)_12 costs 3, where forming A^m = XY costs
 matrix, not facts about A, so this route shares nothing with ``seqcore``'s
 ladder but the definition of A.
 
-A range forms A^m once and then steps it, each row one product by A or
-A^-1 compiled from the constant (``_times``) as ``seqcore._pass`` compiles
-a recurrence, over ``seqcore``'s arithmetics: six additions, no products.
-``terms`` steps over int; ``range_text`` lifts A^m to exact decimal once
-and steps there, so each printed row after the first costs time linear in
-its digits, where CPython's int-to-str is quadratic.
+A range (``range_text``) forms A^m once, lifts it to exact decimal and
+then steps it, each row one product by A or A^-1 compiled from the
+constant (``_times``) as ``seqcore._pass`` compiles a recurrence, over
+``seqcore``'s arithmetics: six additions, no products.  So each printed
+row after the first costs time linear in its digits, where CPython's
+int-to-str is quadratic.
 """
 from __future__ import annotations
 
 import functools
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from decimal import Decimal
 from itertools import islice
+from typing import NamedTuple
 
 from . import seqcore
 # ``tribonacci`` stays bound here for perfbench/tracing.py, which wraps it by this name.
@@ -46,15 +47,6 @@ Matrix3 = tuple[Row, Row, Row]
 _A: Matrix3 = ((1, 1, 0), (1, 0, 1), (1, 0, 0))
 _A_INV: Matrix3 = ((0, 0, 1), (1, 0, -1), (0, 1, -1))
 _I: Matrix3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
-def tribomatrix() -> Matrix3:
-    """The generator matrix A."""
-    return _A
-
-
-def identity() -> Matrix3:
-    return _I
 
 
 def mat_mul(a: Matrix3, b: Matrix3) -> Matrix3:
@@ -96,14 +88,14 @@ def mat_pow(n: int) -> Matrix3:
     """A^n for any integer n (A^0 = I): left-to-right binary powering on |n|.
 
     Each bit squares the running power; each set bit then multiplies it by
-    A, or by A^-1 when n < 0, whose entries lie in {-1, 0, 1}.
+    A, or by A^-1 when n < 0, in the compiled step ``_times``: six additions.
     """
-    base = _A if n >= 0 else _A_INV
+    times_base = _times(_A if n >= 0 else _A_INV, seqcore._INT)
     result = _I
     for bit in bin(abs(n))[2:]:
         result = _square(result)
         if bit == "1":
-            result = mat_mul(result, base)
+            result = times_base(result)
     return result
 
 
@@ -142,22 +134,20 @@ def determinant(m: Matrix3) -> int:
 
 
 def trace_pow(n: int) -> int:
-    """tr(A^n) = S(n) for any integer n, read off two half powers by ``terms``."""
-    return next(terms(SequenceKind.GENERALIZED_LUCAS, n))
+    """tr(A^n) = S(n) for any integer n, read off two half powers by ``term``."""
+    return term(SequenceKind.GENERALIZED_LUCAS, n)
 
 
-@dataclass(frozen=True)
-class MinorSumReport:
+class MinorSumReport(NamedTuple):
     """The three order-2 principal minors of A^n and their sum (= C(n))."""
 
     minor_12: int
     minor_13: int
     minor_23: int
-    total: int
 
-    def __post_init__(self) -> None:
-        if self.total != self.minor_12 + self.minor_13 + self.minor_23:
-            raise ValueError("total must equal the sum of the three minors")
+    @property
+    def total(self) -> int:
+        return self.minor_12 + self.minor_13 + self.minor_23
 
 
 def minors_of(m: Matrix3) -> MinorSumReport:
@@ -165,7 +155,7 @@ def minors_of(m: Matrix3) -> MinorSumReport:
     m12 = m[0][0] * m[1][1] - m[0][1] * m[1][0]
     m13 = m[0][0] * m[2][2] - m[0][2] * m[2][0]
     m23 = m[1][1] * m[2][2] - m[1][2] * m[2][1]
-    return MinorSumReport(m12, m13, m23, m12 + m13 + m23)
+    return MinorSumReport(m12, m13, m23)
 
 
 def minor_sum(n: int) -> MinorSumReport:
@@ -213,15 +203,15 @@ def _exact_trace(m: Matrix3) -> Decimal:
     return add(add(m[0][0], m[1][1]), m[2][2])
 
 
-def _walk(kind: SequenceKind, lo: int, exact_decimal: bool) -> Iterator:
-    """a(lo) as an int, then a(lo+1), a(lo+2), ... without end, off A^m with
-    m = lo, or m = -lo for C: ints, or exact Decimals with ``exact_decimal``.
+def _walk(kind: SequenceKind, lo: int) -> Iterator:
+    """a(lo) as an int, then a(lo+1), a(lo+2), ... as exact Decimals without
+    end, off A^m with m = lo, or m = -lo for C.
 
     The first value is read off the half powers X = A^(m//2) and Y = X, or
     Y = X*A when m is odd, so A^m is not formed for it.  Only a second value
-    forms A^m, as X squared (times A when m is odd), with ``exact_decimal``
-    lifted to Decimal entry by entry; then each value costs one compiled
-    step (``_times``), by A, or by A^-1 for C, in the same arithmetic."""
+    forms A^m, as X squared (times A when m is odd), and lifts it to Decimal
+    entry by entry; then each value costs one compiled step (``_times``), by
+    A, or by A^-1 for C, in ``seqcore._DECIMAL``."""
     m, constant = (-lo, _A_INV) if kind is SequenceKind.MINOR_SUM else (lo, _A)
     times_a = _times(_A, seqcore._INT)
     half = mat_pow(m // 2)
@@ -229,29 +219,26 @@ def _walk(kind: SequenceKind, lo: int, exact_decimal: bool) -> Iterator:
     tribonacci_kind = kind is SequenceKind.TRIBONACCI
     yield (_entry_12_of_product if tribonacci_kind else _trace_of_product)(half, other)
     power = times_a(_square(half)) if m % 2 else _square(half)
-    if exact_decimal:
-        power = tuple(tuple(map(Decimal, row)) for row in power)
-    diagonal_sum = _exact_trace if exact_decimal else trace
-    read = (lambda power: power[0][1]) if tribonacci_kind else diagonal_sum
-    step = _times(constant, seqcore._DECIMAL if exact_decimal else seqcore._INT)
+    power = tuple(tuple(map(Decimal, row)) for row in power)
+    read = (lambda power: power[0][1]) if tribonacci_kind else _exact_trace
+    step = _times(constant, seqcore._DECIMAL)
     while True:
         power = step(power)
         yield read(power)
 
 
-def terms(kind: SequenceKind, lo: int) -> Iterator[int]:
-    """a(lo), a(lo+1), ... without end, off A^m with m = lo, or m = -lo for C
-    (``_walk`` over int)."""
-    return _walk(kind, lo, exact_decimal=False)
+def term(kind: SequenceKind, n: int) -> int:
+    """a(n) off the half powers of A^m, m = n, or m = -n for C (``_walk``)."""
+    return next(_walk(kind, n))
 
 
 def range_text(kind: SequenceKind, lo: int, hi: int) -> list[str]:
-    """Decimal text of a(lo)..a(hi), equal to str() of each value of ``terms``.
+    """Decimal text of a(lo)..a(hi), equal to str() of each value.
 
     The first value is str() of the half-power read; the rest step A^m in
     exact decimal (``_walk``) and print in O(digits) each, under the digit
     limit of str(int) with its message (``seqcore._decimal_texts``)."""
     if lo > hi:
         raise ValueError(f"empty range: lo={lo} exceeds hi={hi}")
-    values = _walk(kind, lo, exact_decimal=True)
+    values = _walk(kind, lo)
     return [str(next(values)), *islice(seqcore._decimal_texts(values), hi - lo)]

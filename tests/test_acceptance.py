@@ -110,8 +110,8 @@ def test_06_cross_strategy_agreement():
                                    (SequenceKind.MINOR_SUM, "C")):
                 by_recurrence = [v for _, v in seqcore.sequence_range(kind, 0, 500)]
                 by_ogf = list(genfunc.expand(genfunc.builtin_ogf(ogf_name), 501))
-                power = tribomatrix.identity()
-                generator = tribomatrix.tribomatrix()
+                power = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+                generator = ((1, 1, 0), (1, 0, 1), (1, 0, 0))
                 by_matrix = []
                 for _ in range(501):
                     if kind is SequenceKind.GENERALIZED_LUCAS:

@@ -3,13 +3,13 @@ from __future__ import annotations
 import decimal
 import sys
 from decimal import Decimal
-from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tribokit import tribomatrix as tribomatrix_module
-from tribokit.seqcore import SequenceKind, c_seq, s_lucas, term
+from tribokit import seqcore
+from tribokit.seqcore import SequenceKind, c_seq, s_lucas, sequence_range
 from tribokit.tribomatrix import (
     MinorSumReport,
     _entry_12_of_product,
@@ -17,39 +17,38 @@ from tribokit.tribomatrix import (
     _trace_of_product,
     determinant,
     entries_from_tribonacci,
-    identity,
     mat_mul,
     mat_pow,
     mat_pow_naive,
     minor_sum,
     minors_of,
     range_text,
-    terms,
+    term,
     trace,
     trace_pow,
-    tribomatrix,
 )
 
+IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 A = ((1, 1, 0), (1, 0, 1), (1, 0, 0))
 A2 = ((2, 1, 1), (2, 1, 0), (1, 1, 0))
 A3 = ((4, 2, 1), (3, 2, 1), (2, 1, 1))
 
 
 def test_generator_matrix():
-    assert tribomatrix() == A
+    assert tribomatrix_module._A == mat_pow(1) == A
     assert trace(A) == 1
     assert determinant(A) == 1
 
 
 def test_mat_mul():
-    assert mat_mul(A, identity()) == A
-    assert mat_mul(identity(), A) == A
+    assert mat_mul(A, IDENTITY) == A
+    assert mat_mul(IDENTITY, A) == A
     assert mat_mul(A, A) == A2
     assert mat_mul(A2, A) == mat_mul(A, A2) == A3
 
 
 def test_mat_pow_small():
-    assert mat_pow(0) == identity()
+    assert mat_pow(0) == IDENTITY
     assert mat_pow(1) == A
     assert mat_pow(2) == A2
     assert mat_pow(3) == A3
@@ -58,7 +57,7 @@ def test_mat_pow_small():
 def test_mat_pow_negative_is_the_integral_inverse():
     a_inv = ((0, 0, 1), (1, 0, -1), (0, 1, -1))
     assert mat_pow(-1) == mat_pow_naive(-1) == a_inv
-    assert mat_mul(A, a_inv) == mat_mul(a_inv, A) == identity()
+    assert mat_mul(A, a_inv) == mat_mul(a_inv, A) == IDENTITY
     assert mat_pow(-3) == ((1, -1, 0), (-1, 2, -1), (-1, 0, 2))
 
 
@@ -96,18 +95,29 @@ def test_mat_pow_matches_entries_formula_at_large_n(n):
 @pytest.mark.parametrize("n", [0, 1, -1, 2**10, -(2**10), 2**10 - 1, -(2**10 - 1), 12345, -12345])
 def test_mat_pow_multiplies_by_the_base_once_per_set_bit(monkeypatch, n):
     expected, base = mat_pow_naive(n), mat_pow_naive(1 if n >= 0 else -1)
-    right_operands = []
-    original = tribomatrix_module.mat_mul
+    steps, products = [], []
+    original_times, original_mul = tribomatrix_module._times, tribomatrix_module.mat_mul
 
-    def counting(a, b):
-        right_operands.append(b)
-        return original(a, b)
+    def counting_times(constant, arithmetic):
+        step = original_times(constant, arithmetic)
 
-    monkeypatch.setattr(tribomatrix_module, "mat_mul", counting)
+        def counted(m):
+            steps.append((constant, arithmetic))
+            return step(m)
+
+        return counted
+
+    def counting_mul(a, b):
+        products.append(b)
+        return original_mul(a, b)
+
+    monkeypatch.setattr(tribomatrix_module, "_times", counting_times)
+    monkeypatch.setattr(tribomatrix_module, "mat_mul", counting_mul)
     assert mat_pow(n) == expected
-    # Squarings go through _square; every product is by A or A^-1 itself.
-    assert len(right_operands) == abs(n).bit_count()
-    assert all(b == base for b in right_operands)
+    # Squarings go through _square; every product is one compiled int step
+    # by A or A^-1 itself, and none is a general product.
+    assert steps == [(base, seqcore._INT)] * abs(n).bit_count()
+    assert products == []
 
 
 @given(a=st.integers(min_value=-32, max_value=32), b=st.integers(min_value=-32, max_value=32))
@@ -116,7 +126,7 @@ def test_power_additivity(a, b):
 
 
 def test_entries_formula_identity_at_zero():
-    assert entries_from_tribonacci(0) == identity()
+    assert entries_from_tribonacci(0) == IDENTITY
 
 
 def test_entries_formula_matches_power():
@@ -134,7 +144,8 @@ def test_minor_sum_examples():
     report = minor_sum(1)
     assert (report.minor_12, report.minor_13, report.minor_23) == (-1, 0, 0)
     assert report.total == -1
-    assert minor_sum(0) == MinorSumReport(1, 1, 1, 3)
+    assert minor_sum(0) == MinorSumReport(1, 1, 1)
+    assert minor_sum(0).total == 3
     assert minor_sum(4).total == -5
 
 
@@ -153,20 +164,25 @@ def test_minors_of_matches_minor_sum():
         assert minors_of(mat_pow(n)) == minor_sum(n)
 
 
-def test_minor_report_total_invariant():
-    with pytest.raises(ValueError):
-        MinorSumReport(1, 1, 1, 4)
+@given(minors=st.tuples(_BIG, _BIG, _BIG))
+def test_minor_report_total_invariant(minors):
+    # The total is derived from the three minors, so no report can disagree with them.
+    report = MinorSumReport(*minors)
+    assert report.total == sum(minors)
+    assert tuple(report) == minors
 
 
 @given(kind=st.sampled_from(SequenceKind), lo=st.integers(min_value=-10**3, max_value=10**3),
        count=st.integers(min_value=1, max_value=4))
 def test_terms_reads_each_kind_off_a_matrix_power(kind, lo, count):
-    assert list(islice(terms(kind, lo), count)) == [term(kind, lo + i) for i in range(count)]
+    # Against the ladder, which shares nothing with this route but the definition of A.
+    assert [term(kind, lo + i) for i in range(count)] == [
+        seqcore.term(kind, lo + i) for i in range(count)]
 
 
 def test_minor_sum_of_a_power_is_the_trace_of_its_inverse():
     # adj(A^n) = A^-n since det A = 1, so each principal minor of A^n is a
-    # diagonal entry of A^-n; ``terms`` reads C(n) = tr(A^-n) on this fact.
+    # diagonal entry of A^-n; ``term`` reads C(n) = tr(A^-n) on this fact.
     for n in range(-64, 65):
         report, inverse = minors_of(mat_pow(n)), mat_pow(-n)
         assert (report.minor_12, report.minor_13, report.minor_23) == (
@@ -187,9 +203,11 @@ _READS_OFF_MAT_POW = {
 @example(kind=SequenceKind.MINOR_SUM, lo=3000)
 @example(kind=SequenceKind.MINOR_SUM, lo=-1)
 def test_terms_match_the_values_read_off_mat_pow(kind, lo):
-    # The first value comes off two half powers, the later ones off A^lo stepped.
+    # A single value comes off two half powers, a range's later rows off A^lo
+    # stepped in exact decimal.
     read = _READS_OFF_MAT_POW[kind]
-    assert list(islice(terms(kind, lo), 12)) == [read(n) for n in range(lo, lo + 12)]
+    assert term(kind, lo) == read(lo)
+    assert range_text(kind, lo, lo + 11) == [str(read(n)) for n in range(lo, lo + 12)]
 
 
 @settings(deadline=None)
@@ -199,8 +217,10 @@ def test_terms_match_the_values_read_off_mat_pow(kind, lo):
 @example(kind=SequenceKind.GENERALIZED_LUCAS, lo=2999, count=2)
 @example(kind=SequenceKind.MINOR_SUM, lo=-1, count=40)
 def test_range_text_is_str_of_each_value_of_terms(kind, lo, count):
-    # The first row off the half powers, the rest stepped in exact decimal.
-    assert range_text(kind, lo, lo + count - 1) == list(map(str, islice(terms(kind, lo), count)))
+    # The first row off the half powers, the rest stepped in exact decimal;
+    # the expected values come off the recurrence's range pass.
+    hi = lo + count - 1
+    assert range_text(kind, lo, hi) == [str(value) for _, value in sequence_range(kind, lo, hi)]
 
 
 def test_range_text_refuses_an_empty_range():
@@ -218,7 +238,7 @@ _STR_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     (SequenceKind.MINOR_SUM, 32000, 32600),
 ], ids=["S past at the first row", "S crossing", "C crossing"])
 def test_range_text_fails_on_the_row_that_str_fails_on(kind, lo, hi):
-    values = list(islice(terms(kind, lo), hi - lo + 1))
+    values = [value for _, value in sequence_range(kind, lo, hi)]
     past = next(k for k, value in enumerate(values) if Decimal(value).adjusted() >= _STR_LIMIT)
     message = (f"Exceeds the limit ({_STR_LIMIT} digits) for integer string conversion; "
                "use sys.set_int_max_str_digits() to increase the limit")
@@ -233,7 +253,7 @@ def test_range_text_ignores_the_callers_decimal_context():
     # Five digits and no traps: a step through Decimal operators would round
     # silently here.
     spans = [(kind, lo, lo + 60) for kind in SequenceKind for lo in (-3000, 2940)]
-    expected = [list(map(str, islice(terms(kind, lo), hi - lo + 1))) for kind, lo, hi in spans]
+    expected = [[str(seqcore.term(kind, n)) for n in range(lo, hi + 1)] for kind, lo, hi in spans]
     with decimal.localcontext() as context:
         context.prec = 5
         context.traps = dict.fromkeys(context.traps, False)
