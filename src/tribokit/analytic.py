@@ -21,8 +21,10 @@ term plus twice the real part of the beta term.  W is chosen from n, so
 the precision only sets the index cap, ``binet_index_cap``, past which
 rounding is refused.  ``binet_round`` returns the one integer within the
 enclosure and raises PrecisionError when there is not exactly one; the
-enclosure's half-width is the bound it reports.  Nothing is cached
-between calls, and the Binet path reads no process-global state.
+enclosure's half-width is the bound it reports.  ``binet_range`` rounds a
+range of rows off one enclosure of alpha, at the widest row's W, shifted
+down for each narrower row.  Nothing is cached between calls, and the
+Binet path reads no process-global state.
 
 ``char_roots`` reads alpha off the same certified enclosure, at as many
 bits as its working digits carry: the midpoint of a/2^W and (a+1)/2^W,
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Any, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from .seqcore import T_FROM_S, SequenceKind
 
@@ -237,7 +239,16 @@ def _complex_root(a: int, f: int) -> tuple[Ball, Ball]:
     return (re, im, re_rad + im_rad), _mul((a, 0, 1), (re, -im, re_rad + im_rad), f)
 
 
-def _binet(kind: SequenceKind, n: int, precision: int) -> tuple[int, int, int]:
+def _bits(kind: SequenceKind, n: int) -> tuple[int, int, int]:
+    """m, and the fractional bits of the small and of the big term at index n."""
+    m = -n if kind is SequenceKind.MINOR_SUM else n
+    k = abs(m)
+    small = k.bit_length() + _MARGIN_BITS
+    return m, small, (88 * k if m >= 0 else 44 * k) // 100 + small
+
+
+def _binet(kind: SequenceKind, n: int, precision: int,
+           alpha: Callable[[int], int] | None = None) -> tuple[int, int, int]:
     """(x, r, d): the Binet sum at index n lies within r / d of x / d.
 
     The sum is w_1 * alpha^m + 2 * Re(w_2 * beta^m), m = -n for C and n
@@ -247,6 +258,7 @@ def _binet(kind: SequenceKind, n: int, precision: int) -> tuple[int, int, int]:
     0.44*|m|.  That term runs at its size plus bitlength(|m|) +
     _MARGIN_BITS fractional bits, the term of modulus below one at
     bitlength(|m|) + _MARGIN_BITS, so the work is sized by n alone.
+    ``alpha(w)`` is alpha's enclosure at w bits, by default ``_alpha``.
     """
     cap = binet_index_cap(precision)
     if abs(n) > cap:
@@ -254,11 +266,9 @@ def _binet(kind: SequenceKind, n: int, precision: int) -> tuple[int, int, int]:
             f"|n| = {abs(n)} exceeds the certified index cap {cap} "
             f"at precision {precision}"
         )
-    m = -n if kind is SequenceKind.MINOR_SUM else n
+    m, small, big = _bits(kind, n)
     k = abs(m)
-    small = k.bit_length() + _MARGIN_BITS
-    big = (88 * k if m >= 0 else 44 * k) // 100 + small
-    a = _alpha(big)
+    a = (alpha or _alpha)(big)
     weighted = kind is SequenceKind.TRIBONACCI
     scale, (before, at, after) = T_FROM_S
     x = r = 0
@@ -296,6 +306,17 @@ def binet_error_bound(kind: SequenceKind, n: int, precision: int) -> Fraction:
     return Fraction(r, d)
 
 
+def _rounded(n: int, precision: int, x: int, r: int, d: int) -> int:
+    """The one integer within r / d of x / d; PrecisionError if there is not one."""
+    low, high = -((r - x) // d), (x + r) // d
+    if low != high:
+        raise PrecisionError(
+            f"the Binet enclosure at n={n}, precision {precision} holds "
+            f"{max(high - low + 1, 0)} integers: refusing to round"
+        )
+    return low
+
+
 def binet_round(kind: SequenceKind, n: int, precision: int,
                 with_bound: bool = False) -> int | tuple[int, Fraction]:
     """The one integer in the Binet enclosure at index n.
@@ -306,10 +327,24 @@ def binet_round(kind: SequenceKind, n: int, precision: int,
     bound the enclosure's half-width.
     """
     x, r, d = _binet(kind, n, precision)
-    low, high = -((r - x) // d), (x + r) // d
-    if low != high:
-        raise PrecisionError(
-            f"the Binet enclosure at n={n}, precision {precision} holds "
-            f"{max(high - low + 1, 0)} integers: refusing to round"
-        )
-    return (low, Fraction(r, d)) if with_bound else low
+    value = _rounded(n, precision, x, r, d)
+    return (value, Fraction(r, d)) if with_bound else value
+
+
+def binet_range(kind: SequenceKind, lo: int, hi: int, precision: int) -> list[int]:
+    """``binet_round`` at each n from lo to hi, raising its first refusal.
+
+    alpha is enclosed once, at the widest working size W of the rows within
+    the index cap, and each row shifts that enclosure to its own size w:
+    alpha is irrational, so floor(alpha * 2^w) is unique, and a >> (W - w)
+    is again the exact enclosure.
+    """
+    rows = range(lo, hi + 1)
+    cap = binet_index_cap(precision)
+    widest = max((_bits(kind, n)[2] for n in rows if abs(n) <= cap), default=0)
+    a = _alpha(widest)
+
+    def alpha(w: int) -> int:
+        return a >> (widest - w)
+
+    return [_rounded(n, precision, *_binet(kind, n, precision, alpha)) for n in rows]

@@ -180,7 +180,7 @@ class Strategy(NamedTuple):
 
 
 def _binet_texts(analytic: Any, kind: SequenceKind, lo: int, hi: int, precision: int) -> list[str]:
-    return [str(analytic.binet_round(kind, n, precision)) for n in range(lo, hi + 1)]
+    return list(map(str, analytic.binet_range(kind, lo, hi, precision)))
 
 
 def _binet_point(analytic: Any, kind: SequenceKind, n: int, precision: int,

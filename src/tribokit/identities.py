@@ -13,11 +13,16 @@ statement, the right sides of the catalogue's PROD_GE and PROD_LT joined
 on the diagonal n = m.  Nothing is ever compared in floating point.
 
 A sweep reads each sequence value once: the same statement compiles into
-the index sets its calls read at the in-domain points and into one
-comprehension over value tables, each call a subscript.  The backend is
-asked for those indices alone, going out from zero, so a sweep holds the
-values its points read and no others (CONS_3 reads S only at multiples
-of n).
+the index sets its calls read at the in-domain points, the largest
+|index| each point reads, and one comprehension over value tables, each
+call a subscript.  The backend is asked for those indices alone, going
+out from zero, so a sweep holds the values its points read and no others
+(CONS_3 reads S only at multiples of n), each from its first read to its
+last.  A sweep of more than _CHUNK points and values runs in chunks of
+_CHUNK points taken in order of that largest |index|, and drops each
+value after the last chunk that reads it: CONS_3's memory grows at most
+about as N^3 over [0, N]^2 (14 MB at N = 200, 67 MB at N = 400), where
+holding every value to the end grew as N^4.
 
 Records evaluate through a SequenceBackend, a triple of pure
 int -> int functions for T, S and C.  The default backend runs the
@@ -31,6 +36,7 @@ text.
 from __future__ import annotations
 
 import ast
+import bisect
 import functools
 import re
 from dataclasses import dataclass, field
@@ -45,7 +51,11 @@ Counterexample = tuple[tuple[int, ...], int, int]
 Points = Iterable[tuple[int, ...]]
 Seeds = tuple[int, int, int]
 Reads = Callable[[list[tuple[int, ...]]], tuple[set[int], set[int], set[int]]]
+Reach = Callable[[list[tuple[int, ...]]], list[int]]
 Sweep = Callable[..., list[Counterexample]]
+
+# A sweep of more points and more values than this streams, this many points a chunk.
+_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -151,14 +161,15 @@ class _Tables(ast.NodeTransformer):
 
 
 @functools.cache
-def _compile(statement: str) -> tuple[int, CodeType, Reads, Sweep]:
-    """Arity, the code of ``(domain, lhs, rhs)``, and ``reads`` and ``sweep``
-    for one statement, compiled once per process from the same trees.
-    Evaluating the code in a namespace that binds S, C and T yields the
-    record's three functions.  ``reads(points)`` is the T, S and C index sets
-    that the calls of both sides read at the points; ``sweep(points, T, S,
-    C)`` evaluates both sides with each call a subscript of a value table
-    and lists (point, lhs, rhs) wherever they differ, in point order."""
+def _compile(statement: str) -> tuple[int, CodeType, Reads, Reach, Sweep]:
+    """Arity, the code of ``(domain, lhs, rhs)``, and ``reads``, ``reach`` and
+    ``sweep`` for one statement, compiled once per process from the same
+    trees.  Evaluating the code in a namespace that binds S, C and T yields
+    the record's three functions.  ``reads(points)`` is the T, S and C index
+    sets that the calls of both sides read at the points; ``reach(points)``
+    lists, point by point, the largest |index| its calls read; ``sweep(points,
+    T, S, C)`` evaluates both sides with each call a subscript of a value
+    table and lists (point, lhs, rhs) wherever they differ, in point order."""
     source = re.sub(r"(\d)(?=[A-Za-z(])", r"\1*", statement).replace("^", "**")
     equation, _, clause = source.partition("  [")
     sides = equation.split(" = ")
@@ -182,11 +193,15 @@ def _compile(statement: str) -> tuple[int, CodeType, Reads, Sweep]:
     point = "".join(f"{p}, " for p in params)
     reads = ", ".join("{%s}" % ", ".join([f"*[{a} for {point}in points]" for a in texts] or ["*()"])
                       for texts in args.values())
+    reach = "[max(0, %s) for %sin points]" % (
+        ", ".join(f"abs({a})" for a in dict.fromkeys(a for texts in args.values() for a in texts)),
+        point)
     left, right = (ast.unparse(_Tables().visit(tree)) for tree in trees[:2])
     sweep = (f"[(({point}), l, r) for {point}in points"
              f" if (l := ({left})) != (r := ({right}))]")
-    functions = eval(compile(f"(lambda points: ({reads}), lambda points, T, S, C: {sweep})",
-                             statement, "eval"), {"__builtins__": {}})
+    functions = eval(compile(f"(lambda points: ({reads}), lambda points: {reach},"
+                             f" lambda points, T, S, C: {sweep})", statement, "eval"),
+                     {"__builtins__": {"abs": abs, "max": max}})
     return len(params), compile(f"({lambdas})", statement, "eval"), *functions
 
 
@@ -197,7 +212,7 @@ def _records(statements: Iterable[tuple[str, str]],
     namespace = {"__builtins__": {}, "S": b.s, "C": b.c, "T": b.t}
     records = []
     for name, statement in statements:
-        arity, code, _, _ = _compile(statement)
+        arity, code, *_ = _compile(statement)
         records.append(IdentityRecord(name, arity, statement, *eval(code, namespace)))
     return records
 
@@ -231,23 +246,64 @@ def _run(record: IdentityRecord, points: Points, bounds: str) -> VerificationRep
     """Compare both sides at each in-domain point; refused if there is none.
 
     The backend is asked once for each value the points read, going out
-    from zero, and only those values are kept, in one table per sequence
-    that the compiled sweep reads."""
+    from zero, in one table per sequence that the compiled sweep reads.  A
+    sweep of at most _CHUNK points or values holds them all until it ends;
+    a larger one streams (``_stream``), so it holds a value only from the
+    chunk that reaches its index to the last chunk that reads it.  The
+    points come in ascending order, and so do the counterexamples."""
     points = [point for point in points if record.domain(*point)]
     if not points:
         raise ValueError(f"{record.name}: no case of its domain lies in {bounds}")
-    _, _, reads, sweep = _compile(record.statement)
-    backend = record.domain.__globals__  # the namespace ``_records`` evaluated it in
-    tables = []
-    for name, indices in zip("TSC", reads(points)):
-        ks = sorted(indices, key=abs)  # k >= 0 ascending, k < 0 descending: no pass restarts
-        tables.append(dict(zip(ks, map(backend[name], ks))))
+    _, _, reads, reach, sweep = _compile(record.statement)
+    backend = [record.domain.__globals__[name] for name in "TSC"]  # ``_records``' namespace
+    wanted = [sorted(indices, key=abs) for indices in reads(points)]  # no pass restarts
+    if min(len(points), sum(map(len, wanted))) > _CHUNK:
+        counterexamples = _stream(points, backend, wanted, reads, reach, sweep)
+    else:
+        counterexamples = sweep(points, *(dict(zip(ks, map(f, ks))) for f, ks in zip(backend, wanted)))
     return VerificationReport(
         identity=record.name,
         bounds=bounds,
         cases_checked=len(points),
-        counterexamples=tuple(sweep(points, *tables)),
+        counterexamples=tuple(counterexamples),
     )
+
+
+def _stream(points: list[tuple[int, ...]], backend: list[Callable[[int], int]],
+            wanted: list[list[int]], reads: Reads, reach: Reach,
+            sweep: Sweep) -> list[Counterexample]:
+    """``sweep`` over the points in chunks of _CHUNK, after reordering them in
+    place by the largest |index| each reads (ties keep their order).  Before
+    a chunk, each sequence's ``wanted`` indices (sorted by |k|) up to the
+    chunk's largest are asked and tabled, so every pass still goes out from
+    zero; after it, the values no later chunk reads are dropped.  The
+    counterexamples come back sorted by point."""
+    keys = reach(points)
+    order = sorted(range(len(points)), key=keys.__getitem__)
+    points[:] = [points[i] for i in order]
+    starts = range(0, len(points), _CHUNK)
+    tops = [keys[order[min(start + _CHUNK, len(order)) - 1]] for start in starts]
+    del keys, order
+    # per chunk, the indices of each sequence that no later chunk reads
+    drops: list[list[set[int]]] = []
+    later: list[set[int]] = [set(), set(), set()]
+    for start in reversed(starts):
+        drops.append([ks - seen for ks, seen in zip(reads(points[start:start + _CHUNK]), later)])
+        for seen, ks in zip(later, drops[-1]):
+            seen |= ks
+    del later
+    tables: list[dict[int, int]] = [{}, {}, {}]
+    found: list[Counterexample] = []
+    for start, low, top, drop in zip(starts, [-1, *tops], tops, reversed(drops)):
+        for at, ks, table in zip(backend, wanted, tables):
+            new = ks[bisect.bisect_right(ks, low, key=abs):bisect.bisect_right(ks, top, key=abs)]
+            table.update(zip(new, map(at, new)))
+        found += sweep(points[start:start + _CHUNK], *tables)
+        for table, ks in zip(tables, drop):
+            for k in ks:
+                del table[k]
+    found.sort(key=lambda counterexample: counterexample[0])
+    return found
 
 
 def verify(

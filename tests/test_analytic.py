@@ -14,6 +14,7 @@ from tribokit.analytic import (
     binet_c,
     binet_error_bound,
     binet_index_cap,
+    binet_range,
     binet_round,
     binet_s,
     char_roots,
@@ -277,6 +278,35 @@ def test_binet_round_computes_its_power_terms_once(monkeypatch, kind):
     assert binet_round(kind, 57, 40) == expected
     assert len(enclosures) == 1
     assert [args[1] for args in powers] == [57, 57]
+
+
+def _rounds(kind, lo, hi, precision):
+    """Each row's binet_round, or the message of the first row it refuses."""
+    try:
+        return [binet_round(kind, n, precision) for n in range(lo, hi + 1)]
+    except PrecisionError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("kind", list(SequenceKind))
+@pytest.mark.parametrize("lo,precision,margin", [
+    (2998, 1500, None), (-3000, 1500, None), (-1, 30, None),
+    (59, 30, None),          # the third row is past the cap
+    (-2999, 1500, -4),       # too few fractional bits: enclosures too wide to round
+    (2997, 1500, -4),
+])
+def test_a_binet_range_encloses_alpha_once(monkeypatch, kind, lo, precision, margin):
+    # three rows off one enclosure of alpha, shifted down to each row's bits:
+    # the same values, or the same first refusal, as binet_round row by row
+    if margin is not None:
+        monkeypatch.setattr(analytic, "_MARGIN_BITS", margin)
+    expected = _rounds(kind, lo, lo + 2, precision)
+    enclosures = _count_calls(monkeypatch, "_alpha")
+    try:
+        assert binet_range(kind, lo, lo + 2, precision) == expected
+    except PrecisionError as exc:
+        assert str(exc) == expected
+    assert len(enclosures) == 1
 
 
 def test_bench_times_every_binet_repetition(monkeypatch):

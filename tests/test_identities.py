@@ -260,8 +260,11 @@ def test_every_record_is_its_compiled_statement():
     backend = SequenceBackend.default()
     namespace = {"__builtins__": {}, "S": backend.s, "C": backend.c, "T": backend.t}
     wrong = SequenceBackend(backend.t, backend.s, lambda n: backend.c(n) + (n == 2))
+    read = []
+    recording = SequenceBackend(*(lambda k, f=f: read.append(k) or f(k)
+                                  for f in (backend.t, backend.s, backend.c)))
     for record in registry(backend):
-        arity, code, reads, sweep = identities._compile(record.statement)
+        arity, code, reads, reach, sweep = identities._compile(record.statement)
         assert arity == record.arity, record.name
         domain, lhs, rhs = eval(code, namespace)
         box = list(product(*(range(lo, hi + 1) for lo, hi in ((-5, 5), (0, 5))[:arity])))
@@ -269,6 +272,14 @@ def test_every_record_is_its_compiled_statement():
         assert points and points == [p for p in box if domain(*p)], record.name
         for point in points:
             assert (lhs(*point), rhs(*point)) == (record.lhs(*point), record.rhs(*point))
+        # reach: point by point, the largest |index| that the record's sides read there
+        _, left, right = eval(code, {**namespace, "S": recording.s, "C": recording.c, "T": recording.t})
+        largest = []
+        for point in points:
+            read.clear()
+            left(*point), right(*point)
+            largest.append(max(map(abs, read)))
+        assert reach(points) == largest, record.name
         # the sweep's sides over value tables are the record's sides, also where they differ
         for b in (backend, wrong):
             tables = [{k: f(k) for k in ks} for f, ks in zip((b.t, b.s, b.c), reads(points))]
@@ -416,26 +427,36 @@ _BOUND = st.integers(min_value=-60, max_value=60)
 _M_BOUND = st.integers(min_value=0, max_value=40)
 
 
+# the shipped chunk, under which these tests' sweeps hold one table, then a
+# chunk so small that every record and BOUNDARY streams in several chunks
+CHUNKS = (identities._CHUNK, 7)
+
+
 @pytest.mark.parametrize("seeds", SEED_SETS, ids=lambda seeds: repr(seeds) if seeds else "canonical")
 @settings(max_examples=3, deadline=None)
 @given(n=st.tuples(_BOUND, _BOUND).map(sorted), m=st.tuples(_M_BOUND, _M_BOUND).map(sorted))
 @example(n=(-60, 60), m=(0, 40))
 def test_sweep_reports_are_those_of_a_loop_over_each_record(seeds, n, m):
     # cases, counterexample points and both sides, in order, for every record
-    # and for BOUNDARY, at each seed set; one backend serves every sweep
+    # and for BOUNDARY, at each seed set and chunk; one backend serves every sweep
     (n_lo, n_hi), m_bounds = n, tuple(m)
     backend, reference = SequenceBackend.with_seeds(**seeds), _ladder_backend(seeds)
-    for record in registry(reference):
-        bounds = "n in [{}, {}]".format(n_lo, n_hi) + (
-            ", m in [{}, {}]".format(*m_bounds) if record.arity == 2 else "")
-        box = product(range(n_lo, n_hi + 1), *[range(m_bounds[0], m_bounds[1] + 1)][:record.arity - 1])
-        expected = _outcome(_reference, record.name, record.domain, record.lhs, record.rhs, box, bounds)
-        assert _outcome(verify, record.name, (n_lo, n_hi), m_bounds, backend) == expected
     ge, lt = (identities._find(registry(reference), name) for name in ("PROD_GE", "PROD_LT"))
     diagonal = [(k, k) for k in range(n_lo, n_hi + 1)]
-    expected = _reference("BOUNDARY", lambda n, m: True, ge.rhs, lt.rhs, diagonal,
+    boundary = _reference("BOUNDARY", lambda n, m: True, ge.rhs, lt.rhs, diagonal,
                           f"n = m in [{n_lo}, {n_hi}]")
-    assert boundary_consistency((n_lo, n_hi), backend) == expected
+    for size in CHUNKS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(identities, "_CHUNK", size)
+            for record in registry(reference):
+                bounds = "n in [{}, {}]".format(n_lo, n_hi) + (
+                    ", m in [{}, {}]".format(*m_bounds) if record.arity == 2 else "")
+                box = product(range(n_lo, n_hi + 1),
+                              *[range(m_bounds[0], m_bounds[1] + 1)][:record.arity - 1])
+                expected = _outcome(_reference, record.name, record.domain, record.lhs, record.rhs,
+                                    box, bounds)
+                assert _outcome(verify, record.name, (n_lo, n_hi), m_bounds, backend) == expected
+            assert boundary_consistency((n_lo, n_hi), backend) == boundary
 
 
 def _counting(backend, calls):
@@ -449,30 +470,37 @@ def _counting(backend, calls):
 
 
 @pytest.mark.parametrize("name", [*EXPECTED_NAMES, "BOUNDARY"])
-def test_a_sweep_asks_each_value_it_reads_once_going_out_from_zero(name):
+def test_a_sweep_asks_each_value_it_reads_once_going_out_from_zero(name, monkeypatch):
     n_bounds, m_bounds = (-30, 30), (0, 20)
-    calls = {letter: [] for letter in "tsc"}
-    counting = _counting(SequenceBackend.default(), calls)
     # brute force: every index the record's own sides read at its points
     reads = {letter: [] for letter in "tsc"}
     recording = _counting(_ladder_backend({}), reads)
     if name == "BOUNDARY":
-        boundary_consistency(n_bounds, counting)
         records = {r.name: r for r in registry(recording)}
         for n in range(n_bounds[0], n_bounds[1] + 1):
             records["PROD_GE"].rhs(n, n), records["PROD_LT"].rhs(n, n)
     else:
-        verify(name, n_bounds, m_bounds, counting)
         record = identities._find(registry(recording), name)
         box = product(range(n_bounds[0], n_bounds[1] + 1), range(m_bounds[0], m_bounds[1] + 1))
         for point in {point[:record.arity] for point in box}:
             if record.domain(*point):
                 record.lhs(*point), record.rhs(*point)
-    assert any(calls.values())
-    for letter, asked in calls.items():
-        assert sorted(asked) == sorted(set(reads[letter])), letter  # once per distinct index
-        ahead, behind = [k for k in asked if k >= 0], [k for k in asked if k < 0]
-        assert ahead == sorted(ahead) and behind == sorted(behind, reverse=True), letter
+    stream, streamed = identities._stream, []
+    monkeypatch.setattr(identities, "_stream", lambda *args: streamed.append(1) or stream(*args))
+    for size in CHUNKS:
+        monkeypatch.setattr(identities, "_CHUNK", size)
+        calls = {letter: [] for letter in "tsc"}
+        counting = _counting(SequenceBackend.default(), calls)
+        if name == "BOUNDARY":
+            boundary_consistency(n_bounds, counting)
+        else:
+            verify(name, n_bounds, m_bounds, counting)
+        assert any(calls.values())
+        for letter, asked in calls.items():
+            assert sorted(asked) == sorted(set(reads[letter])), letter  # once per distinct index
+            ahead, behind = [k for k in asked if k >= 0], [k for k in asked if k < 0]
+            assert ahead == sorted(ahead) and behind == sorted(behind, reverse=True), letter
+    assert streamed == [1]  # in chunks of 7, not in the shipped chunk
 
 
 def test_a_pass_asked_going_out_from_zero_never_restarts(monkeypatch):
@@ -497,12 +525,15 @@ def test_a_pass_asked_going_out_from_zero_never_restarts(monkeypatch):
         assert memo(3) == term(kind, 3) and len(starts) == 3  # below its position: restart
         starts.clear()
     # each sweep runs each pass it needs once: forward and backward per sequence
-    for name in EXPECTED_NAMES:
-        verify(name, (-40, 40), (0, 40))
-        assert starts and len(starts) == len(set(starts)), name
+    for size in CHUNKS:
+        monkeypatch.setattr(identities, "_CHUNK", size)
+        for name in EXPECTED_NAMES:
+            verify(name, (-40, 40), (0, 40))
+            assert starts and len(starts) == len(set(starts)), name
+            starts.clear()
+        boundary_consistency((-40, 40))
+        assert starts and len(starts) == len(set(starts))
         starts.clear()
-    boundary_consistency((-40, 40))
-    assert starts and len(starts) == len(set(starts))
 
 
 def test_a_sweep_holds_only_the_values_its_points_read():
@@ -515,3 +546,17 @@ def test_a_sweep_holds_only_the_values_its_points_read():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 10**6
+
+
+def test_a_streamed_sweep_holds_each_value_from_its_first_read_to_its_last():
+    # at N = 250 CONS_3 reads 17,140 S values up to index 62,750, about 42 MB
+    # of digits, and the whole registry peaked at about 48 MB holding them
+    # all; taken in chunks in read order it holds only the values that the
+    # chunks still to come read
+    tracemalloc.start()
+    try:
+        assert all(report.ok for report in verify_all((0, 250)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 10**6
