@@ -1,46 +1,21 @@
-"""tribokit command line.
+"""tribokit command line: eval, verify, expand, matrix, roots, crosscheck, bench.
 
-Subcommands: eval, verify, expand, matrix, roots, crosscheck, bench.
-Every subcommand accepts ``--format {plain,json,csv,bfile}`` and
-``--config PATH`` (also via the TRIBOKIT_CONFIG environment variable;
-an explicit flag wins).  Only ``eval`` prints bfile; ``main`` refuses
-it for every other command before any work is done.
+Each ``cmd_*`` returns ``(exit status, output)`` and writes nothing: text
+for plain, csv and bfile, or a json payload dict.  ``main`` is the one
+place that writes stdout.  In json it adds the ``command`` key and writes
+each ``JSONText`` value (rows that ``render_rows`` rendered already)
+between the pieces of the ``json.dumps`` envelope, so megabytes of digits
+never pass through ``json.dumps``.  Every row is rendered, or refused,
+before the first byte is written.
 
-Each ``cmd_*`` returns ``(exit status, output)`` and writes nothing:
-the output is text for plain, csv and bfile, and for json a payload
-dict, to which ``main`` adds the ``command`` key first.  ``main`` is the
-one place that writes stdout: the output, then a newline unless it ends
-in one, each written as it is, never concatenated.  The rows of ``eval`` (every
-strategy) and ``expand`` come from one renderer, ``render_rows``, in one
-join over index, separator, text and newline pieces; in json it renders
-the rows' array itself, which the payload holds as a ``JSONText`` and
-``main`` writes between the pieces of the ``json.dumps`` envelope, so
-megabytes of digits never pass through ``json.dumps``.  Output stays
-all-or-nothing: every row is rendered, or refused, before the first
-byte is written.  Exit status: 0 success, 3 a verification
-or crosscheck reported mismatches or two of ``bench``'s printed values
-disagree, 2 a usage/domain/IO error: any ValueError or OSError (a failed
-``--fetch`` or a failed write included), which ``main`` alone prints as
-``tribokit: <message>``.
+Exit status: 0 success; 3 a verification or crosscheck found mismatches,
+or two of ``bench``'s values disagree; 2 a usage, domain or IO error (any
+ValueError or OSError, a failed write included) or a MemoryError, which
+``main`` alone prints as one ``tribokit: <message>`` line.
 
 The module level imports only ``seqcore`` from the package; each command
-imports its own layer where it runs (``verify`` ``identities``, ``expand``
-``genfunc``, ``matrix`` ``tribomatrix``, ``roots`` ``analytic`` and so
-mpmath, ``crosscheck`` ``oeis``), and ``eval`` and ``bench`` the layer of
-each strategy they run.  ``json`` and ``csv`` load only when their format
-is printed, so a plain ``eval`` loads neither; only ``verify`` and
-``expand`` load ``dataclasses``, for their layers' records.
-
-``STRATEGIES`` is the one list of the ways ``eval`` and ``bench`` reach
-a(n): recurrence, matrix and binet, each with its layer, its evaluators
-and its index cap, and each serving T, S and C; ``eval --strategy`` takes
-its names, and ``bench`` times one row of each and compares their values.
-Values print as decimal strings in every format: recurrence and matrix
-ranges from exact decimal steps linear in the digits of each row (the
-matrix route's first row through str(int)), Binet values through
-str(int).  ``eval``, ``matrix`` and ``bench`` take any integer index, and
-only bfile refuses a negative one.  Options go before ``--``, since all
-that follows it is positional: ``tribokit eval --strategy matrix S -- -20 5``.
+imports its own layer, and ``json`` or ``csv``, where it runs.
+``STRATEGIES`` is the one list of the ways ``eval`` and ``bench`` reach a(n).
 """
 from __future__ import annotations
 
@@ -543,11 +518,10 @@ def cmd_bench(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
     rows, agreement = bench_strategies(kind, args.n, args.reps, config.precision)
     status = EXIT_OK if agreement else EXIT_FAILED
     if fmt == "json":
-        strategies = ("".join(_json_pieces({**row, "value": None if row["value"] is None
-                                            else str(row["value"])})) for row in rows)
+        strategies = [{**row, "value": None if row["value"] is None else str(row["value"])}
+                      for row in rows]
         return status, {"kind": kind.value, "n": args.n, "repetitions": args.reps,
-                        "strategies": JSONText(f"[{', '.join(strategies)}]"),
-                        "exact_agreement": agreement}
+                        "strategies": strategies, "exact_agreement": agreement}
     if fmt == "csv":
         return status, _csv(
             ["strategy", "seconds", "value", "note", "bound"],
@@ -664,6 +638,9 @@ def main(argv: list[str] | None = None) -> int:
         return status
     except (ValueError, OSError) as exc:
         print(f"tribokit: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print(f"tribokit: {args.command}: out of memory", file=sys.stderr)
         return EXIT_USAGE
 
 

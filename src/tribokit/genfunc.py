@@ -10,13 +10,14 @@ convolution
 entirely in exact integer arithmetic.  ``expand_text`` prints the
 expansion in one pass of ``seqcore``'s range kernel: the seed window
 through str(), every later term by the recurrence in decimal radix,
-linear in the digits of each term.
+linear in the digits of each term.  The builtin S, C and CEven functions
+are read off ``seqcore``'s recurrence table, not restated.
 """
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from . import seqcore
 
@@ -37,28 +38,43 @@ def _coefficient(value: object) -> int:
         raise ValueError(f"coefficient must be an integer, got {value!r}") from None
 
 
-@dataclass(frozen=True)
-class RationalOGF:
-    """num(x)/den(x), ascending coefficients, den normalized to den[0] = 1."""
-
+class _RationalOGFFields(NamedTuple):
     numerator: tuple[int, ...]
     denominator: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        num = _trim(tuple(map(_coefficient, self.numerator)))
-        den = _trim(tuple(map(_coefficient, self.denominator)))
+
+class RationalOGF(_RationalOGFFields):
+    """num(x)/den(x), ascending coefficients with trailing zeros trimmed,
+    den[0] = 1 and deg den >= 1.  An immutable named tuple; ``_make`` (and
+    so ``_replace``) runs the check too."""
+
+    __slots__ = ()
+
+    def __new__(cls, numerator: tuple[int, ...], denominator: tuple[int, ...]) -> "RationalOGF":
+        num = _trim(tuple(map(_coefficient, numerator)))
+        den = _trim(tuple(map(_coefficient, denominator)))
         if not den or den[0] != 1:
             raise ValueError("denominator must have constant term 1")
         if len(den) < 2:
             raise ValueError("denominator must have degree >= 1")
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "denominator", den)
+        return super().__new__(cls, num, den)
+
+    @classmethod
+    def _make(cls, iterable) -> "RationalOGF":
+        return cls(*iterable)
+
+
+def _ogf(recurrence: seqcore.Recurrence) -> RationalOGF:
+    """The generating function of a recurrence's sequence: den = 1 - c1*x -
+    c2*x^2 - c3*x^3, and num = den * (a0 + a1*x + a2*x^2) cut below x^3."""
+    (c1, c2, c3), (a0, a1, a2) = recurrence
+    return RationalOGF((a0, a1 - c1 * a0, a2 - c1 * a1 - c2 * a0), (1, -c1, -c2, -c3))
 
 
 _BUILTINS: dict[str, RationalOGF] = {
-    "S": RationalOGF((3, -2, -1), (1, -1, -1, -1)),
-    "C": RationalOGF((3, 2, 1), (1, 1, 1, -1)),
-    "CEVEN": RationalOGF((3, 2, 3), (1, 1, 3, -1)),
+    "S": _ogf(seqcore.RECURRENCES[seqcore.SequenceKind.GENERALIZED_LUCAS]),
+    "C": _ogf(seqcore.RECURRENCES[seqcore.SequenceKind.MINOR_SUM]),
+    "CEVEN": _ogf(seqcore._C_EVEN),
 }
 
 

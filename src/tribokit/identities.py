@@ -1,16 +1,15 @@
 """Machine-checkable identity catalogue for the S/C/T sequences.
 
-Every identity is a data record: a name, an index arity, its statement,
-a domain predicate, and a pair of exact integer evaluators.  Each record
-is written once, as a statement (``lhs = rhs  [domain]``); ``registry``
-compiles each statement into its arity, domain and both sides, so the
-text is what gets checked.  ``verify`` sweeps a record over inclusive
-index bounds and reports every tuple where the two sides differ, so a
-claim is either confirmed over the stated range or refuted with concrete
-counterexamples; bounds holding no case of the record's domain are
-refused.  ``boundary_consistency`` runs the same sweep over one more
-statement, the right sides of the catalogue's PROD_GE and PROD_LT joined
-on the diagonal n = m.  Nothing is ever compared in floating point.
+Every identity is a record: a name, an index arity, its statement, the
+domain predicate and both sides compiled from that statement, and the
+backend they read.  A statement is written once, as ``lhs = rhs
+[domain]``, so the text is what gets checked.  ``verify`` sweeps a record
+over inclusive index bounds and reports every tuple where the two sides
+differ, so a claim is either confirmed over the stated range or refuted
+with concrete counterexamples; bounds holding no case of the record's
+domain are refused.  ``boundary_consistency`` sweeps one more statement,
+the right sides of PROD_GE and PROD_LT joined on the diagonal n = m.
+Nothing is ever compared in floating point.
 
 A sweep reads each sequence value once: the same statement compiles into
 the index sets its calls read at the in-domain points, the largest
@@ -24,8 +23,8 @@ value after the last chunk that reads it: CONS_3's memory grows at most
 about as N^3 over [0, N]^2 (14 MB at N = 200, 67 MB at N = 400), where
 holding every value to the end grew as N^4.
 
-Records evaluate through a SequenceBackend, a triple of pure
-int -> int functions for T, S and C.  The default backend runs the
+Each record carries the SequenceBackend it evaluates through, a triple of
+pure int -> int functions for T, S and C.  The default backend runs the
 passes of ``seqcore.RECURRENCES`` (``Recurrence.memo``) per backend;
 alternative seeds on the same recurrences can be injected to prove the
 checks are actually sensitive to faults.  The statements of S_T_FORMS
@@ -41,8 +40,7 @@ import functools
 import re
 from dataclasses import dataclass, field
 from itertools import product
-from types import CodeType
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .seqcore import RECURRENCES, T_FORMS, CForm, Recurrence, SequenceKind, SForm
 
@@ -50,6 +48,7 @@ Bounds = tuple[int, int]
 Counterexample = tuple[tuple[int, ...], int, int]
 Points = Iterable[tuple[int, ...]]
 Seeds = tuple[int, int, int]
+Sides = Callable[..., tuple[Callable[..., bool], Callable[..., int], Callable[..., int]]]
 Reads = Callable[[list[tuple[int, ...]]], tuple[set[int], set[int], set[int]]]
 Reach = Callable[[list[tuple[int, ...]]], list[int]]
 Sweep = Callable[..., list[Counterexample]]
@@ -58,8 +57,7 @@ Sweep = Callable[..., list[Counterexample]]
 _CHUNK = 8192
 
 
-@dataclass(frozen=True)
-class SequenceBackend:
+class SequenceBackend(NamedTuple):
     """The three sequence evaluators the identity records read from."""
 
     t: Callable[[int], int]
@@ -85,6 +83,8 @@ class SequenceBackend:
         return cls.with_seeds()
 
 
+# The package's one dataclass: perfbench/tracing.py rewraps a record's sides
+# with ``dataclasses.replace``, which keeps every other field.
 @dataclass(frozen=True)
 class IdentityRecord:
     name: str
@@ -93,10 +93,10 @@ class IdentityRecord:
     domain: Callable[..., bool] = field(repr=False)
     lhs: Callable[..., int] = field(repr=False)
     rhs: Callable[..., int] = field(repr=False)
+    backend: SequenceBackend = field(repr=False)  # what ``_run`` asks for values
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     identity: str
     bounds: str
     cases_checked: int
@@ -161,15 +161,15 @@ class _Tables(ast.NodeTransformer):
 
 
 @functools.cache
-def _compile(statement: str) -> tuple[int, CodeType, Reads, Reach, Sweep]:
-    """Arity, the code of ``(domain, lhs, rhs)``, and ``reads``, ``reach`` and
-    ``sweep`` for one statement, compiled once per process from the same
-    trees.  Evaluating the code in a namespace that binds S, C and T yields
-    the record's three functions.  ``reads(points)`` is the T, S and C index
-    sets that the calls of both sides read at the points; ``reach(points)``
-    lists, point by point, the largest |index| its calls read; ``sweep(points,
-    T, S, C)`` evaluates both sides with each call a subscript of a value
-    table and lists (point, lhs, rhs) wherever they differ, in point order."""
+def _compile(statement: str) -> tuple[int, Sides, Reads, Reach, Sweep]:
+    """Arity, ``sides``, ``reads``, ``reach`` and ``sweep`` for one statement,
+    compiled once per process, in one code object, from the same trees.
+    ``sides(T, S, C)`` is the record's ``(domain, lhs, rhs)`` over those
+    evaluators.  ``reads(points)`` is the T, S and C index sets that the calls
+    of both sides read at the points; ``reach(points)`` lists, point by point,
+    the largest |index| its calls read; ``sweep(points, T, S, C)`` evaluates
+    both sides with each call a subscript of a value table and lists
+    (point, lhs, rhs) wherever they differ, in point order."""
     source = re.sub(r"(\d)(?=[A-Za-z(])", r"\1*", statement).replace("^", "**")
     equation, _, clause = source.partition("  [")
     sides = equation.split(" = ")
@@ -199,21 +199,21 @@ def _compile(statement: str) -> tuple[int, CodeType, Reads, Reach, Sweep]:
     left, right = (ast.unparse(_Tables().visit(tree)) for tree in trees[:2])
     sweep = (f"[(({point}), l, r) for {point}in points"
              f" if (l := ({left})) != (r := ({right}))]")
-    functions = eval(compile(f"(lambda points: ({reads}), lambda points: {reach},"
-                             f" lambda points, T, S, C: {sweep})", statement, "eval"),
+    functions = eval(compile(f"(lambda T, S, C: ({lambdas}), lambda points: ({reads}),"
+                             f" lambda points: {reach}, lambda points, T, S, C: {sweep})",
+                             statement, "eval"),
                      {"__builtins__": {"abs": abs, "max": max}})
-    return len(params), compile(f"({lambdas})", statement, "eval"), *functions
+    return len(params), *functions
 
 
 def _records(statements: Iterable[tuple[str, str]],
              backend: SequenceBackend | None) -> list[IdentityRecord]:
     """The compiled (name, statement) records, evaluated over ``backend``."""
     b = backend if backend is not None else SequenceBackend.default()
-    namespace = {"__builtins__": {}, "S": b.s, "C": b.c, "T": b.t}
     records = []
     for name, statement in statements:
-        arity, code, *_ = _compile(statement)
-        records.append(IdentityRecord(name, arity, statement, *eval(code, namespace)))
+        arity, sides, *_ = _compile(statement)
+        records.append(IdentityRecord(name, arity, statement, *sides(*b), b))
     return records
 
 
@@ -255,21 +255,16 @@ def _run(record: IdentityRecord, points: Points, bounds: str) -> VerificationRep
     if not points:
         raise ValueError(f"{record.name}: no case of its domain lies in {bounds}")
     _, _, reads, reach, sweep = _compile(record.statement)
-    backend = [record.domain.__globals__[name] for name in "TSC"]  # ``_records``' namespace
     wanted = [sorted(indices, key=abs) for indices in reads(points)]  # no pass restarts
     if min(len(points), sum(map(len, wanted))) > _CHUNK:
-        counterexamples = _stream(points, backend, wanted, reads, reach, sweep)
+        counterexamples = _stream(points, record.backend, wanted, reads, reach, sweep)
     else:
-        counterexamples = sweep(points, *(dict(zip(ks, map(f, ks))) for f, ks in zip(backend, wanted)))
-    return VerificationReport(
-        identity=record.name,
-        bounds=bounds,
-        cases_checked=len(points),
-        counterexamples=tuple(counterexamples),
-    )
+        counterexamples = sweep(points, *(dict(zip(ks, map(f, ks)))
+                                          for f, ks in zip(record.backend, wanted)))
+    return VerificationReport(record.name, bounds, len(points), tuple(counterexamples))
 
 
-def _stream(points: list[tuple[int, ...]], backend: list[Callable[[int], int]],
+def _stream(points: list[tuple[int, ...]], backend: SequenceBackend,
             wanted: list[list[int]], reads: Reads, reach: Reach,
             sweep: Sweep) -> list[Counterexample]:
     """``sweep`` over the points in chunks of _CHUNK, after reordering them in

@@ -1066,7 +1066,7 @@ _COMMAND_LAYERS = [
     (["verify", "CN2", "--range", "0:3"], ("tribokit.identities", *_DATACLASSES)),
     (["verify", "CN2", "--range", "0:3", "--format", "json"],
      ("tribokit.identities", *_DATACLASSES, "json")),
-    (["expand", "S", "4"], ("tribokit.genfunc", *_DATACLASSES)),
+    (["expand", "S", "4"], ("tribokit.genfunc",)),
     (["matrix", "3"], ("tribokit.tribomatrix",)),
     (["matrix", "3", "--format", "csv"], ("tribokit.tribomatrix", "csv")),
     (["crosscheck", "S", _FIXTURE, "5"], ("tribokit.oeis",)),
@@ -1169,6 +1169,14 @@ def test_failed_write_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdout", ClosedPipe())
     assert cli.main(["eval", "S", "0", "4"]) == 2
     assert capsys.readouterr().err == "tribokit: [Errno 32] Broken pipe\n"
+
+
+def test_memory_error_exits_2_with_one_line(monkeypatch, capsys):
+    def exhausted(args, config, fmt):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_matrix", exhausted)
+    assert run(capsys, "matrix", "3") == (2, "", "tribokit: matrix: out of memory\n")
 
 
 def test_main_builds_one_parser_and_dispatches_by_command_name(monkeypatch, capsys):

@@ -3,11 +3,15 @@ from __future__ import annotations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from tribokit import seqcore
 from tribokit.genfunc import RationalOGF, builtin_ogf, expand, expand_text, recurrence_of
 from tribokit.seqcore import SequenceKind, c_even, sequence_range
 
 
 def test_builtin_coefficients():
+    # the paper's printed OGFs, which genfunc derives from seqcore's recurrence table:
+    # S = (3 - 2x - x^2)/(1 - x - x^2 - x^3), C = (3 + 2x + x^2)/(1 + x + x^2 - x^3),
+    # CEven = (3 + 2x + 3x^2)/(1 + x + 3x^2 - x^3)
     s = builtin_ogf("S")
     assert (s.numerator, s.denominator) == ((3, -2, -1), (1, -1, -1, -1))
     c = builtin_ogf("C")
@@ -50,6 +54,16 @@ def test_non_integer_coefficients_are_refused(num, den, bad):
     with pytest.raises(ValueError) as err:
         RationalOGF(num, den)
     assert str(err.value) == f"coefficient must be an integer, got {bad}"
+
+
+def test_make_and_replace_run_the_checks():
+    ogf = RationalOGF((3, 0), (1, -1, 0))
+    assert ogf == ((3,), (1, -1)) and RationalOGF._make([(3, 0), (1, -1, 0)]) == ogf
+    assert ogf._replace(numerator=(1, 2, 0)) == RationalOGF((1, 2), (1, -1))
+    with pytest.raises(ValueError, match="constant term 1"):
+        ogf._replace(denominator=(2, 1))
+    with pytest.raises(ValueError, match="must be an integer"):
+        RationalOGF._make([(1.5,), (1, -1)])
 
 
 def test_trailing_zeros_are_trimmed():
@@ -96,6 +110,15 @@ def test_recurrence_of_builtins():
     assert recurrence_of(builtin_ogf("S")) == ((1, 1, 1), (3, 1, 3))
     assert recurrence_of(builtin_ogf("C")) == ((-1, -1, 1), (3, -1, -1))
     assert recurrence_of(builtin_ogf("CEven")) == ((-1, -3, 1), (3, -1, -5))
+
+
+@pytest.mark.parametrize("name, recurrence", [
+    ("S", seqcore.RECURRENCES[SequenceKind.GENERALIZED_LUCAS]),
+    ("C", seqcore.RECURRENCES[SequenceKind.MINOR_SUM]),
+    ("CEven", seqcore._C_EVEN),
+])
+def test_builtins_give_back_their_recurrences(name, recurrence):
+    assert recurrence_of(builtin_ogf(name)) == (recurrence.coeffs, recurrence.seeds)
 
 
 @pytest.mark.parametrize("name", ["S", "C", "CEven"])

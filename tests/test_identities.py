@@ -258,22 +258,21 @@ def test_every_record_is_its_compiled_statement():
     texts = {"S_T_FORMS": [seqcore.T_FORMS[f] for f in SForm],
              "C_T_FORMS": [seqcore.T_FORMS[f] for f in CForm]}
     backend = SequenceBackend.default()
-    namespace = {"__builtins__": {}, "S": backend.s, "C": backend.c, "T": backend.t}
     wrong = SequenceBackend(backend.t, backend.s, lambda n: backend.c(n) + (n == 2))
     read = []
-    recording = SequenceBackend(*(lambda k, f=f: read.append(k) or f(k)
-                                  for f in (backend.t, backend.s, backend.c)))
+    recording = SequenceBackend(*(lambda k, f=f: read.append(k) or f(k) for f in backend))
     for record in registry(backend):
-        arity, code, reads, reach, sweep = identities._compile(record.statement)
+        arity, sides, reads, reach, sweep = identities._compile(record.statement)
         assert arity == record.arity, record.name
-        domain, lhs, rhs = eval(code, namespace)
+        assert record.backend is backend, record.name
+        domain, lhs, rhs = sides(*backend)
         box = list(product(*(range(lo, hi + 1) for lo, hi in ((-5, 5), (0, 5))[:arity])))
         points = [p for p in box if record.domain(*p)]
         assert points and points == [p for p in box if domain(*p)], record.name
         for point in points:
             assert (lhs(*point), rhs(*point)) == (record.lhs(*point), record.rhs(*point))
         # reach: point by point, the largest |index| that the record's sides read there
-        _, left, right = eval(code, {**namespace, "S": recording.s, "C": recording.c, "T": recording.t})
+        _, left, right = sides(*recording)
         largest = []
         for point in points:
             read.clear()
@@ -282,10 +281,9 @@ def test_every_record_is_its_compiled_statement():
         assert reach(points) == largest, record.name
         # the sweep's sides over value tables are the record's sides, also where they differ
         for b in (backend, wrong):
-            tables = [{k: f(k) for k in ks} for f, ks in zip((b.t, b.s, b.c), reads(points))]
-            sides = eval(code, {**namespace, "S": b.s, "C": b.c, "T": b.t})[1:]
+            tables = [{k: f(k) for k in ks} for f, ks in zip(b, reads(points))]
             assert sweep(points, *tables) == [
-                (p, *values) for p in points for values in [[side(*p) for side in sides]]
+                (p, *values) for p in points for values in [[side(*p) for side in sides(*b)[1:]]]
                 if values[0] != values[1]], record.name
         assert all(text in record.statement for text in texts.get(record.name, []))
     assert sum(map(len, texts.values())) == len(seqcore.T_FORMS)
