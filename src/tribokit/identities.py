@@ -12,15 +12,18 @@ the right sides of PROD_GE and PROD_LT joined on the diagonal n = m.
 Nothing is ever compared in floating point.
 
 A sweep reads each sequence value once: the same statement compiles into
-the index sets its calls read at the in-domain points, the largest
-|index| each point reads, and one comprehension over value tables, each
-call a subscript.  The backend is asked for those indices alone, going
-out from zero, so a sweep holds the values its points read and no others
-(CONS_3 reads S only at multiples of n), each from its first read to its
-last.  A sweep of more than _CHUNK points and values runs in chunks of
-_CHUNK points taken in order of that largest |index|, and drops each
-value after the last chunk that reads it: CONS_3's memory grows at most
-about as N^3 over [0, N]^2 (14 MB at N = 200, 67 MB at N = 400), where
+a filter of the in-domain points, the index sets its calls read there,
+the largest |index| a point reads, and one comprehension over value
+tables, each call a subscript.  The backend is asked for those indices
+alone, going out from zero, so a sweep holds the values its points read
+and no others (CONS_3 reads S only at multiples of n), each from its
+first read to its last.  A sweep of more than _CHUNK points and values
+runs in chunks taken in order of that largest |index|, and drops each
+value after the last chunk that reads it.  A chunk ends at _CHUNK points
+or where its points times the bits of its widest value pass _BITS, so
+chunks shrink only where values are wide: over [0, N]^2 CONS_3 peaks at
+7 MB under tracemalloc at N = 200 and 21 MB at N = 400, most of it the
+points themselves, where 8,192-point chunks peaked at 17 and 68 MB and
 holding every value to the end grew as N^4.
 
 Each record carries the SequenceBackend it evaluates through, a triple of
@@ -49,12 +52,18 @@ Counterexample = tuple[tuple[int, ...], int, int]
 Points = Iterable[tuple[int, ...]]
 Seeds = tuple[int, int, int]
 Sides = Callable[..., tuple[Callable[..., bool], Callable[..., int], Callable[..., int]]]
+Cases = Callable[[Points], list[tuple[int, ...]]]
 Reads = Callable[[list[tuple[int, ...]]], tuple[set[int], set[int], set[int]]]
-Reach = Callable[[list[tuple[int, ...]]], list[int]]
+Reach = Callable[..., int]
 Sweep = Callable[..., list[Counterexample]]
 
-# A sweep of more points and more values than this streams, this many points a chunk.
+# A chunk of a streamed sweep holds at most _CHUNK points, whose count times
+# the width in bits of the widest value they read (``_width``) stays within
+# _BITS: narrow values go 8,192 points a chunk, CONS_3's widest over
+# [0, 250]^2 about 300.
 _CHUNK = 8192
+_BITS = 1 << 24
+_WORD = 64
 
 
 class SequenceBackend(NamedTuple):
@@ -161,13 +170,14 @@ class _Tables(ast.NodeTransformer):
 
 
 @functools.cache
-def _compile(statement: str) -> tuple[int, Sides, Reads, Reach, Sweep]:
-    """Arity, ``sides``, ``reads``, ``reach`` and ``sweep`` for one statement,
-    compiled once per process, in one code object, from the same trees.
-    ``sides(T, S, C)`` is the record's ``(domain, lhs, rhs)`` over those
-    evaluators.  ``reads(points)`` is the T, S and C index sets that the calls
-    of both sides read at the points; ``reach(points)`` lists, point by point,
-    the largest |index| its calls read; ``sweep(points, T, S, C)`` evaluates
+def _compile(statement: str) -> tuple[int, Sides, Cases, Reads, Reach, Sweep]:
+    """Arity, ``sides``, ``cases``, ``reads``, ``reach`` and ``sweep`` for one
+    statement, compiled once per process, in one code object, from the same
+    trees.  ``sides(T, S, C)`` is the record's ``(domain, lhs, rhs)`` over
+    those evaluators.  ``cases(points)`` lists the points in the domain, in
+    their order.  ``reads(points)`` is the T, S and C index sets that the calls
+    of both sides read at the points; ``reach(n[, m])`` is the largest
+    |index| they read at one point; ``sweep(points, T, S, C)`` evaluates
     both sides with each call a subscript of a value table and lists
     (point, lhs, rhs) wherever they differ, in point order."""
     source = re.sub(r"(\d)(?=[A-Za-z(])", r"\1*", statement).replace("^", "**")
@@ -193,14 +203,15 @@ def _compile(statement: str) -> tuple[int, Sides, Reads, Reach, Sweep]:
     point = "".join(f"{p}, " for p in params)
     reads = ", ".join("{%s}" % ", ".join([f"*[{a} for {point}in points]" for a in texts] or ["*()"])
                       for texts in args.values())
-    reach = "[max(0, %s) for %sin points]" % (
-        ", ".join(f"abs({a})" for a in dict.fromkeys(a for texts in args.values() for a in texts)),
-        point)
+    reach = "lambda %s: max(0, %s)" % (", ".join(params), ", ".join(
+        f"abs({a})" for a in dict.fromkeys(a for texts in args.values() for a in texts)))
     left, right = (ast.unparse(_Tables().visit(tree)) for tree in trees[:2])
     sweep = (f"[(({point}), l, r) for {point}in points"
              f" if (l := ({left})) != (r := ({right}))]")
-    functions = eval(compile(f"(lambda T, S, C: ({lambdas}), lambda points: ({reads}),"
-                             f" lambda points: {reach}, lambda points, T, S, C: {sweep})",
+    cases = "[(%s) for %sin points%s]" % (point, point, "".join(f" if ({text})" for text in domain))
+    functions = eval(compile(f"(lambda T, S, C: ({lambdas}), lambda points: {cases},"
+                             f" lambda points: ({reads}),"
+                             f" {reach}, lambda points, T, S, C: {sweep})",
                              statement, "eval"),
                      {"__builtins__": {"abs": abs, "max": max}})
     return len(params), *functions
@@ -246,54 +257,75 @@ def _run(record: IdentityRecord, points: Points, bounds: str) -> VerificationRep
     """Compare both sides at each in-domain point; refused if there is none.
 
     The backend is asked once for each value the points read, going out
-    from zero, in one table per sequence that the compiled sweep reads.  A
-    sweep of at most _CHUNK points or values holds them all until it ends;
-    a larger one streams (``_stream``), so it holds a value only from the
-    chunk that reaches its index to the last chunk that reads it.  The
-    points come in ascending order, and so do the counterexamples."""
-    points = [point for point in points if record.domain(*point)]
+    from zero, in one table per sequence that the compiled sweep reads.  The
+    indices the points read are gathered _CHUNK points at a time; once a
+    sweep has more points, and they read more values, than one chunk holds,
+    it streams (``_stream``), so it holds a value only from the chunk that
+    reaches its index to the last chunk that reads it.  Any other sweep
+    holds them all until it ends.  The points come in ascending order, and
+    so do the counterexamples."""
+    _, _, cases, reads, reach, sweep = _compile(record.statement)
+    points = cases(points)
     if not points:
         raise ValueError(f"{record.name}: no case of its domain lies in {bounds}")
-    _, _, reads, reach, sweep = _compile(record.statement)
-    wanted = [sorted(indices, key=abs) for indices in reads(points)]  # no pass restarts
-    if min(len(points), sum(map(len, wanted))) > _CHUNK:
-        counterexamples = _stream(points, record.backend, wanted, reads, reach, sweep)
+    most = min(_CHUNK, _BITS // _WORD)  # the most points one chunk holds
+    read: list[set[int]] = [set(), set(), set()]
+    for start in range(0, len(points), _CHUNK):
+        for seen, ks in zip(read, reads(points[start:start + _CHUNK])):
+            seen |= ks
+        if min(len(points), sum(map(len, read))) > most:
+            del read  # the stream gathers them chunk by chunk
+            counterexamples = _stream(points, record.backend, reads, reach, sweep)
+            break
     else:
+        wanted = [sorted(indices, key=abs) for indices in read]  # no pass restarts
         counterexamples = sweep(points, *(dict(zip(ks, map(f, ks)))
                                           for f, ks in zip(record.backend, wanted)))
     return VerificationReport(record.name, bounds, len(points), tuple(counterexamples))
 
 
+def _width(k: int) -> int:
+    """Bits that T(k), S(k) or C(k) takes at most, plus one word: each
+    grows at most as alpha^|k|, and log2(alpha) < 0.88."""
+    return k * 88 // 100 + _WORD
+
+
 def _stream(points: list[tuple[int, ...]], backend: SequenceBackend,
-            wanted: list[list[int]], reads: Reads, reach: Reach,
-            sweep: Sweep) -> list[Counterexample]:
-    """``sweep`` over the points in chunks of _CHUNK, after reordering them in
-    place by the largest |index| each reads (ties keep their order).  Before
-    a chunk, each sequence's ``wanted`` indices (sorted by |k|) up to the
-    chunk's largest are asked and tabled, so every pass still goes out from
-    zero; after it, the values no later chunk reads are dropped.  The
-    counterexamples come back sorted by point."""
-    keys = reach(points)
-    order = sorted(range(len(points)), key=keys.__getitem__)
-    points[:] = [points[i] for i in order]
-    starts = range(0, len(points), _CHUNK)
-    tops = [keys[order[min(start + _CHUNK, len(order)) - 1]] for start in starts]
-    del keys, order
+            reads: Reads, reach: Reach, sweep: Sweep) -> list[Counterexample]:
+    """``sweep`` over the points in chunks, after sorting them in place by
+    ``reach``, the largest |index| each reads (ties keep their order).  A
+    chunk ends before the point that would take it past _CHUNK points, or
+    its points times the ``_width`` of its widest value past _BITS; it holds
+    one point at least.  Each sequence's indices that the chunks read are
+    asked in order of |k|: before a chunk, those up to its largest are asked
+    and tabled, so every pass still goes out from zero; after it, the values
+    no later chunk reads are dropped.  The counterexamples come back sorted
+    by point."""
+    points.sort(key=lambda point: reach(*point))
+    ends = [0]
+    while (start := ends[-1]) < len(points):
+        span = range(start + 1, min(start + _CHUNK, len(points)) + 1)
+        fit = bisect.bisect_right(
+            span, _BITS, key=lambda end: (end - start) * _width(reach(*points[end - 1])))
+        ends.append(span[max(fit, 1) - 1])
+    chunks = list(zip(ends, ends[1:]))
+    tops = [reach(*points[end - 1]) for end in ends[1:]]
     # per chunk, the indices of each sequence that no later chunk reads
     drops: list[list[set[int]]] = []
     later: list[set[int]] = [set(), set(), set()]
-    for start in reversed(starts):
-        drops.append([ks - seen for ks, seen in zip(reads(points[start:start + _CHUNK]), later)])
+    for start, end in reversed(chunks):
+        drops.append([ks - seen for ks, seen in zip(reads(points[start:end]), later)])
         for seen, ks in zip(later, drops[-1]):
             seen |= ks
+    wanted = [sorted(seen, key=abs) for seen in later]  # no pass restarts
     del later
     tables: list[dict[int, int]] = [{}, {}, {}]
     found: list[Counterexample] = []
-    for start, low, top, drop in zip(starts, [-1, *tops], tops, reversed(drops)):
+    for (start, end), low, top, drop in zip(chunks, [-1, *tops], tops, reversed(drops)):
         for at, ks, table in zip(backend, wanted, tables):
             new = ks[bisect.bisect_right(ks, low, key=abs):bisect.bisect_right(ks, top, key=abs)]
             table.update(zip(new, map(at, new)))
-        found += sweep(points[start:start + _CHUNK], *tables)
+        found += sweep(points[start:end], *tables)
         for table, ks in zip(tables, drop):
             for k in ks:
                 del table[k]

@@ -262,13 +262,13 @@ def test_every_record_is_its_compiled_statement():
     read = []
     recording = SequenceBackend(*(lambda k, f=f: read.append(k) or f(k) for f in backend))
     for record in registry(backend):
-        arity, sides, reads, reach, sweep = identities._compile(record.statement)
+        arity, sides, cases, reads, reach, sweep = identities._compile(record.statement)
         assert arity == record.arity, record.name
         assert record.backend is backend, record.name
         domain, lhs, rhs = sides(*backend)
         box = list(product(*(range(lo, hi + 1) for lo, hi in ((-5, 5), (0, 5))[:arity])))
         points = [p for p in box if record.domain(*p)]
-        assert points and points == [p for p in box if domain(*p)], record.name
+        assert points and points == [p for p in box if domain(*p)] == cases(iter(box)), record.name
         for point in points:
             assert (lhs(*point), rhs(*point)) == (record.lhs(*point), record.rhs(*point))
         # reach: point by point, the largest |index| that the record's sides read there
@@ -278,7 +278,7 @@ def test_every_record_is_its_compiled_statement():
             read.clear()
             left(*point), right(*point)
             largest.append(max(map(abs, read)))
-        assert reach(points) == largest, record.name
+        assert [reach(*point) for point in points] == largest, record.name
         # the sweep's sides over value tables are the record's sides, also where they differ
         for b in (backend, wrong):
             tables = [{k: f(k) for k in ks} for f, ks in zip(b, reads(points))]
@@ -425,9 +425,10 @@ _BOUND = st.integers(min_value=-60, max_value=60)
 _M_BOUND = st.integers(min_value=0, max_value=40)
 
 
-# the shipped chunk, under which these tests' sweeps hold one table, then a
-# chunk so small that every record and BOUNDARY streams in several chunks
-CHUNKS = (identities._CHUNK, 7)
+# the shipped budget of value bits, under which these tests' sweeps hold one
+# table, then a budget so small that every record and BOUNDARY streams, one
+# point a chunk
+CHUNKS = (identities._BITS, 0)
 
 
 @pytest.mark.parametrize("seeds", SEED_SETS, ids=lambda seeds: repr(seeds) if seeds else "canonical")
@@ -445,7 +446,7 @@ def test_sweep_reports_are_those_of_a_loop_over_each_record(seeds, n, m):
                           f"n = m in [{n_lo}, {n_hi}]")
     for size in CHUNKS:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(identities, "_CHUNK", size)
+            patch.setattr(identities, "_BITS", size)
             for record in registry(reference):
                 bounds = "n in [{}, {}]".format(n_lo, n_hi) + (
                     ", m in [{}, {}]".format(*m_bounds) if record.arity == 2 else "")
@@ -483,11 +484,19 @@ def test_a_sweep_asks_each_value_it_reads_once_going_out_from_zero(name, monkeyp
         for point in {point[:record.arity] for point in box}:
             if record.domain(*point):
                 record.lhs(*point), record.rhs(*point)
-    stream, streamed = identities._stream, []
-    monkeypatch.setattr(identities, "_stream", lambda *args: streamed.append(1) or stream(*args))
+    stream, chunks = identities._stream, []
+
+    def streaming(points, backend, reads, reach, sweep):
+        def chunk(points, *tables):
+            chunks.append(len(points))
+            return sweep(points, *tables)
+        return stream(points, backend, reads, reach, chunk)
+
+    monkeypatch.setattr(identities, "_stream", streaming)
     for size in CHUNKS:
-        monkeypatch.setattr(identities, "_CHUNK", size)
+        monkeypatch.setattr(identities, "_BITS", size)
         calls = {letter: [] for letter in "tsc"}
+        chunks.clear()
         counting = _counting(SequenceBackend.default(), calls)
         if name == "BOUNDARY":
             boundary_consistency(n_bounds, counting)
@@ -498,7 +507,8 @@ def test_a_sweep_asks_each_value_it_reads_once_going_out_from_zero(name, monkeyp
             assert sorted(asked) == sorted(set(reads[letter])), letter  # once per distinct index
             ahead, behind = [k for k in asked if k >= 0], [k for k in asked if k < 0]
             assert ahead == sorted(ahead) and behind == sorted(behind, reverse=True), letter
-    assert streamed == [1]  # in chunks of 7, not in the shipped chunk
+        # one table at the shipped budget; else one point a chunk
+        assert set(chunks) == (set() if size else {1})
 
 
 def test_a_pass_asked_going_out_from_zero_never_restarts(monkeypatch):
@@ -524,7 +534,7 @@ def test_a_pass_asked_going_out_from_zero_never_restarts(monkeypatch):
         starts.clear()
     # each sweep runs each pass it needs once: forward and backward per sequence
     for size in CHUNKS:
-        monkeypatch.setattr(identities, "_CHUNK", size)
+        monkeypatch.setattr(identities, "_BITS", size)
         for name in EXPECTED_NAMES:
             verify(name, (-40, 40), (0, 40))
             assert starts and len(starts) == len(set(starts)), name
@@ -550,11 +560,13 @@ def test_a_streamed_sweep_holds_each_value_from_its_first_read_to_its_last():
     # at N = 250 CONS_3 reads 17,140 S values up to index 62,750, about 42 MB
     # of digits, and the whole registry peaked at about 48 MB holding them
     # all; taken in chunks in read order it holds only the values that the
-    # chunks still to come read
+    # chunks still to come read, and 8,192-point chunks peaked near 21 MB;
+    # chunks that end at a budget of value bits peak near 8 MB, most of it
+    # the points themselves
     tracemalloc.start()
     try:
         assert all(report.ok for report in verify_all((0, 250)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 10**6
+    assert peak < 12 * 10**6
