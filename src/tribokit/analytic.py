@@ -49,7 +49,7 @@ import math
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple
 
-from .seqcore import T_FROM_S, SequenceKind
+from .seqcore import T_FROM_S, SequenceKind, _alpha_bits
 
 _GUARD_DIGITS = 10
 
@@ -243,8 +243,8 @@ def _bits(kind: SequenceKind, n: int) -> tuple[int, int, int]:
     """m, and the fractional bits of the small and of the big term at index n."""
     m = -n if kind is SequenceKind.MINOR_SUM else n
     k = abs(m)
-    small = k.bit_length() + _MARGIN_BITS
-    return m, small, (88 * k if m >= 0 else 44 * k) // 100 + small
+    small, bits = k.bit_length() + _MARGIN_BITS, _alpha_bits(k)
+    return m, small, (bits if m >= 0 else bits // 2) + small
 
 
 def _binet(kind: SequenceKind, n: int, precision: int,

@@ -11,7 +11,9 @@ before the first byte is written.
 Exit status: 0 success; 3 a verification or crosscheck found mismatches,
 or two of ``bench``'s values disagree; 2 a usage, domain or IO error (any
 ValueError or OSError, a failed write included) or a MemoryError, which
-``main`` alone prints as one ``tribokit: <message>`` line.
+``main`` alone prints as one ``tribokit: <message>`` line.  A value past
+the int/str digit limit for certain, and work past DIGIT_BUDGET or
+SWEEP_BUDGET, are refused so before any evaluation.
 
 The module level imports only ``seqcore`` from the package; each command
 imports its own layer, and ``json`` or ``csv``, where it runs.
@@ -44,6 +46,12 @@ FORMATS = ("plain", "json", "csv", "bfile")
 
 # What a command returns: its exit status, and text or a json payload.
 Output = tuple[int, str | dict[str, Any]]
+
+# Work budgets, checked before any evaluation, each at least 10x what the
+# README advertises: S(0)..S(100000) print 1.3e9 digits, and `verify CONS_3
+# --range 0:400 --m-range 2:402` holds 2.3e10 point-bits.
+DIGIT_BUDGET = 3 * 10**10  # decimal digits of the values one command prints
+SWEEP_BUDGET = 10**12  # a verify's points times value bits (identities.sweep_bits)
 
 
 class JSONText(NamedTuple):
@@ -123,6 +131,23 @@ def load_config(path: str | None) -> CliConfig:
         else:
             raise ValueError(f"{path}:{line_number}: unknown config key {key!r}")
     return config
+
+
+def _within(command: str, estimate: int, budget: int, unit: str) -> None:
+    if estimate > budget:
+        raise ValueError(
+            f"{command}: an estimated {estimate:,} {unit} exceed the budget of {budget:,}")
+
+
+def _printable(command: str, low: int, digits: int) -> None:
+    """Refuse, before any evaluation, output that could not be printed:
+    with str(int)'s ValueError when a value passes its digit limit for
+    certain (``low``, from ``seqcore.digit_bounds``), as printing it would,
+    or when the printed digits may pass DIGIT_BUDGET."""
+    limit = seqcore._str_limit()
+    if limit and low > limit:
+        raise ValueError(seqcore._STR_LIMIT_MESSAGE.format(limit))
+    _within(command, digits, DIGIT_BUDGET, "printed digits")
 
 
 def _csv(header: list[str], rows: list[list[Any]]) -> str:
@@ -254,6 +279,7 @@ def cmd_eval(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
     layer = strategy.module()
     if max(abs(args.lo), abs(args.hi)) > (cap := strategy.cap(layer, precision)):
         raise ValueError(f"{name} strategy is certified only for |n| <= {cap} at precision {precision}")
+    _printable("eval", *seqcore.digit_bounds(kind, args.lo, args.hi))
     rows = render_rows(fmt, "n,value", args.lo, strategy.texts(layer, kind, args.lo, args.hi, precision))
     if fmt == "json":
         return EXIT_OK, {"kind": kind.value, "strategy": args.strategy, "values": JSONText(rows)}
@@ -280,11 +306,14 @@ def cmd_verify(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
     m_bounds = _parse_bounds(args.m_range) if args.m_range else n_bounds
     from . import identities
 
+    name = None if args.identity.lower() == "all" else args.identity.upper()
     try:
-        if args.identity.lower() == "all":
+        _within("verify", identities.sweep_bits(name, n_bounds, m_bounds), SWEEP_BUDGET,
+                "point-bits")
+        if name is None:
             reports = identities.verify_all(n_bounds, m_bounds)
         else:
-            reports = [identities.verify(args.identity.upper(), n_bounds, m_bounds)]
+            reports = [identities.verify(name, n_bounds, m_bounds)]
     except KeyError as exc:
         raise ValueError(exc.args[0]) from exc
     status = EXIT_OK if all(r.ok for r in reports) else EXIT_FAILED
@@ -326,6 +355,8 @@ def cmd_expand(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
 
     if args.source is not None:
         ogf = genfunc.builtin_ogf(args.source)
+        kind, step = genfunc.builtin_rows(args.source)
+        _printable("expand", *seqcore.digit_bounds(kind, 0, step * (args.count - 1), step))
     elif args.num and args.den:
         ogf = genfunc.RationalOGF(_parse_coeffs(args.num, "--num"), _parse_coeffs(args.den, "--den"))
     else:
@@ -345,6 +376,10 @@ def cmd_expand(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
 def cmd_matrix(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
     from . import tribomatrix
 
+    # A^n's entries and trace run to about S(n)'s digits, its minors and their total C(n)'s
+    s_low, s_high = seqcore.digit_bounds(SequenceKind.GENERALIZED_LUCAS, args.n)
+    c_low, c_high = seqcore.digit_bounds(SequenceKind.MINOR_SUM, args.n)
+    _printable("matrix", max(s_low, c_low), 10 * s_high + 4 * c_high)
     power = tribomatrix.mat_pow(args.n)
     minors = tribomatrix.minors_of(power)
     trace = tribomatrix.trace(power)
@@ -515,6 +550,11 @@ def _short_int(value: int) -> str:
 
 def cmd_bench(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
     kind = SequenceKind.from_string(args.kind)
+    if args.reps >= 1:  # a count below 1 is refused by bench_strategies first
+        low, high = seqcore.digit_bounds(kind, args.n)
+        shown = sum(abs(args.n) <= strategy.cap(strategy.module(), config.precision)
+                    for strategy in STRATEGIES.values())
+        _printable("bench", low, shown * high)
     rows, agreement = bench_strategies(kind, args.n, args.reps, config.precision)
     status = EXIT_OK if agreement else EXIT_FAILED
     if fmt == "json":

@@ -71,22 +71,34 @@ def _ogf(recurrence: seqcore.Recurrence) -> RationalOGF:
     return RationalOGF((a0, a1 - c1 * a0, a2 - c1 * a1 - c2 * a0), (1, -c1, -c2, -c3))
 
 
-_BUILTINS: dict[str, RationalOGF] = {
-    "S": _ogf(seqcore.RECURRENCES[seqcore.SequenceKind.GENERALIZED_LUCAS]),
-    "C": _ogf(seqcore.RECURRENCES[seqcore.SequenceKind.MINOR_SUM]),
-    "CEVEN": _ogf(seqcore._C_EVEN),
+_S, _C = seqcore.SequenceKind.GENERALIZED_LUCAS, seqcore.SequenceKind.MINOR_SUM
+
+# Each builtin's k-th coefficient is a(step*k) of one sequence: its
+# generating function, that sequence and the step.
+_BUILTINS: dict[str, tuple[RationalOGF, seqcore.SequenceKind, int]] = {
+    "S": (_ogf(seqcore.RECURRENCES[_S]), _S, 1),
+    "C": (_ogf(seqcore.RECURRENCES[_C]), _C, 1),
+    "CEVEN": (_ogf(seqcore._C_EVEN), _C, 2),
 }
 
 
-def builtin_ogf(name: str) -> RationalOGF:
-    """The generating function of S, C, or CEven (C at even indices)."""
-    key = name.strip().upper()
+def _builtin(name: str) -> tuple[RationalOGF, seqcore.SequenceKind, int]:
     try:
-        return _BUILTINS[key]
+        return _BUILTINS[name.strip().upper()]
     except KeyError:
         raise ValueError(
             f"unknown builtin OGF: {name!r} (expected S, C or CEven)"
         ) from None
+
+
+def builtin_ogf(name: str) -> RationalOGF:
+    """The generating function of S, C, or CEven (C at even indices)."""
+    return _builtin(name)[0]
+
+
+def builtin_rows(name: str) -> tuple[seqcore.SequenceKind, int]:
+    """The sequence a builtin expands and its index step: coefficient k is a(step*k)."""
+    return _builtin(name)[1:]
 
 
 def expand(ogf: RationalOGF, count: int) -> list[int]:

@@ -40,12 +40,14 @@ from __future__ import annotations
 import ast
 import bisect
 import functools
+import math
 import re
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
-from .seqcore import RECURRENCES, T_FORMS, CForm, Recurrence, SequenceKind, SForm
+from .seqcore import (RECURRENCES, T_FORMS, CForm, Recurrence, SequenceKind, SForm,
+                      _alpha_bits)
 
 Bounds = tuple[int, int]
 Counterexample = tuple[tuple[int, ...], int, int]
@@ -56,6 +58,7 @@ Cases = Callable[[Points], list[tuple[int, ...]]]
 Reads = Callable[[list[tuple[int, ...]]], tuple[set[int], set[int], set[int]]]
 Reach = Callable[..., int]
 Sweep = Callable[..., list[Counterexample]]
+Named = TypeVar("Named", "IdentityRecord", "_Statement")
 
 # A chunk of a streamed sweep holds at most _CHUNK points, whose count times
 # the width in bits of the widest value they read (``_width``) stays within
@@ -228,17 +231,28 @@ def _records(statements: Iterable[tuple[str, str]],
     return records
 
 
-def registry(backend: SequenceBackend | None = None) -> list[IdentityRecord]:
-    """The 14 identity records, evaluated over ``backend``: the compiled
-    ``CATALOGUE`` followed by S_T_FORMS and C_T_FORMS, whose statements join
-    one squared residual per ``seqcore.T_FORMS`` text, zero exactly when
-    every T-form gives S(n) or C(n)."""
+class _Statement(NamedTuple):
+    name: str
+    statement: str
+
+
+def _statements() -> list[_Statement]:
+    """The 14 records' statements: ``CATALOGUE`` followed by S_T_FORMS and
+    C_T_FORMS, whose statements join one squared residual per
+    ``seqcore.T_FORMS`` text, zero exactly when every T-form gives S(n) or
+    C(n)."""
     t_forms = [(name, " + ".join(f"({T_FORMS[form]} - {target}(n))**2" for form in forms) + " = 0")
                for name, forms, target in (("S_T_FORMS", SForm, "S"), ("C_T_FORMS", CForm, "C"))]
-    return _records([*CATALOGUE, *t_forms], backend)
+    return [_Statement(*pair) for pair in (*CATALOGUE, *t_forms)]
 
 
-def _find(records: list[IdentityRecord], name: str) -> IdentityRecord:
+def registry(backend: SequenceBackend | None = None) -> list[IdentityRecord]:
+    """The 14 identity records of ``_statements``, evaluated over ``backend``."""
+    return _records(_statements(), backend)
+
+
+def _find(records: list[Named], name: str) -> Named:
+    """The record, or statement, of that name."""
     for record in records:
         if record.name == name:
             return record
@@ -286,8 +300,72 @@ def _run(record: IdentityRecord, points: Points, bounds: str) -> VerificationRep
 
 def _width(k: int) -> int:
     """Bits that T(k), S(k) or C(k) takes at most, plus one word: each
-    grows at most as alpha^|k|, and log2(alpha) < 0.88."""
-    return k * 88 // 100 + _WORD
+    grows at most as alpha^|k| (``seqcore._alpha_bits``)."""
+    return _alpha_bits(k) + _WORD
+
+
+class _Interval:
+    """The integers lo..hi under the arithmetic of an index (+, -, *, and **
+    by a constant), so a compiled ``reach`` run over intervals bounds the
+    largest |index| over a box; abs() is the largest |value|, an int."""
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: int, hi: int):
+        self.lo, self.hi = lo, hi
+
+    @staticmethod
+    def _of(x: "int | _Interval") -> "_Interval":
+        return x if isinstance(x, _Interval) else _Interval(x, x)
+
+    def __add__(self, other: "int | _Interval") -> "_Interval":
+        other = self._of(other)
+        return _Interval(self.lo + other.lo, self.hi + other.hi)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "_Interval":
+        return _Interval(-self.hi, -self.lo)
+
+    def __sub__(self, other: "int | _Interval") -> "_Interval":
+        return self + -self._of(other)
+
+    def __rsub__(self, other: int) -> "_Interval":
+        return -self + other
+
+    def __mul__(self, other: "int | _Interval") -> "_Interval":
+        other = self._of(other)
+        ends = [a * b for a in (self.lo, self.hi) for b in (other.lo, other.hi)]
+        return _Interval(min(ends), max(ends))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: object) -> "_Interval":
+        if type(k) is not int or k < 0:
+            raise ValueError("an index raised to a variable or negative power cannot be bounded")
+        ends = sorted((self.lo ** k, self.hi ** k))
+        return _Interval(0 if k % 2 == 0 < k and self.lo < 0 < self.hi else ends[0], ends[1])
+
+    def __rpow__(self, base: int) -> "_Interval":
+        return self._of(base) ** self
+
+    def __abs__(self) -> int:
+        return max(abs(self.lo), abs(self.hi))
+
+
+def sweep_bits(name: str | None, n_bounds: Bounds, m_bounds: Bounds | None = None) -> int:
+    """A sweep's size before it runs, in O(records): for the record named,
+    or every record when ``name`` is None, the points of its box times the
+    ``_width`` of the largest |index| its statement reads there, bounded by
+    running its compiled ``reach`` over intervals; summed."""
+    statements = _statements()
+    total = 0
+    for _, statement in statements if name is None else [_find(statements, name)]:
+        arity, *_, reach, _ = _compile(statement)
+        bounds = (n_bounds, m_bounds or n_bounds)[:arity]
+        points = math.prod(hi - lo + 1 for lo, hi in bounds)
+        total += points * _width(reach(*(_Interval(lo, hi) for lo, hi in bounds)))
+    return total
 
 
 def _stream(points: list[tuple[int, ...]], backend: SequenceBackend,

@@ -315,17 +315,115 @@ def tribonacci_window(n: int) -> Callable[[int], int]:
     return dict(sequence_range(SequenceKind.TRIBONACCI, n - 3, n + 1)).__getitem__
 
 
+# Sizes known before any arithmetic.  alpha = 1.839... is the cubic's real
+# root and beta, gamma = conj(beta) its pair, |beta|^2 = 1/alpha.  For m >= 0,
+# S(m) = alpha^m + 2*Re(beta^m) lies within 2 of alpha^m, and S(-m) =
+# 2*Re(beta^-m) + alpha^-m swings with amplitude 2*alpha^(m/2) as m*theta
+# turns, theta = arg(beta); T weighs each root r by (5/r + 1 + 2*r)/22
+# (T_FROM_S), and C(n) = S(-n).  The rationals below are numerators over
+# _ONE; the test suite checks each against mpmath at 50 digits.
+_BITS_PER_100 = 88  # log2(alpha) = 0.8791... < 0.88
+_ONE = 10**12
+_LOG10_ALPHA = (264_649_443_484, 264_649_443_485)  # log10(alpha) = 0.26464944348425...
+_FAR = 64  # the least |m| at which the low bounds hold
+_PAIR_SHARE = 822  # thousandths: sin(theta) = 0.82225... > 0.822
+
+
+class _Weights(NamedTuple):
+    """log10 bounds on one sequence's leading factors, numerators over _ONE:
+    ``alpha``, below that of alpha's weight, 1 for S and 0.3362... for T,
+    less one unit for the terms dropped, each below 10^-16 of it at
+    m >= _FAR; ``pair``, below that of _PAIR_SHARE times the pair's
+    amplitude, 2 for S and 0.5199... for T, less one unit likewise; and
+    ``high``, above that of K, where |a(m)| <= K*alpha^m for m >= 0 and
+    K*alpha^(-m/2) for m < 0 at every m: 3 for S, 1 for T."""
+
+    alpha: int
+    pair: int
+    high: int
+
+
+_WEIGHTS = {
+    SequenceKind.GENERALIZED_LUCAS: _Weights(-1, 215_901_813_203, 477_121_254_720),
+    SequenceKind.TRIBONACCI: _Weights(-473_365_971_608, -369_141_539_237, 0),
+}
+
+
+def _alpha_bits(k: int) -> int:
+    """floor(0.88*k) >= k*log2(alpha), k >= 0: the bits of alpha^k before
+    the point, at most, the one bit bound of Binet's working sizes and of
+    a sweep's value widths."""
+    return _BITS_PER_100 * k // 100
+
+
+def _growth(kind: SequenceKind, n: int) -> tuple[_Weights, int]:
+    """The weights of S or T and the index m at which they read a(n): C(n) = S(-n)."""
+    if kind is SequenceKind.MINOR_SUM:
+        return _WEIGHTS[SequenceKind.GENERALIZED_LUCAS], -n
+    return _WEIGHTS[kind], n
+
+
+def _at_most(weights: _Weights, first: int, last: int, step: int, pair: bool) -> int:
+    """Decimal digits of |a(m)| at most, summed over |m| = first, first +
+    step, ..., last: log10(K) + |m|*log10(alpha), halved on the pair's side,
+    rounded down, plus one, each; a sum of floors is at most the floor of
+    the sum, so the closed form bounds it."""
+    count, scale = (last - first) // step + 1, 2 if pair else 1
+    return ((first + last) * count // 2 * _LOG10_ALPHA[1] + count * scale * weights.high
+            ) // (scale * _ONE) + count
+
+
+def digit_bounds(kind: SequenceKind, n: int, last: int | None = None,
+                 step: int = 1) -> tuple[int, int]:
+    """(low, high) with low <= the decimal digits of |a(n)| <= high, in
+    O(1) integer arithmetic at any n.
+
+    With ``last``, for the rows a(n), a(n + step), ..., up to a(last), step
+    1 or 2: some row has at least low digits, and all of them together at
+    most high; (0, 0) if there are none.  low is 0 where no bound is
+    certain: at |m| < _FAR, and for a single value where the pair dominates
+    (m < 0; n < 0 for S and T, n > 0 for C), as its phase may bring it near
+    0.  Three rows there, n*theta apart with step 1 and 2*theta with step 2,
+    leave no gap above 69.38 degrees between their phases mod pi, so the
+    largest has at least sin(theta) > 0.822 of the amplitude at the third
+    largest |m|.
+    """
+    last = n if last is None else last - (last - n) % step
+    if n > last:
+        return 0, 0
+    weights, m = _growth(kind, n)
+    m_lo, m_hi = sorted((m, _growth(kind, last)[1]))
+    start = m_lo if m_lo >= 0 else m_lo % step  # the first row at m >= 0
+    low = high = 0
+    if start <= m_hi:
+        if m_hi >= _FAR:
+            low = (m_hi * _LOG10_ALPHA[0] + weights.alpha) // _ONE + 1
+        high = _at_most(weights, start, m_hi, step, False)
+    end = m_hi if m_hi < 0 else start - step  # the last row at m < 0
+    if end >= m_lo:
+        third = -m_lo - 2 * step
+        if third >= max(_FAR, -end):
+            low = max(low, (third * _LOG10_ALPHA[0] + 2 * weights.pair) // (2 * _ONE) + 1)
+        high += _at_most(weights, -end, -m_lo, step, True)
+    return low, high
+
+
 _STR_LIMIT_MESSAGE = (
     "Exceeds the limit ({} digits) for integer string conversion; "
     "use sys.set_int_max_str_digits() to increase the limit"
 )
 
 
+def _str_limit() -> int:
+    """The digits str(int) prints at most, 0 for no limit (none before 3.10.7)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _decimal_texts(values: Iterable[Decimal]) -> Iterator[str]:
     """Text of each exact decimal integer, equal to str() of the int, in
     O(digits) each; past the digit limit of str(int) (sign not counted) it
     raises str(int)'s ValueError, with its message, at the value it meets."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before 3.10.7
+    limit = _str_limit()
     for value in values:
         if limit and value.adjusted() >= limit:
             raise ValueError(_STR_LIMIT_MESSAGE.format(limit))

@@ -908,6 +908,148 @@ def test_a_range_past_the_digit_limit_prints_nothing(argv, capsys):
     assert run(capsys, *argv) == (2, "", f"tribokit: {message}\n")
 
 
+_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(_LIMIT != 4300, reason="needs the default 4300-digit limit")
+_BUDGET_LINE = re.compile(r"tribokit: (eval|expand|matrix|bench|verify): an estimated [0-9,]+ "
+                          r"(printed digits|point-bits) exceed the budget of [0-9,]+\n")
+
+
+def _evaluating_raises(monkeypatch) -> None:
+    """Every route to a value raises: the ladder, the matrix powers and walk,
+    Binet's rows and the identity sweeps."""
+    def evaluated(*args, **kwargs):
+        raise AssertionError("evaluated")
+
+    for module, name in ((seqcore, "_power"), (tribomatrix, "mat_pow"), (tribomatrix, "_walk"),
+                         (analytic, "binet_range"), (identities, "_run")):
+        monkeypatch.setattr(module, name, evaluated)
+
+
+# Each prints a value with more digits than str(int) may print, for certain
+# from its index alone: S(100000), S(20000), T(16957), S(30000), C(39998) among
+# C(39994) and C(39996), and S(18855).
+_REFUSED_BEFORE_EVALUATION = [
+    ["matrix", "100000"], ["eval", "S", "20000", "20000"], ["eval", "T", "8079", "16957"],
+    ["bench", "S", "30000", "1"], ["expand", "CEven", "20000"],
+    ["eval", "--strategy", "matrix", "S", "18719", "18855"],
+]
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("argv", _REFUSED_BEFORE_EVALUATION, ids=" ".join)
+def test_a_value_past_the_digit_limit_is_refused_before_any_evaluation(argv, monkeypatch, capsys):
+    _evaluating_raises(monkeypatch)
+    message = (f"Exceeds the limit ({_LIMIT} digits) for integer string "
+               "conversion; use sys.set_int_max_str_digits() to increase the limit")
+    assert run(capsys, *argv) == (2, "", f"tribokit: {message}\n")
+
+
+def _corpus() -> list[list[str]]:
+    """Commands on both sides of each place where a printed value passes
+    4,300 digits: T(16250), S(16248) and C(-16248) are the first past it
+    where alpha's term dominates; near |n| = 32,500 the pair's phase decides
+    row by row.  ``HP`` stands for a config at precision 16300, where
+    Binet's cap is 32600."""
+    ranges = [("T", 16249, 16249), ("T", 16250, 16250), ("T", 16240, 16249), ("T", 16240, 16250),
+              ("S", 16247, 16247), ("S", 16248, 16248), ("S", 16238, 16248),
+              ("C", -16248, -16248), ("C", -16247, -16247), ("C", -16250, -16240),
+              ("S", -32470, -32440), ("S", -32520, -32500), ("T", -32480, -32470),
+              ("T", -32520, -32500), ("C", 32480, 32494), ("C", 32490, 32520), ("C", 32496, 32496)]
+    corpus = [["eval", "--format", fmt, "--strategy", strategy, *(["--config", "HP"] if
+               strategy == "binet" else []), "--", kind, str(lo), str(hi)]
+              for kind, lo, hi in ranges for strategy in cli.STRATEGIES
+              for fmt in cli.FORMATS if fmt != "bfile" or lo >= 0]
+    for fmt in ("plain", "json", "csv"):
+        corpus += [["expand", "--format", fmt, source, count]
+                   for source, count in (("S", "16249"), ("C", "32520"), ("CEven", "16260"))]
+        corpus += [["matrix", "--format", fmt, "--", n]
+                   for n in ("16247", "16248", "-16247", "-16248")]
+        corpus += [["bench", "--format", fmt, *config, "--", kind, n, "1"]
+                   for config in ([], ["--config", "HP"])
+                   for kind, n in (("S", "16247"), ("S", "16248"), ("T", "16250"), ("C", "-16248"),
+                                   ("C", "32496"))]
+    return corpus
+
+
+_CORPUS = _corpus()
+
+
+# bench's timings, in plain (0.000285s), json ("seconds": 2.8e-05) and csv (matrix,2.8e-05,)
+_SECONDS = re.compile(r'(?m)(^(?:recurrence|matrix|binet)[ ,]+|"seconds": )[0-9.e-]+')
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("argv", _CORPUS, ids=" ".join)
+def test_refusing_before_evaluation_prints_what_evaluating_printed(argv, tmp_path, monkeypatch,
+                                                                   capsys):
+    config = tmp_path / "hp.cfg"
+    config.write_text("precision = 16300\n")
+    argv = [str(config) if arg == "HP" else arg for arg in argv]
+
+    def outcome() -> tuple[int, str, str]:
+        code, out, err = run(capsys, *argv)
+        return code, _SECONDS.sub(r"\1<seconds>", out), err
+
+    early = outcome()
+    bounds = seqcore.digit_bounds
+    monkeypatch.setattr(seqcore, "digit_bounds", lambda *args: (0, bounds(*args)[1]))
+    assert early == outcome()
+
+
+_PAST_A_BUDGET = [
+    ["eval", "C", "1000000000000", "1000000000000"], ["eval", "S", "0", "100000000"],
+    ["matrix", "1000000000000"], ["expand", "S", "1000000000"], ["bench", "S", "10000000000000"],
+    ["verify", "CONS_3", "--range", "0:3000"], ["verify", "all", "--range", "0:3000"],
+]
+
+
+@pytest.mark.parametrize("argv", _PAST_A_BUDGET, ids=" ".join)
+def test_work_past_a_budget_is_refused_with_its_estimate_without_the_limit(argv, monkeypatch,
+                                                                           capsys):
+    _evaluating_raises(monkeypatch)
+    monkeypatch.setattr(seqcore, "_str_limit", lambda: 0)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "") and _BUDGET_LINE.fullmatch(err), err
+
+
+# A single C at n > 0 has no certain lower bound, so under the limit too the
+# budget refuses it.  A^n prints nine entries and the trace at about S(n)'s
+# digits, and three minors and their total at C(n)'s.
+_BUDGET_LINES = [
+    (True, ["eval", "C", "1000000000000", "1000000000000"],
+     "eval: an estimated 132,324,721,743 printed digits exceed the budget of 30,000,000,000"),
+    (False, ["matrix", "1000000000000"],
+     "matrix: an estimated 3,175,793,321,832 printed digits exceed the budget of 30,000,000,000"),
+    (False, ["verify", "CONS_3", "--range", "0:3000"],
+     "verify: an estimated 71,351,880,146,704 point-bits exceed the budget of 1,000,000,000,000"),
+]
+
+
+@pytest.mark.parametrize("limit, argv, line", _BUDGET_LINES,
+                         ids=[" ".join(argv) for _, argv, _ in _BUDGET_LINES])
+def test_a_budget_line_gives_the_estimate_and_the_budget(limit, argv, line, monkeypatch, capsys):
+    _evaluating_raises(monkeypatch)
+    if not limit:
+        monkeypatch.setattr(seqcore, "_str_limit", lambda: 0)
+    assert run(capsys, *argv) == (2, "", f"tribokit: {line}\n")
+
+
+def test_the_budgets_stand_ten_times_above_the_advertised_sizes():
+    S = SequenceKind.GENERALIZED_LUCAS
+    assert 10 * seqcore.digit_bounds(S, 0, 100_000)[1] <= cli.DIGIT_BUDGET
+    assert 10 * seqcore.digit_bounds(S, 10**7)[1] <= cli.DIGIT_BUDGET
+    assert 10 * identities.sweep_bits("CONS_3", (0, 400), (2, 402)) <= cli.SWEEP_BUDGET
+    assert 10 * identities.sweep_bits(None, (0, 250)) <= cli.SWEEP_BUDGET
+
+
+def test_advertised_sweeps_run_without_the_limit(monkeypatch, capsys):
+    monkeypatch.setattr(seqcore, "_str_limit", lambda: 0)
+    code, out, err = run(capsys, "verify", "CONS_3", "--range", "0:150", "--m-range", "2:152")
+    assert (code, err) == (0, "") and "counterexamples=0  ok" in out
+
+
 def test_json_rows_do_not_pass_through_json_dumps(monkeypatch, capsys):
     dumped = []
     dumps = json.dumps

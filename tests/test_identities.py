@@ -570,3 +570,44 @@ def test_a_streamed_sweep_holds_each_value_from_its_first_read_to_its_last():
     finally:
         tracemalloc.stop()
     assert peak < 12 * 10**6
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.tuples(st.integers(-40, 40), st.integers(0, 12)),
+       m=st.tuples(st.integers(-40, 40), st.integers(0, 12)))
+def test_sweep_bits_bound_every_point_of_the_box(n, m):
+    n_bounds, m_bounds = (n[0], n[0] + n[1]), (m[0], m[0] + m[1])
+    total = 0
+    for name, statement in identities._statements():
+        arity, *_, reach, _ = identities._compile(statement)
+        points = list(identities._box(arity, n_bounds, m_bounds)[0])
+        bits = identities.sweep_bits(name, n_bounds, m_bounds)
+        assert bits >= len(points) * identities._width(max(reach(*point) for point in points))
+        total += bits
+    assert identities.sweep_bits(None, n_bounds, m_bounds) == total
+
+
+@given(a=st.tuples(st.integers(-9, 9), st.integers(0, 6)),
+       b=st.tuples(st.integers(-9, 9), st.integers(0, 6)), k=st.integers(0, 4))
+def test_intervals_hold_exactly_the_values_of_their_points(a, b, k):
+    x, y = identities._Interval(a[0], a[0] + a[1]), identities._Interval(b[0], b[0] + b[1])
+    xs, ys = range(x.lo, x.hi + 1), range(y.lo, y.hi + 1)
+    for got, values in ((x + y, [i + j for i in xs for j in ys]),
+                        (x - y, [i - j for i in xs for j in ys]),
+                        (x * y, [i * j for i in xs for j in ys]),
+                        (3 - x * 2, [3 - i * 2 for i in xs]),
+                        (-x, [-i for i in xs]), (x ** k, [i ** k for i in xs])):
+        assert (got.lo, got.hi) == (min(values), max(values))
+    assert abs(x) == max(map(abs, xs))
+    for variable in (lambda: x ** y, lambda: 2 ** x, lambda: x ** -1):
+        with pytest.raises(ValueError, match="cannot be bounded"):
+            variable()
+
+
+def test_sweep_bits_of_the_sweeps_the_readme_names():
+    # CONS_3 reads S(n*(m+1)), so its largest |index| is N*(M+1)
+    assert (identities.sweep_bits("CONS_3", (0, 400), (2, 402))
+            == 401 * 401 * (400 * 403 * 88 // 100 + 64))
+    assert identities.sweep_bits("CONS_3", (0, 3000)) == 3001 * 3001 * (3000 * 3001 * 88 // 100 + 64)
+    with pytest.raises(KeyError, match="no identity named 'NOPE'"):
+        identities.sweep_bits("NOPE", (0, 3))

@@ -83,6 +83,12 @@ def test_installed_package_runs_every_listed_command(tmp_path):
     listed = [line for line in _step_script().splitlines() if line.startswith("tribokit ")]
     assert listed
     assert [line for line in _traced(done) if line.startswith("tribokit ")] == listed
+    # the examples refused before any evaluation, each run under `timeout 5`
+    assert [line for line in _traced(done) if line.startswith("timeout 5 tribokit ")] == [
+        f"timeout 5 tribokit {args}" for args in (
+            "matrix 1000000000000", "eval S 1000000000000 1000000000000",
+            "eval C 1000000000000 1000000000000", "eval S 0 100000000", "expand S 1000000000",
+            "verify CONS_3 --range 0:3000")]
 
 
 def test_a_copy_without_the_fixtures_fails_at_crosscheck(tmp_path):

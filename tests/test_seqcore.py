@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import oracle_c, oracle_s, oracle_t
+from tribokit import seqcore
 from tribokit.genfunc import RationalOGF, builtin_ogf, expand, expand_text
 from tribokit.seqcore import (
     _C_EVEN,
@@ -372,3 +373,122 @@ def test_kind_parsing():
     assert SequenceKind.from_string("minor-sum") is SequenceKind.MINOR_SUM
     with pytest.raises(ValueError):
         SequenceKind.from_string("Q")
+
+
+# ------------------------------------------------ digit bounds before arithmetic
+
+def _digits(value: int) -> int:
+    """Decimal digits of |value|, found against powers of ten, without str()."""
+    size = abs(value)
+    digits = max(1, (size.bit_length() - 1) * 30102 // 100000)  # at most the true count
+    while 10 ** digits <= size:
+        digits += 1
+    return digits
+
+
+def _check_bounds(kind: SequenceKind, values: dict[int, int], step: int) -> None:
+    """Every value within its single bounds, and each run of rows ending at
+    each n within the rows' bounds: some row at least low, all at most high."""
+    for n, value in values.items():
+        low, high = seqcore.digit_bounds(kind, n)
+        assert low <= _digits(value) <= high, (kind, n)
+    for n in values:
+        for width in (2, 3, 7):
+            rows = [values[k] for k in range(n - width * step, n + 1, step) if k in values]
+            low, high = seqcore.digit_bounds(kind, n - width * step, n, step)
+            if len(rows) == width + 1:
+                assert low <= max(map(_digits, rows)), (kind, n, width, step)
+                assert sum(map(_digits, rows)) <= high, (kind, n, width, step)
+
+
+# |a(n)| passes 4,300 digits near n = 16,250 where alpha's term dominates
+# (n > 0 for T and S, n < 0 for C) and near 32,500 where the pair does; C(2k)
+# is C at even n, whose rows step by 2.
+@pytest.mark.parametrize("center", [16250, -16250, 32500, -32500])
+@pytest.mark.parametrize("kind, step", [(SequenceKind.TRIBONACCI, 1),
+                                        (SequenceKind.GENERALIZED_LUCAS, 1),
+                                        (SequenceKind.MINOR_SUM, 1), (SequenceKind.MINOR_SUM, 2)],
+                         ids=["T", "S", "C", "C(2k)"])
+def test_digit_bounds_hold_around_the_limit_crossings(kind, step, center):
+    rows = sequence_range(kind, center - 60, center + 60)
+    _check_bounds(kind, {n: value for n, value in rows if n % step == 0}, step)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(list(SequenceKind)), n=st.integers(-10**5, 10**5),
+       width=st.integers(0, 6), step=st.sampled_from([1, 2]))
+@example(kind=SequenceKind.MINOR_SUM, n=10**5, width=2, step=2)
+def test_digit_bounds_hold_at_any_index(kind, n, width, step):
+    last = n + width * step
+    values = dict(sequence_range(kind, n, last)[::step])
+    low, high = seqcore.digit_bounds(kind, n, last, step)
+    assert low <= max(map(_digits, values.values()))
+    assert sum(map(_digits, values.values())) <= high
+    for k, value in values.items():
+        low, high = seqcore.digit_bounds(kind, k)
+        assert low <= _digits(value) <= high
+
+
+def test_digit_bounds_are_tight_where_alpha_dominates():
+    for kind, n in ((SequenceKind.TRIBONACCI, 16250), (SequenceKind.GENERALIZED_LUCAS, 16248),
+                    (SequenceKind.MINOR_SUM, -16248)):
+        assert seqcore.digit_bounds(kind, n) == (4301, 4301)
+    assert seqcore.digit_bounds(SequenceKind.GENERALIZED_LUCAS, 16247)[0] == 4300
+    assert seqcore.digit_bounds(SequenceKind.MINOR_SUM, 16248)[0] == 0  # the pair's side
+    assert seqcore.digit_bounds(SequenceKind.GENERALIZED_LUCAS, 5, 4) == (0, 0)
+
+
+def test_digit_bounds_take_constant_time_at_any_index():
+    start = time.perf_counter()
+    single = seqcore.digit_bounds(SequenceKind.GENERALIZED_LUCAS, 10**400)
+    rows = seqcore.digit_bounds(SequenceKind.MINOR_SUM, -10**400, 10**400, 2)
+    assert time.perf_counter() - start < 0.05
+    assert 0 < single[0] <= single[1] and 0 < rows[0] <= rows[1]
+
+
+def test_the_growth_constants_against_mpmath():
+    import mpmath
+
+    with mpmath.workdps(50):
+        alpha = mpmath.findroot(lambda x: x**3 - x**2 - x - 1, 1.8)
+        beta = mpmath.mpc((1 - alpha) / 2, mpmath.sqrt(1 / alpha - ((1 - alpha) / 2) ** 2))
+        assert abs(beta**3 - beta**2 - beta - 1) < mpmath.mpf(10) ** -45
+        one, far = seqcore._ONE, seqcore._FAR
+        lo, hi = seqcore._LOG10_ALPHA
+        assert lo / one < mpmath.log10(alpha) < hi / one and hi - lo == 1
+        assert mpmath.log(alpha, 2) < seqcore._BITS_PER_100 / mpmath.mpf(100)
+        share = seqcore._PAIR_SHARE / mpmath.mpf(1000)
+        theta = mpmath.arg(beta)
+        assert share < mpmath.sin(theta) < share + mpmath.mpf(10) ** -3
+        # three phases a row or two rows apart leave no gap above 180 - 2*acos(share) degrees mod pi
+        for step in (1, 2):
+            phases = sorted(mpmath.fmod(k * step * theta, mpmath.pi) for k in range(3))
+            gaps = [b - a for a, b in zip(phases, [*phases[1:], phases[0] + mpmath.pi])]
+            assert mpmath.cos(max(gaps) / 2) > share
+        weight = {  # each root's weight: 1 for S; (5/r + 1 + 2r)/22 for T
+            SequenceKind.GENERALIZED_LUCAS: lambda r: 1,
+            SequenceKind.TRIBONACCI: lambda r: (5 / r + 1 + 2 * r) / 22,
+        }
+        for kind, w in weight.items():
+            a, b = abs(w(alpha)), abs(w(beta))
+            dropped = 2 * b * abs(beta) ** far / (a * alpha**far)
+            pair_dropped = a * alpha**-far / (share * 2 * b * alpha ** (far / 2))
+            c = seqcore._WEIGHTS[kind]
+            assert mpmath.log10(a) - 2 / one < c.alpha / one <= mpmath.log10(a * (1 - dropped))
+            assert (mpmath.log10(share * 2 * b) - 2 / one < c.pair / one
+                    <= mpmath.log10(share * 2 * b * (1 - pair_dropped)))
+            assert c.high / one >= mpmath.log10(a + 2 * b)
+
+
+def test_the_bit_bound_keeps_binet_sizes_and_sweep_widths():
+    from tribokit import analytic, identities
+
+    for k in [*range(0, 3000), *range(3000, 10**6, 997), 10**9 + 7]:
+        assert seqcore._alpha_bits(k) == 88 * k // 100
+        assert identities._width(k) == k * 88 // 100 + 64
+        for kind in SequenceKind:
+            for n in (k, -k):
+                m = -n if kind is SequenceKind.MINOR_SUM else n
+                small = k.bit_length() + 40
+                big = (88 * k if m >= 0 else 44 * k) // 100 + small
+                assert analytic._bits(kind, n) == (m, small, big)
