@@ -44,7 +44,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Iterable, NamedTuple, TypeVar
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .seqcore import (RECURRENCES, T_FORMS, CForm, Recurrence, SequenceKind, SForm,
                       _alpha_bits)
@@ -58,7 +58,6 @@ Cases = Callable[[Points], list[tuple[int, ...]]]
 Reads = Callable[[list[tuple[int, ...]]], tuple[set[int], set[int], set[int]]]
 Reach = Callable[..., int]
 Sweep = Callable[..., list[Counterexample]]
-Named = TypeVar("Named", "IdentityRecord", "_Statement")
 
 # A chunk of a streamed sweep holds at most _CHUNK points, whose count times
 # the width in bits of the widest value they read (``_width``) stays within
@@ -143,17 +142,21 @@ _COMPARISONS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
 
 def _allowed(node: ast.AST, calls: bool = True) -> bool:
     """Whether ``node`` uses only integers, n, m, one-argument S/C/T
-    calls whose argument calls none, + - * **, unary minus, comparisons
-    and ``and``."""
+    calls, + - * **, unary minus, comparisons and ``and``.  A call's
+    argument calls none, has no ``**`` and names n and m once at most, so
+    every index is affine in n and in m: its |value| over a box is
+    largest at one of the box's corners (``sweep_bits``)."""
     match node:
         case ast.Constant(value=value):
             return type(value) is int
         case ast.Name(id="n" | "m"):
             return True
         case ast.Call(func=ast.Name(id="S" | "C" | "T"), args=[arg], keywords=[]):
-            return calls and _allowed(arg, False)
-        case ast.BinOp(left, ast.Add() | ast.Sub() | ast.Mult() | ast.Pow(), right):
-            return _allowed(left, calls) and _allowed(right, calls)
+            names = [leaf.id for leaf in ast.walk(arg) if isinstance(leaf, ast.Name)]
+            return calls and len(names) == len(set(names)) and _allowed(arg, False)
+        case ast.BinOp(left, ast.Add() | ast.Sub() | ast.Mult() | ast.Pow() as op, right):
+            return ((calls or not isinstance(op, ast.Pow))
+                    and _allowed(left, calls) and _allowed(right, calls))
         case ast.UnaryOp(ast.USub(), operand):
             return _allowed(operand, calls)
         case ast.Compare(left, ops, comparators):
@@ -231,19 +234,14 @@ def _records(statements: Iterable[tuple[str, str]],
     return records
 
 
-class _Statement(NamedTuple):
-    name: str
-    statement: str
-
-
-def _statements() -> list[_Statement]:
-    """The 14 records' statements: ``CATALOGUE`` followed by S_T_FORMS and
-    C_T_FORMS, whose statements join one squared residual per
+def _statements() -> list[tuple[str, str]]:
+    """The 14 records' (name, statement) pairs: ``CATALOGUE`` followed by
+    S_T_FORMS and C_T_FORMS, whose statements join one squared residual per
     ``seqcore.T_FORMS`` text, zero exactly when every T-form gives S(n) or
     C(n)."""
     t_forms = [(name, " + ".join(f"({T_FORMS[form]} - {target}(n))**2" for form in forms) + " = 0")
                for name, forms, target in (("S_T_FORMS", SForm, "S"), ("C_T_FORMS", CForm, "C"))]
-    return [_Statement(*pair) for pair in (*CATALOGUE, *t_forms)]
+    return [*CATALOGUE, *t_forms]
 
 
 def registry(backend: SequenceBackend | None = None) -> list[IdentityRecord]:
@@ -251,13 +249,11 @@ def registry(backend: SequenceBackend | None = None) -> list[IdentityRecord]:
     return _records(_statements(), backend)
 
 
-def _find(records: list[Named], name: str) -> Named:
-    """The record, or statement, of that name."""
-    for record in records:
-        if record.name == name:
-            return record
-    known = ", ".join(r.name for r in records)
-    raise KeyError(f"no identity named {name!r}; known: {known}")
+def _find(names: Sequence[str], name: str) -> int:
+    """Where the identity of that name stands among ``names``."""
+    if name not in names:
+        raise KeyError(f"no identity named {name!r}; known: {', '.join(names)}")
+    return names.index(name)
 
 
 def _box(arity: int, n_bounds: Bounds, m_bounds: Bounds | None) -> tuple[Points, str]:
@@ -304,67 +300,19 @@ def _width(k: int) -> int:
     return _alpha_bits(k) + _WORD
 
 
-class _Interval:
-    """The integers lo..hi under the arithmetic of an index (+, -, *, and **
-    by a constant), so a compiled ``reach`` run over intervals bounds the
-    largest |index| over a box; abs() is the largest |value|, an int."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: int, hi: int):
-        self.lo, self.hi = lo, hi
-
-    @staticmethod
-    def _of(x: "int | _Interval") -> "_Interval":
-        return x if isinstance(x, _Interval) else _Interval(x, x)
-
-    def __add__(self, other: "int | _Interval") -> "_Interval":
-        other = self._of(other)
-        return _Interval(self.lo + other.lo, self.hi + other.hi)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "_Interval":
-        return _Interval(-self.hi, -self.lo)
-
-    def __sub__(self, other: "int | _Interval") -> "_Interval":
-        return self + -self._of(other)
-
-    def __rsub__(self, other: int) -> "_Interval":
-        return -self + other
-
-    def __mul__(self, other: "int | _Interval") -> "_Interval":
-        other = self._of(other)
-        ends = [a * b for a in (self.lo, self.hi) for b in (other.lo, other.hi)]
-        return _Interval(min(ends), max(ends))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: object) -> "_Interval":
-        if type(k) is not int or k < 0:
-            raise ValueError("an index raised to a variable or negative power cannot be bounded")
-        ends = sorted((self.lo ** k, self.hi ** k))
-        return _Interval(0 if k % 2 == 0 < k and self.lo < 0 < self.hi else ends[0], ends[1])
-
-    def __rpow__(self, base: int) -> "_Interval":
-        return self._of(base) ** self
-
-    def __abs__(self) -> int:
-        return max(abs(self.lo), abs(self.hi))
-
-
 def sweep_bits(name: str | None, n_bounds: Bounds, m_bounds: Bounds | None = None) -> int:
     """A sweep's size before it runs, in O(records): for the record named,
     or every record when ``name`` is None, the points of its box times the
-    ``_width`` of the largest |index| its statement reads there, bounded by
-    running its compiled ``reach`` over intervals; summed."""
-    statements = _statements()
+    ``_width`` of the largest |index| its statement reads there, which its
+    compiled ``reach`` gives at one of the box's corners (``_allowed``);
+    summed."""
+    names, statements = zip(*_statements())
     total = 0
-    for _, statement in statements if name is None else [_find(statements, name)]:
+    for statement in statements if name is None else [statements[_find(names, name)]]:
         arity, *_, reach, _ = _compile(statement)
         bounds = (n_bounds, m_bounds or n_bounds)[:arity]
         points = math.prod(hi - lo + 1 for lo, hi in bounds)
-        total += points * _width(reach(*(_Interval(lo, hi) for lo, hi in bounds)))
+        total += points * _width(max(reach(*corner) for corner in product(*bounds)))
     return total
 
 
@@ -418,7 +366,8 @@ def verify(
     backend: SequenceBackend | None = None,
 ) -> VerificationReport:
     """Check one identity on every in-domain tuple within the bounds."""
-    record = _find(registry(backend), name)
+    records = registry(backend)
+    record = records[_find([r.name for r in records], name)]
     return _run(record, *_box(record.arity, n_bounds, m_bounds))
 
 

@@ -13,7 +13,6 @@ when called, so parsing, formatting and crosschecking never load them.
 from __future__ import annotations
 
 import re
-import sys
 import urllib.parse
 from itertools import count
 from time import monotonic
@@ -83,7 +82,7 @@ def _check_id(sequence_id: str) -> str:
 def _token_error(tokens: tuple[str, ...]) -> str:
     """Why int() refused an ASCII integer token: it passes the int/str
     digit limit, which is named without echoing the digits."""
-    limit = sys.get_int_max_str_digits()
+    limit = seqcore._str_limit()
     digits = next(n for n in (len(token.lstrip("+-")) for token in tokens) if n > limit)
     return f"{digits}-digit token exceeds the int/str conversion limit of {limit} digits"
 
