@@ -19,12 +19,12 @@ Gaussian ball, a fixed-point midpoint and a radius rounded outward at every
 product; gamma's term is the conjugate of beta's, so the sum is the alpha
 term plus twice the real part of the beta term.  W is chosen from n, so
 the precision only sets the index cap, ``binet_index_cap``, past which
-rounding is refused.  ``binet_round`` returns the one integer within the
-enclosure and raises PrecisionError when there is not exactly one; the
-enclosure's half-width is the bound it reports.  ``binet_range`` rounds a
-range of rows off one enclosure of alpha, at the widest row's W, shifted
-down for each narrower row.  Nothing is cached between calls, and the
-Binet path reads no process-global state.
+rounding is refused.  ``binet_range`` rounds a range of rows to the one
+integer within each enclosure, off one enclosure of alpha at the widest
+row's W, shifted down for each narrower row, and raises PrecisionError
+when an enclosure does not hold exactly one; ``binet_round`` is its one
+row, and ``binet_error_bound`` the enclosure's half-width.  Nothing is
+cached between calls, and the Binet path reads no process-global state.
 
 ``char_roots`` reads alpha off the same certified enclosure, at as many
 bits as its working digits carry: the midpoint of a/2^W and (a+1)/2^W,
@@ -54,7 +54,7 @@ from .seqcore import T_FROM_S, SequenceKind, _alpha_bits
 _GUARD_DIGITS = 10
 
 
-class PrecisionError(ArithmeticError):
+class PrecisionError(ValueError):
     """A numeric result could not be certified at the requested precision."""
 
 
@@ -317,22 +317,17 @@ def _rounded(n: int, precision: int, x: int, r: int, d: int) -> int:
     return low
 
 
-def binet_round(kind: SequenceKind, n: int, precision: int,
-                with_bound: bool = False) -> int | tuple[int, Fraction]:
-    """The one integer in the Binet enclosure at index n.
-
-    Raises PrecisionError when |n| exceeds the index cap or the enclosure
-    does not hold exactly one integer, so a successful return is the exact
-    sequence value.  With ``with_bound`` it returns (value, bound), the
-    bound the enclosure's half-width.
-    """
-    x, r, d = _binet(kind, n, precision)
-    value = _rounded(n, precision, x, r, d)
-    return (value, Fraction(r, d)) if with_bound else value
+def binet_round(kind: SequenceKind, n: int, precision: int) -> int:
+    """The one integer in the Binet enclosure at index n: the one row of
+    ``binet_range``.  Raises PrecisionError when |n| exceeds the index cap
+    or the enclosure does not hold exactly one integer, so a successful
+    return is the exact sequence value."""
+    return binet_range(kind, n, n, precision)[0]
 
 
 def binet_range(kind: SequenceKind, lo: int, hi: int, precision: int) -> list[int]:
-    """``binet_round`` at each n from lo to hi, raising its first refusal.
+    """The one integer in the Binet enclosure at each n from lo to hi,
+    raising the first row's PrecisionError.
 
     alpha is enclosed once, at the widest working size W of the rows within
     the index cap, and each row shifts that enclosure to its own size w:

@@ -10,7 +10,8 @@ before the first byte is written.
 
 Exit status: 0 success; 3 a verification or crosscheck found mismatches,
 or two of ``bench``'s values disagree; 2 a usage, domain or IO error (any
-ValueError or OSError, a failed write included) or a MemoryError, which
+ValueError or OSError, a failed write and a Binet enclosure that does not
+round, ``analytic.PrecisionError``, included) or a MemoryError, which
 ``main`` alone prints as one ``tribokit: <message>`` line.  A value past
 the int/str digit limit for certain, and work past DIGIT_BUDGET or
 SWEEP_BUDGET, are refused so before any evaluation.
@@ -142,8 +143,8 @@ def _within(command: str, estimate: int, budget: int, unit: str) -> None:
 def _printable(command: str, low: int, digits: int) -> None:
     """Refuse, before any evaluation, output that could not be printed:
     with str(int)'s ValueError when a value passes its digit limit for
-    certain (``low``, from ``seqcore.digit_bounds``), as printing it would,
-    or when the printed digits may pass DIGIT_BUDGET."""
+    certain (``low``, as from ``seqcore.digit_bounds``), as printing it
+    would, or when the printed digits may pass DIGIT_BUDGET."""
     limit = seqcore._str_limit()
     if limit and low > limit:
         raise ValueError(seqcore._STR_LIMIT_MESSAGE.format(limit))
@@ -185,20 +186,13 @@ def _binet_texts(analytic: Any, kind: SequenceKind, lo: int, hi: int, precision:
 
 def _binet_point(analytic: Any, kind: SequenceKind, n: int, precision: int,
                  timed: Callable) -> dict[str, Any]:
-    bounds = []
-
-    def evaluate() -> int:
-        value, bound = analytic.binet_round(kind, n, precision, with_bound=True)
-        bounds.append(bound)
-        return value
-
     try:
-        row = timed(evaluate)
+        row = timed(lambda: analytic.binet_round(kind, n, precision))
     except analytic.PrecisionError as exc:
         return {"seconds": None, "value": None, "note": f"bound exceeded: {exc}"}
     # a Fraction 0 or above 2^-60: the radius of a term of modulus below one
     # is at least 3 units of its bitlength(|n|) + 40 fractional bits
-    return {**row, "bound": float(bounds[-1])}
+    return {**row, "bound": float(analytic.binet_error_bound(kind, n, precision))}
 
 
 def _number(analytic: Any, value: Any) -> float | JSONText:
@@ -414,6 +408,12 @@ def cmd_roots(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
     from . import analytic
 
     precision = args.precision if args.precision is not None else config.precision
+    # From precision 1044 on the Vieta product residual is below 2^-3500, where
+    # mpmath's nstr scales a value by its last bit, not its first, and so hands
+    # str() an integer of about the residual's working digits, precision + 2
+    # guards: refused here past 1100.  Plain prints six parts of that precision.
+    low = precision + analytic._GUARD_DIGITS if precision > 1100 else 0
+    _printable("roots", low, 6 * precision)
     roots = analytic.char_roots(precision)
     vieta = analytic.vieta_check(roots)
     sum_res, pair_res, prod_res = (_number(analytic, r)

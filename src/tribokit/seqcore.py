@@ -11,19 +11,21 @@ Three integer sequences share the cubic x^3 - x^2 - x - 1:
   pairwise root products.
 
 ``RECURRENCES`` holds each sequence once, as a ``Recurrence`` of
-coefficients and seeds, whose passes the identity sweeps also read
-(``memo``; fault injection swaps the seeds).  ``T_FORMS`` holds the
-T-forms of S and C once, as formula texts that ``s_from_t``, ``c_from_t``
-and the identity statements compile, and ``T_FROM_S`` the S-form of T.
+coefficients and seeds (C's read off S's, as C(n) = S(-n)), whose passes
+the identity sweeps also read (``memo``; fault injection swaps the seeds).
+``T_FORMS`` holds the T-forms of S and C once, as formula texts that
+``s_from_t``, ``c_from_t`` and the identity statements compile, and
+``T_FROM_S`` the S-form of T.
 
 A term a(n), n >= 0, is x^n modulo the cubic: an O(log n) ladder of
 squarings (Fiduccia's method), each of five big squarings.  A negative
 index reads the sequence backwards (``Recurrence.reversed``), integral as
-c3 is +-1.  Every linear
-pass -- range rows, identity sweeps, printed ranges and expansions -- is one
-generator compiled per coefficient tuple (``_pass``) over int or exact
-decimal arithmetic; in decimal a printed row costs O(digits), where
-CPython's int-to-str is quadratic.  Only compiled passes outlive a call.
+c3 is +-1.  A single term is the first value of the window a range starts
+from (``Recurrence.window``).  Every linear pass -- range rows, identity
+sweeps, printed ranges and expansions -- is one generator compiled per
+coefficient tuple (``_pass``) over int or exact decimal arithmetic; in
+decimal a printed row costs O(digits), where CPython's int-to-str is
+quadratic.  Only compiled passes outlive a call.
 """
 from __future__ import annotations
 
@@ -205,10 +207,8 @@ class Recurrence(_RecurrenceFields):
         return Recurrence((-c3 * c2, -c3 * c1, c3), self.seeds[::-1])
 
     def at(self, n: int) -> int:
-        """a(n) at any integer n from one ladder call."""
-        if n < 0:
-            return self.reversed.at(2 - n)
-        return _dot(_power(self.coeffs, n), self.seeds)
+        """a(n) at any integer n: the first value of ``window``."""
+        return self.window(n)[0]
 
     def window(self, lo: int) -> Coeffs:
         """a(lo), a(lo+1), a(lo+2) from one ladder call and two shifts."""
@@ -253,8 +253,11 @@ class Recurrence(_RecurrenceFields):
 RECURRENCES: dict[SequenceKind, Recurrence] = {
     SequenceKind.TRIBONACCI: Recurrence((1, 1, 1), (0, 1, 1)),
     SequenceKind.GENERALIZED_LUCAS: Recurrence((1, 1, 1), (3, 1, 3)),
-    SequenceKind.MINOR_SUM: Recurrence((-1, -1, 1), (3, -1, -1)),
 }
+# C(n) = S(-n): S read backwards, from S(0), S(-1), S(-2)
+RECURRENCES[SequenceKind.MINOR_SUM] = Recurrence(
+    RECURRENCES[SequenceKind.GENERALIZED_LUCAS].reversed.coeffs,
+    RECURRENCES[SequenceKind.GENERALIZED_LUCAS].reversed.window(2))
 
 # C(2k) satisfies an order-3 recurrence of its own in the half index k.
 _C_EVEN = Recurrence((-1, -3, 1), (3, -1, -5))

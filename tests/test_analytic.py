@@ -182,7 +182,8 @@ def test_binet_powers_never_take_exp_of_a_log(monkeypatch):
 
 def test_binet_results_do_not_depend_on_mpmaths_precision():
     def results():
-        return [(binet_round(kind, n, 1500, with_bound=True), binet_s(n, 1500), binet_c(n, 1500))
+        return [(binet_round(kind, n, 1500), binet_error_bound(kind, n, 1500),
+                 binet_s(n, 1500), binet_c(n, 1500))
                 for kind in SequenceKind for n in (-2999, -60, -1, 0, 1, 60, 2999)]
 
     expected = results()
@@ -209,8 +210,8 @@ def test_refuses_when_bound_too_large(monkeypatch):
     # an enclosure one unit wider on each side holds three integers
     original = analytic._binet
     monkeypatch.setattr(analytic, "_binet",
-                        lambda kind, n, precision: (lambda x, r, d: (x, r + d, d))(
-                            *original(kind, n, precision)))
+                        lambda kind, n, precision, alpha=None: (lambda x, r, d: (x, r + d, d))(
+                            *original(kind, n, precision, alpha)))
     with pytest.raises(PrecisionError, match="holds 3 integers: refusing to round"):
         binet_round(SequenceKind.GENERALIZED_LUCAS, 5, 15)
     # and with too few fractional bits the computed enclosure itself grows
@@ -231,7 +232,8 @@ def test_refuses_when_bound_too_large(monkeypatch):
 
 def test_binet_round_refuses_an_enclosure_holding_no_integer(monkeypatch):
     # an enclosure strictly between two integers cannot be a sequence value
-    monkeypatch.setattr(analytic, "_binet", lambda kind, n, precision: (21 * 8 + 4, 1, 8))
+    monkeypatch.setattr(analytic, "_binet",
+                        lambda kind, n, precision, alpha=None: (21 * 8 + 4, 1, 8))
     with pytest.raises(PrecisionError, match="holds 0 integers: refusing to round"):
         binet_round(SequenceKind.GENERALIZED_LUCAS, 5, 30)
 
@@ -311,13 +313,13 @@ def test_a_binet_range_encloses_alpha_once(monkeypatch, kind, lo, precision, mar
 
 def test_bench_times_every_binet_repetition(monkeypatch):
     # no cache between calls: each timed repetition evaluates the Binet
-    # enclosure afresh, and the reported bound is the last one's
+    # enclosure afresh, and one more, after them, gives the reported bound
     calls = _count_calls(monkeypatch, "_binet")
     rows, agree = bench_strategies(SequenceKind.GENERALIZED_LUCAS, 50, 3, 30)
     assert agree
     binet = next(row for row in rows if row["strategy"] == "binet")
     assert binet["value"] == s_lucas(50)
-    assert [args[1] for args in calls] == [50] * 3
+    assert [args[1] for args in calls] == [50] * 4
     assert binet["bound"] == binet_error_bound(SequenceKind.GENERALIZED_LUCAS, 50, 30) < 0.5
 
 

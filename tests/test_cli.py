@@ -425,8 +425,8 @@ def test_bench_exits_3_when_the_binet_value_is_wrong(monkeypatch, capsys):
     # binet_round: the enclosure moved up by one
     original = analytic._binet
 
-    def wrong_by_one(kind, n, precision):
-        x, r, d = original(kind, n, precision)
+    def wrong_by_one(kind, n, precision, alpha=None):
+        x, r, d = original(kind, n, precision, alpha)
         return x + d, r, d
 
     monkeypatch.setattr(analytic, "_binet", wrong_by_one)
@@ -438,6 +438,55 @@ def test_bench_exits_3_when_the_binet_value_is_wrong(monkeypatch, capsys):
     assert json.loads(out)["exact_agreement"] is False
     code, out, err = run(capsys, "bench", "S", "10", "1", "--format", "csv")
     assert (code, err) == (3, "")
+
+
+def _bench_shows(capsys, n: str, strategy: str, value: str) -> None:
+    """bench S n exits 3 in every format, the strategy's row holding value."""
+    code, out, err = run(capsys, "bench", "S", "--", n, "1")
+    assert (code, err) == (3, "")
+    lines = out.splitlines()
+    assert f"value={value}" in next(line for line in lines if line.startswith(strategy))
+    assert lines[-1] == "exact strategies agree: NO"
+    code, out, err = run(capsys, "bench", "--format", "json", "S", "--", n, "1")
+    assert (code, err) == (3, "")
+    payload = json.loads(out)
+    assert {row["strategy"]: row["value"] for row in payload["strategies"]}[strategy] == value
+    assert payload["exact_agreement"] is False
+    code, out, err = run(capsys, "bench", "--format", "csv", "S", "--", n, "1")
+    assert (code, err) == (3, "")
+    assert [strategy, value] in [row.split(",")[:3:2] for row in out.splitlines()]
+
+
+def test_bench_checks_the_binet_rows_that_eval_prints(monkeypatch, capsys):
+    # a fault in binet_range, the path eval prints, is a fault in bench's row
+    original = analytic.binet_range
+    monkeypatch.setattr(analytic, "binet_range",
+                        lambda *args: [value + 1 for value in original(*args)])
+    assert run(capsys, "eval", "--strategy", "binet", "S", "10", "10") == (0, "10 444\n", "")
+    _bench_shows(capsys, "10", "binet", "444")
+
+
+def test_bench_checks_the_recurrence_rows_that_eval_prints(monkeypatch, capsys):
+    # the ladder's window one too high at negative lo, where eval reads it
+    original = seqcore.Recurrence.window
+    monkeypatch.setattr(seqcore.Recurrence, "window",
+                        lambda self, lo: tuple(value + (lo < 0) for value in original(self, lo)))
+    assert run(capsys, "eval", "S", "--", "-10", "-10") == (0, "-10 -40\n", "")
+    _bench_shows(capsys, "-10", "recurrence", "-40")
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_a_binet_enclosure_that_does_not_round_exits_2(fmt, monkeypatch, capsys):
+    # too few fractional bits: the enclosure at S(40) holds more than one integer
+    monkeypatch.setattr(analytic, "_MARGIN_BITS", -2)
+    code, out, err = run(capsys, "eval", "--format", fmt, "--strategy", "binet", "S", "40", "40")
+    assert (code, out) == (2, "")
+    refusal = (r"the Binet enclosure at n=40, precision 30 holds [0-9]+ integers: "
+               r"refusing to round")
+    assert re.fullmatch(f"tribokit: {refusal}\n", err), err
+    code, out, err = run(capsys, "bench", "S", "40", "1")
+    assert (code, err) == (0, "")
+    assert re.fullmatch(f"binet +bound exceeded: {refusal}", out.splitlines()[3])
 
 
 def test_a_strategy_added_to_the_table_reaches_eval_and_bench(capsys, add_strategy):
@@ -910,28 +959,31 @@ def test_a_range_past_the_digit_limit_prints_nothing(argv, capsys):
 
 _LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 needs_digit_limit = pytest.mark.skipif(_LIMIT != 4300, reason="needs the default 4300-digit limit")
-_BUDGET_LINE = re.compile(r"tribokit: (eval|expand|matrix|bench|verify): an estimated [0-9,]+ "
-                          r"(printed digits|point-bits) exceed the budget of [0-9,]+\n")
+_BUDGET_LINE = re.compile(r"tribokit: (eval|expand|matrix|bench|verify|roots): an estimated "
+                          r"[0-9,]+ (printed digits|point-bits) exceed the budget of [0-9,]+\n")
 
 
 def _evaluating_raises(monkeypatch) -> None:
     """Every route to a value raises: the ladder, the matrix powers and walk,
-    Binet's rows and the identity sweeps."""
+    Binet's rows, the identity sweeps and the roots."""
     def evaluated(*args, **kwargs):
         raise AssertionError("evaluated")
 
     for module, name in ((seqcore, "_power"), (tribomatrix, "mat_pow"), (tribomatrix, "_walk"),
-                         (analytic, "binet_range"), (identities, "_run")):
+                         (analytic, "binet_range"), (identities, "_run"),
+                         (analytic, "char_roots")):
         monkeypatch.setattr(module, name, evaluated)
 
 
 # Each prints a value with more digits than str(int) may print, for certain
 # from its index alone: S(100000), S(20000), T(16957), S(30000), C(39998) among
-# C(39994) and C(39996), and S(18855).
+# C(39994) and C(39996), and S(18855); roots converts a Vieta residual of
+# about its precision's digits.
 _REFUSED_BEFORE_EVALUATION = [
     ["matrix", "100000"], ["eval", "S", "20000", "20000"], ["eval", "T", "8079", "16957"],
     ["bench", "S", "30000", "1"], ["expand", "CEven", "20000"],
     ["eval", "--strategy", "matrix", "S", "18719", "18855"],
+    ["roots", "4291"], ["roots", "1000000"],
 ]
 
 
@@ -996,10 +1048,35 @@ def test_refusing_before_evaluation_prints_what_evaluating_printed(argv, tmp_pat
     assert early == outcome()
 
 
+@needs_digit_limit
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_roots_refused_before_computing_prints_what_computing_printed(fmt, monkeypatch, capsys):
+    # computing refuses from precision 4281 on, where mpmath's nstr of the
+    # product residual converts an integer of over 4,300 digits
+    outcomes = {}
+    for precision in range(4270, 4301):
+        argv = ["roots", "--format", fmt, str(precision)]
+        early = run(capsys, *argv)
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "_printable", lambda *args: None)
+            assert run(capsys, *argv) == early
+        outcomes[precision] = early[0]
+    assert outcomes == {precision: 2 if precision > 4280 else 0 for precision in outcomes}
+
+
+@needs_digit_limit
+def test_roots_past_the_digit_limit_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "roots", "1000000")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "") and err.startswith("tribokit: Exceeds the limit (4300 digits)")
+
+
 _PAST_A_BUDGET = [
     ["eval", "C", "1000000000000", "1000000000000"], ["eval", "S", "0", "100000000"],
     ["matrix", "1000000000000"], ["expand", "S", "1000000000"], ["bench", "S", "10000000000000"],
     ["verify", "CONS_3", "--range", "0:3000"], ["verify", "all", "--range", "0:3000"],
+    ["roots", "10000000000"],
 ]
 
 

@@ -88,7 +88,7 @@ def test_installed_package_runs_every_listed_command(tmp_path):
         f"timeout 5 tribokit {args}" for args in (
             "matrix 1000000000000", "eval S 1000000000000 1000000000000",
             "eval C 1000000000000 1000000000000", "eval S 0 100000000", "expand S 1000000000",
-            "verify CONS_3 --range 0:3000", "verify all --range=-3000:0")]
+            "verify CONS_3 --range 0:3000", "verify all --range=-3000:0", "roots 1000000")]
 
 
 def test_a_copy_without_the_fixtures_fails_at_crosscheck(tmp_path):
