@@ -128,10 +128,13 @@ def root_texts(roots: RootSet) -> tuple[str, str, str, str]:
 
 def exponent_text(value: Any, digits: int) -> str:
     """An mpf as ``digits`` significant digits in exponent form, as
-    1.448e-701, at any exponent: no float underflow."""
+    1.448e-701, at any exponent: no float underflow.  The value is first
+    rounded to 64 bits, so a residual of many working digits prints
+    without converting them all."""
     import mpmath
 
-    return mpmath.nstr(value, digits, strip_zeros=False, min_fixed=0, max_fixed=0)
+    with mpmath.workprec(64):
+        return mpmath.nstr(+value, digits, strip_zeros=False, min_fixed=0, max_fixed=0)
 
 
 def binet_index_cap(precision: int) -> int:

@@ -408,12 +408,8 @@ def cmd_roots(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
     from . import analytic
 
     precision = args.precision if args.precision is not None else config.precision
-    # From precision 1044 on the Vieta product residual is below 2^-3500, where
-    # mpmath's nstr scales a value by its last bit, not its first, and so hands
-    # str() an integer of about the residual's working digits, precision + 2
-    # guards: refused here past 1100.  Plain prints six parts of that precision.
-    low = precision + analytic._GUARD_DIGITS if precision > 1100 else 0
-    _printable("roots", low, 6 * precision)
+    # alpha prints precision significant digits; plain prints six parts of them
+    _printable("roots", precision, 6 * precision)
     roots = analytic.char_roots(precision)
     vieta = analytic.vieta_check(roots)
     sum_res, pair_res, prod_res = (_number(analytic, r)

@@ -15,6 +15,7 @@ are read off ``seqcore``'s recurrence table, not restated.
 """
 from __future__ import annotations
 
+import decimal
 import operator
 from itertools import islice
 from typing import NamedTuple
@@ -130,7 +131,9 @@ def recurrence_of(ogf: RationalOGF) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def expand_text(ogf: RationalOGF, count: int) -> list[str]:
     """Decimal text of the first ``count`` coefficients, equal to str() of
-    each value of ``expand``, from one decimal pass over the seeds."""
+    each value of ``expand``, from one decimal pass over the seeds, in
+    ``seqcore._EXACT``."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    return list(islice(seqcore._text_terms(*recurrence_of(ogf)), count))
+    with decimal.localcontext(seqcore._EXACT):
+        return list(islice(seqcore._text_terms(*recurrence_of(ogf)), count))

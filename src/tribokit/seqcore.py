@@ -23,9 +23,9 @@ index reads the sequence backwards (``Recurrence.reversed``), integral as
 c3 is +-1.  A single term is the first value of the window a range starts
 from (``Recurrence.window``).  Every linear pass -- range rows, identity
 sweeps, printed ranges and expansions -- is one generator compiled per
-coefficient tuple (``_pass``) over int or exact decimal arithmetic; in
-decimal a printed row costs O(digits), where CPython's int-to-str is
-quadratic.  Only compiled passes outlive a call.
+coefficient tuple (``_pass``) in plain operators, so its arithmetic is its
+operands': int, or Decimal, where a printed row costs O(digits) and
+CPython's int-to-str is quadratic.  Only compiled passes outlive a call.
 """
 from __future__ import annotations
 
@@ -126,55 +126,54 @@ def _dot(r: Coeffs, seeds: Coeffs) -> int:
     return r[0] * seeds[0] + r[1] * seeds[1] + r[2] * seeds[2]
 
 
-# Exact decimal arithmetic that reads no thread-local context: integer sums
-# and small multiples never round, and any inexact step would raise.
+# Exact decimal arithmetic: integer sums and small multiples never round,
+# and any inexact step would raise.  The three callers that build decimal
+# rows (``range_text`` here, ``tribomatrix.range_text`` and
+# ``genfunc.expand_text``) build their whole list in it, so Decimal operators
+# read it; no generator enters it, as a context entered in a generator would
+# leak to its caller between yields.
 _EXACT = decimal.Context(
     prec=decimal.MAX_PREC, rounding=decimal.ROUND_HALF_EVEN,
     Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
     traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow],
 )
 
-# The arithmetics a pass runs over, as the source of a sum, a difference and
-# a product by a constant: int operators, or the methods of _EXACT.
-_INT = ("({} + {})", "({} - {})", "{} * {}")
-_DECIMAL = ("_EXACT.add({}, {})", "_EXACT.subtract({}, {})", "_EXACT.multiply({}, {})")
 
-
-def _pairwise(join: str, xs: list[str]) -> str:
-    """xs joined pairwise by ``join``, log2(len(xs)) deep, within the parser's nesting limit."""
+def _pairwise(xs: list[str]) -> str:
+    """xs summed pairwise, log2(len(xs)) deep, within the parser's nesting limit."""
     while len(xs) > 1:
-        xs = [join.format(a, b) for a, b in zip(xs[::2], xs[1::2])] + xs[len(xs) - len(xs) % 2:]
+        xs = [f"({a} + {b})" for a, b in zip(xs[::2], xs[1::2])] + xs[len(xs) - len(xs) % 2:]
     return xs[0]
 
 
-def _linear(coeffs: Iterable[int], names: Iterable[str], arithmetic: tuple[str, str, str]) -> str:
-    """Source of the sum of coeffs[k]*names[k] in ``arithmetic``: a name of
+def _linear(coeffs: Iterable[int], names: Iterable[str]) -> str:
+    """Source of the sum of coeffs[k]*names[k] in plain operators: a name of
     coefficient +-1 is added or subtracted, one of 0 left out, and only the
     others are multiplied; the sums nest pairwise."""
-    add, subtract, multiply = arithmetic
     plus, minus = [], []
     for c, x in zip(map(operator.index, coeffs), names):
         if c:
-            (plus if c > 0 else minus).append(x if abs(c) == 1 else multiply.format(abs(c), x))
-    step = _pairwise(add, plus or ["0"])
-    return subtract.format(step, _pairwise(add, minus)) if minus else step
+            (plus if c > 0 else minus).append(x if abs(c) == 1 else f"{abs(c)} * {x}")
+    step = _pairwise(plus or ["0"])
+    return f"({step} - {_pairwise(minus)})" if minus else step
 
 
 @functools.lru_cache(maxsize=256)
-def _pass(coeffs: tuple[int, ...], arithmetic: tuple[str, str, str]) -> Callable[..., Iterator]:
+def _pass(coeffs: tuple[int, ...]) -> Callable[..., Iterator]:
     """Generator function: from a window a(n), ..., a(n+d-1), d = len(coeffs),
     yield a(n), a(n+1), ... without end, each later a(k) = coeffs[0]*a(k-1)
-    + ... + coeffs[d-1]*a(k-d) as one expression in ``arithmetic`` that adds
-    or subtracts a neighbour of coefficient +-1, leaves out one of 0 and
-    multiplies only by the others, its sums nested pairwise.  At most 256
+    + ... + coeffs[d-1]*a(k-d) as one expression that adds or subtracts a
+    neighbour of coefficient +-1, leaves out one of 0 and multiplies only by
+    the others, its sums nested pairwise.  Its operators follow the window's
+    type: int, or Decimal in the caller's context (``_EXACT``).  At most 256
     are cached, as ``expand --num/--den`` brings coefficients from outside."""
     names = [f"x{k}" for k in range(len(coeffs))]  # x0 holds a(k-d), the last a(k-1)
-    step = _linear(coeffs, reversed(names), arithmetic)
+    step = _linear(coeffs, reversed(names))
     window = ", ".join(names)
     source = (f"def _pass({window}):\n    yield from ({window},)[:-1]\n    while True:\n"
               f"        yield {names[-1]}\n        {window} = {', '.join([*names[1:], step])}\n")
     namespace: dict[str, Callable[..., Iterator]] = {}
-    exec(source, globals(), namespace)
+    exec(source, {}, namespace)
     return namespace["_pass"]
 
 
@@ -221,7 +220,7 @@ class Recurrence(_RecurrenceFields):
 
     def terms(self, lo: int) -> Iterator[int]:
         """a(lo), a(lo+1), ... without end: the ladder's window, then the int pass."""
-        return _pass(self.coeffs, _INT)(*self.window(lo))
+        return _pass(self.coeffs)(*self.window(lo))
 
     def memo(self) -> Callable[[int], int]:
         """Bi-infinite evaluator that holds no table: a(n) for n >= 0 continues
@@ -232,13 +231,13 @@ class Recurrence(_RecurrenceFields):
         and holds only its window and its last value."""
 
         def walk(r: Recurrence) -> Callable[[int], int]:
-            k, value, rest = -1, 0, _pass(r.coeffs, _INT)(*r.seeds)
+            k, value, rest = -1, 0, _pass(r.coeffs)(*r.seeds)
 
             def at(j: int) -> int:  # the j-th value of r's pass
                 nonlocal k, value, rest
                 if j != k:
                     if j < k:
-                        k, rest = -1, _pass(r.coeffs, _INT)(*r.seeds)
+                        k, rest = -1, _pass(r.coeffs)(*r.seeds)
                     value = next(rest) if j == k + 1 else next(islice(rest, j - k - 1, None))
                     k = j
                 return value
@@ -439,24 +438,25 @@ def _text_terms(coeffs: tuple[int, ...], window: Sequence[int]) -> Iterator[str]
     without end.
 
     Window values go through str(int) one at a time, as they are asked for;
-    later terms run the decimal pass, O(digits) each to compute and to print
-    (``_decimal_texts``).
+    later terms run the pass over Decimals, O(digits) each to compute and to
+    print (``_decimal_texts``), so the caller asks for them in ``_EXACT``.
     """
     texts = []
     for text in map(str, window):
         yield text
         texts.append(text)
     d = len(coeffs)
-    yield from _decimal_texts(islice(_pass(coeffs, _DECIMAL)(*map(Decimal, texts[-d:])), d, None))
+    yield from _decimal_texts(islice(_pass(coeffs)(*map(Decimal, texts[-d:])), d, None))
 
 
 def range_text(kind: SequenceKind, lo: int, hi: int) -> list[str]:
     """Decimal text of a(lo)..a(hi), equal to str() of each value of
-    ``sequence_range``: one ladder call, then one decimal pass."""
+    ``sequence_range``: one ladder call, then one decimal pass in ``_EXACT``."""
     if lo > hi:
         raise ValueError(f"empty range: lo={lo} exceeds hi={hi}")
     recurrence = RECURRENCES[kind]
-    return list(islice(_text_terms(recurrence.coeffs, recurrence.window(lo)), hi - lo + 1))
+    with decimal.localcontext(_EXACT):
+        return list(islice(_text_terms(recurrence.coeffs, recurrence.window(lo)), hi - lo + 1))
 
 
 @functools.cache

@@ -22,15 +22,16 @@ products, 6 when Y is X, and (XY)_12 costs 3, where forming A^m = XY costs
 matrix, not facts about A, so this route shares nothing with ``seqcore``'s
 ladder but the definition of A.
 
-A range (``range_text``) forms A^m once, lifts it to exact decimal and
-then steps it, each row one product by A or A^-1 compiled from the
-constant (``_times``) as ``seqcore._pass`` compiles a recurrence, over
-``seqcore``'s arithmetics: six additions, no products.  So each printed
-row after the first costs time linear in its digits, where CPython's
-int-to-str is quadratic.
+A range (``range_text``) forms A^m once, lifts it to Decimal and then
+steps it in ``seqcore._EXACT``, each row one product by A or A^-1
+compiled from the constant (``_times``) as ``seqcore._pass`` compiles a
+recurrence: six additions in plain operators, no products.  So each
+printed row after the first costs time linear in its digits, where
+CPython's int-to-str is quadratic.
 """
 from __future__ import annotations
 
+import decimal
 import functools
 from collections.abc import Callable, Iterator
 from decimal import Decimal
@@ -90,7 +91,7 @@ def mat_pow(n: int) -> Matrix3:
     Each bit squares the running power; each set bit then multiplies it by
     A, or by A^-1 when n < 0, in the compiled step ``_times``: six additions.
     """
-    times_base = _times(_A if n >= 0 else _A_INV, seqcore._INT)
+    times_base = _times(_A if n >= 0 else _A_INV)
     result = _I
     for bit in bin(abs(n))[2:]:
         result = _square(result)
@@ -180,48 +181,41 @@ def _entry_12_of_product(x: Matrix3, y: Matrix3) -> int:
 
 
 @functools.cache
-def _times(constant: Matrix3, arithmetic: tuple[str, str, str]) -> Callable[[Matrix3], Matrix3]:
-    """m -> m*constant for any 3x3 matrix m, compiled once per constant and
-    arithmetic (``seqcore._INT`` or ``seqcore._DECIMAL``), as ``seqcore._pass``
-    compiles a recurrence: each entry is a row of m against a column of the
-    constant, leaving out its 0s and adding or subtracting at its +-1s.  By A
-    or A^-1 that is six additions, where ``mat_mul`` makes 27 products."""
+def _times(constant: Matrix3) -> Callable[[Matrix3], Matrix3]:
+    """m -> m*constant for any 3x3 matrix m of ints or Decimals, compiled
+    once per constant in plain operators, as ``seqcore._pass`` compiles a
+    recurrence: each entry is a row of m against a column of the constant,
+    leaving out its 0s and adding or subtracting at its +-1s.  By A or A^-1
+    that is six additions, where ``mat_mul`` makes 27 products."""
     rows = [[f"m{i}{j}" for j in range(3)] for i in range(3)]
     unpack = ", ".join(f"({', '.join(row)})" for row in rows)
     product = ", ".join(
-        f"({', '.join(seqcore._linear(column, row, arithmetic) for column in zip(*constant))})"
+        f"({', '.join(seqcore._linear(column, row) for column in zip(*constant))})"
         for row in rows)
     namespace: dict[str, Callable[[Matrix3], Matrix3]] = {}
-    exec(f"def _times(m):\n    {unpack} = m\n    return {product}\n",
-         {"_EXACT": seqcore._EXACT}, namespace)
+    exec(f"def _times(m):\n    {unpack} = m\n    return {product}\n", {}, namespace)
     return namespace["_times"]
 
 
-def _exact_trace(m: Matrix3) -> Decimal:
-    """tr(m) of a matrix of exact Decimals, in ``seqcore._EXACT``."""
-    add = seqcore._EXACT.add
-    return add(add(m[0][0], m[1][1]), m[2][2])
-
-
 def _walk(kind: SequenceKind, lo: int) -> Iterator:
-    """a(lo) as an int, then a(lo+1), a(lo+2), ... as exact Decimals without
-    end, off A^m with m = lo, or m = -lo for C.
+    """a(lo) as an int, then a(lo+1), a(lo+2), ... as Decimals without end,
+    off A^m with m = lo, or m = -lo for C.
 
     The first value is read off the half powers X = A^(m//2) and Y = X, or
     Y = X*A when m is odd, so A^m is not formed for it.  Only a second value
     forms A^m, as X squared (times A when m is odd), and lifts it to Decimal
     entry by entry; then each value costs one compiled step (``_times``), by
-    A, or by A^-1 for C, in ``seqcore._DECIMAL``."""
+    A, or by A^-1 for C, in the caller's context, which must be exact."""
     m, constant = (-lo, _A_INV) if kind is SequenceKind.MINOR_SUM else (lo, _A)
-    times_a = _times(_A, seqcore._INT)
+    times_a = _times(_A)
     half = mat_pow(m // 2)
     other = times_a(half) if m % 2 else half
     tribonacci_kind = kind is SequenceKind.TRIBONACCI
     yield (_entry_12_of_product if tribonacci_kind else _trace_of_product)(half, other)
     power = times_a(_square(half)) if m % 2 else _square(half)
     power = tuple(tuple(map(Decimal, row)) for row in power)
-    read = (lambda power: power[0][1]) if tribonacci_kind else _exact_trace
-    step = _times(constant, seqcore._DECIMAL)
+    read = (lambda power: power[0][1]) if tribonacci_kind else trace
+    step = _times(constant)
     while True:
         power = step(power)
         yield read(power)
@@ -236,9 +230,11 @@ def range_text(kind: SequenceKind, lo: int, hi: int) -> list[str]:
     """Decimal text of a(lo)..a(hi), equal to str() of each value.
 
     The first value is str() of the half-power read; the rest step A^m in
-    exact decimal (``_walk``) and print in O(digits) each, under the digit
-    limit of str(int) with its message (``seqcore._decimal_texts``)."""
+    Decimal (``_walk``), in ``seqcore._EXACT``, and print in O(digits) each,
+    under the digit limit of str(int) with its message
+    (``seqcore._decimal_texts``)."""
     if lo > hi:
         raise ValueError(f"empty range: lo={lo} exceeds hi={hi}")
     values = _walk(kind, lo)
-    return [str(next(values)), *islice(seqcore._decimal_texts(values), hi - lo)]
+    with decimal.localcontext(seqcore._EXACT):
+        return [str(next(values)), *islice(seqcore._decimal_texts(values), hi - lo)]

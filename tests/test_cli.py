@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import urllib.request
+from decimal import Decimal
 
 import mpmath
 import pytest
@@ -977,13 +978,13 @@ def _evaluating_raises(monkeypatch) -> None:
 
 # Each prints a value with more digits than str(int) may print, for certain
 # from its index alone: S(100000), S(20000), T(16957), S(30000), C(39998) among
-# C(39994) and C(39996), and S(18855); roots converts a Vieta residual of
-# about its precision's digits.
+# C(39994) and C(39996), and S(18855); roots prints alpha to its precision's
+# digits.
 _REFUSED_BEFORE_EVALUATION = [
     ["matrix", "100000"], ["eval", "S", "20000", "20000"], ["eval", "T", "8079", "16957"],
     ["bench", "S", "30000", "1"], ["expand", "CEven", "20000"],
     ["eval", "--strategy", "matrix", "S", "18719", "18855"],
-    ["roots", "4291"], ["roots", "1000000"],
+    ["roots", "4301"], ["roots", "1000000"],
 ]
 
 
@@ -1048,20 +1049,30 @@ def test_refusing_before_evaluation_prints_what_evaluating_printed(argv, tmp_pat
     assert early == outcome()
 
 
+def _residual_texts(fmt: str, out: str) -> list[str]:
+    """The three Vieta residuals roots printed, as text."""
+    if fmt == "json":
+        return [str(value) for value in json.loads(out, parse_float=Decimal)["residuals"].values()]
+    sep = "," if fmt == "csv" else " "
+    return [line.split(sep)[1] for line in out.splitlines() if line.startswith("residual_")]
+
+
 @needs_digit_limit
 @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
-def test_roots_refused_before_computing_prints_what_computing_printed(fmt, monkeypatch, capsys):
-    # computing refuses from precision 4281 on, where mpmath's nstr of the
-    # product residual converts an integer of over 4,300 digits
-    outcomes = {}
+def test_roots_prints_at_every_precision_up_to_the_digit_limit(fmt, monkeypatch, capsys):
+    # alpha prints the precision's digits, so the limit is the only refusal;
+    # residuals print four digits of a value rounded to 64 bits first
+    message = (f"tribokit: Exceeds the limit ({_LIMIT} digits) for integer string "
+               "conversion; use sys.set_int_max_str_digits() to increase the limit\n")
     for precision in range(4270, 4301):
-        argv = ["roots", "--format", fmt, str(precision)]
-        early = run(capsys, *argv)
-        with monkeypatch.context() as patched:
-            patched.setattr(cli, "_printable", lambda *args: None)
-            assert run(capsys, *argv) == early
-        outcomes[precision] = early[0]
-    assert outcomes == {precision: 2 if precision > 4280 else 0 for precision in outcomes}
+        code, out, err = run(capsys, "roots", "--format", fmt, str(precision))
+        assert (code, err) == (0, ""), precision
+        residuals = _residual_texts(fmt, out)
+        assert len(residuals) == 3, precision
+        assert all(Decimal(text) < Decimal(f"1e-{precision}") for text in residuals), precision
+    _evaluating_raises(monkeypatch)
+    for precision in range(4301, 4311):
+        assert run(capsys, "roots", "--format", fmt, str(precision)) == (2, "", message)
 
 
 @needs_digit_limit
@@ -1315,11 +1326,11 @@ def test_eval_matrix_strategy_multiplies_once_between_rows(monkeypatch, capsys):
     steps, products = [], []
     original_times, original_mul = tribomatrix._times, tribomatrix.mat_mul
 
-    def counting_times(constant, arithmetic):
-        step = original_times(constant, arithmetic)
+    def counting_times(constant):
+        step = original_times(constant)
 
         def counted(m):
-            steps.append((constant, arithmetic))
+            steps.append((constant, type(m[0][0])))
             return step(m)
 
         return counted
@@ -1338,7 +1349,7 @@ def test_eval_matrix_strategy_multiplies_once_between_rows(monkeypatch, capsys):
         code, out, _ = run(capsys, "eval", kind, "0", "6", "--strategy", "matrix")
         assert code == 0
         assert out.splitlines() == [f"{n} {v}" for n, v in oracle(0, 6).items()]
-        assert (steps, products) == ([(constant, seqcore._DECIMAL)] * 6, [])
+        assert (steps, products) == ([(constant, Decimal)] * 6, [])
 
 
 @pytest.mark.parametrize("n", [3001, 3000, -3001, -3000, 1, 0])

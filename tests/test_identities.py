@@ -520,8 +520,8 @@ def test_a_pass_asked_going_out_from_zero_never_restarts(monkeypatch):
     starts = []
     original = seqcore._pass
 
-    def counting(coeffs, arithmetic):
-        generator = original(coeffs, arithmetic)
+    def counting(coeffs):
+        generator = original(coeffs)
 
         def start(*window):
             starts.append((coeffs, window))

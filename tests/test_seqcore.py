@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import oracle_c, oracle_s, oracle_t
-from tribokit import seqcore
+from tribokit import seqcore, tribomatrix
 from tribokit.genfunc import RationalOGF, builtin_ogf, expand, expand_text
 from tribokit.seqcore import (
     _C_EVEN,
@@ -200,6 +200,94 @@ def test_range_text_ignores_and_keeps_the_callers_decimal_context():
     assert texts == [str(value) for _, value in sequence_range(kind, -200, 200)]
     for name, (ogf, count) in ogfs.items():
         assert expansions[name] == [str(value) for value in expand(ogf, count)], name
+
+
+def test_every_decimal_row_builder_keeps_the_callers_context(monkeypatch):
+    # Five digits and no traps: a Decimal operator in the caller's context
+    # would round these rows silently.  Each builder runs its pass in
+    # _EXACT and hands the caller's context back, on return and on a raise.
+    S, C, T = SequenceKind.GENERALIZED_LUCAS, SequenceKind.MINOR_SUM, SequenceKind.TRIBONACCI
+    user = RationalOGF((-3, -1, 2), (1, -1, 0, 1, 2, -3))  # steps by 1, 0, -1, -2 and 3
+
+    def values(kind, lo, hi):
+        return [value for _, value in sequence_range(kind, lo, hi)]
+
+    calls = {
+        "seqcore S": (lambda: range_text(S, 900, 1000), values(S, 900, 1000)),
+        "seqcore C": (lambda: range_text(C, -1000, -900), values(C, -1000, -900)),
+        "matrix T by A": (lambda: tribomatrix.range_text(T, 900, 1000), values(T, 900, 1000)),
+        "matrix C by A^-1": (lambda: tribomatrix.range_text(C, 1800, 1900),
+                             values(C, 1800, 1900)),
+        "expand CEven": (lambda: expand_text(builtin_ogf("CEven"), 400),
+                         expand(builtin_ogf("CEven"), 400)),
+        "expand num/den": (lambda: expand_text(user, 300), expand(user, 300)),
+    }
+    monkeypatch.setattr(seqcore, "_str_limit", lambda: 4300)  # S(16248) is the first past it
+    refused = {"seqcore S": lambda: range_text(S, 16200, 16400),
+               "matrix S by A": lambda: tribomatrix.range_text(S, 16200, 16400)}
+    with decimal.localcontext() as context:
+        context.prec = 5
+        context.traps = dict.fromkeys(context.traps, False)
+
+        def state():
+            return context.prec, context.rounding, dict(context.flags), dict(context.traps)
+
+        before = state()
+        for name, (call, expected) in calls.items():
+            assert call() == list(map(str, expected)), name
+            assert decimal.getcontext() is context and state() == before, name
+        for name, call in refused.items():
+            with pytest.raises(ValueError, match="Exceeds the limit"):
+                call()
+            assert decimal.getcontext() is context and state() == before, name
+
+
+_BIG = st.integers(min_value=-10**300, max_value=10**300)
+_TRIPLES = st.tuples(_BIG, _BIG, _BIG)
+_MATRICES = st.tuples(_TRIPLES, _TRIPLES, _TRIPLES)
+
+
+def _kernel_results(coeffs, r, s, x, y) -> dict[str, object]:
+    """Each exact kernel written in operators, run on the given operands."""
+    m = tribomatrix
+    return {
+        "seqcore._square": _square(coeffs, r),
+        "seqcore._times_x": seqcore._times_x(coeffs, r),
+        "seqcore._dot": seqcore._dot(r, s),
+        "tribomatrix._square": m._square(x),
+        "tribomatrix._trace_of_product, y is x": m._trace_of_product(x, x),
+        "tribomatrix._trace_of_product": m._trace_of_product(x, y),
+        "tribomatrix._entry_12_of_product": m._entry_12_of_product(x, y),
+        "tribomatrix._times(_A)": m._times(m._A)(x),
+        "tribomatrix._times(_A_INV)": m._times(m._A_INV)(x),
+    }
+
+
+def _texts(value) -> object:
+    """Text of each number in a nest of tuples, zero without its sign: a
+    Decimal product keeps it (0 * -1 is -0), where no printed row meets
+    one, as the decimal passes multiply only by positive constants."""
+    if isinstance(value, tuple):
+        return tuple(map(_texts, value))
+    return str(value) if value else "0"
+
+
+def _lifted(value) -> object:
+    return tuple(map(_lifted, value)) if isinstance(value, tuple) else decimal.Decimal(value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeffs=st.tuples(*[st.integers(min_value=-3, max_value=3)] * 3),
+       r=_TRIPLES, s=_TRIPLES, x=_MATRICES, y=_MATRICES)
+def test_kernels_in_operators_give_int_results_on_exact_decimals(coeffs, r, s, x, y):
+    # The operand type is the arithmetic: each kernel run on Decimals in
+    # _EXACT prints what it prints on ints, _square's exact // by 2 and 6
+    # included, where Decimal truncates and int floors.
+    expected = _kernel_results(coeffs, r, s, x, y)
+    with decimal.localcontext(seqcore._EXACT):
+        lifted = _kernel_results(coeffs, *map(_lifted, (r, s, x, y)))
+    for name, result in lifted.items():
+        assert _texts(result) == _texts(expected[name]), name
 
 
 @pytest.mark.parametrize("coeffs", [(1, 1, 2), (1, 1, 0), (-1, -1, -2)])
