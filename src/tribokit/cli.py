@@ -13,8 +13,9 @@ or two of ``bench``'s values disagree; 2 a usage, domain or IO error (any
 ValueError or OSError, a failed write and a Binet enclosure that does not
 round, ``analytic.PrecisionError``, included) or a MemoryError, which
 ``main`` alone prints as one ``tribokit: <message>`` line.  A value past
-the int/str digit limit for certain, and work past DIGIT_BUDGET or
-SWEEP_BUDGET, are refused so before any evaluation.
+the int/str digit limit for certain, work past DIGIT_BUDGET or
+SWEEP_BUDGET, and bench repetitions past MAX_REPETITIONS, are refused so
+before any evaluation.
 
 The module level imports only ``seqcore`` from the package; each command
 imports its own layer, and ``json`` or ``csv``, where it runs.
@@ -53,6 +54,7 @@ Output = tuple[int, str | dict[str, Any]]
 # --range 0:400 --m-range 2:402` holds 2.3e10 point-bits.
 DIGIT_BUDGET = 3 * 10**10  # decimal digits of the values one command prints
 SWEEP_BUDGET = 10**12  # a verify's points times value bits (identities.sweep_bits)
+MAX_REPETITIONS = 1000  # bench reports its fastest repetition; a thousand is plenty
 
 
 class JSONText(NamedTuple):
@@ -523,6 +525,8 @@ def bench_strategies(
     they print agrees).  A row past its strategy's cap prints no value."""
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    if repetitions > MAX_REPETITIONS:
+        raise ValueError(f"bench: repetitions must be <= {MAX_REPETITIONS:,}, got {repetitions:,}")
 
     def timed(evaluate: Callable[[], int]) -> dict[str, Any]:
         seconds = []
@@ -546,7 +550,7 @@ def _short_int(value: int) -> str:
 
 def cmd_bench(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
     kind = SequenceKind.from_string(args.kind)
-    if args.reps >= 1:  # a count below 1 is refused by bench_strategies first
+    if 1 <= args.reps <= MAX_REPETITIONS:  # other counts are refused by bench_strategies first
         low, high = seqcore.digit_bounds(kind, args.n)
         shown = sum(abs(args.n) <= strategy.cap(strategy.module(), config.precision)
                     for strategy in STRATEGIES.values())
@@ -639,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", help="T, S or C")
     p.add_argument("n", type=int)
     p.add_argument("reps", nargs="?", type=int, default=3,
-                   help="repetitions, min is reported (default 3)")
+                   help=f"repetitions, 1 to {MAX_REPETITIONS:,}; min is reported (default 3)")
     return parser
 
 

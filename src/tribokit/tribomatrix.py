@@ -14,26 +14,26 @@ C(-k) is read off A^k, so it costs what S(k) costs.  ``minors_of`` and
 ``minor_sum`` keep the paper's definition for ``tribokit matrix``.
 
 ``mat_pow`` is left-to-right binary powering with an 18-product squaring
-and, at each set bit, one compiled product by A or A^-1 (``_times``).
-A single value off A^m (m = n, or -n for C) is read off two half powers
-X = A^(m//2) and Y = X, or Y = X*A when m is odd: tr(XY) costs 9 big
-products, 6 when Y is X, and (XY)_12 costs 3, where forming A^m = XY costs
-18 or more.  The squaring and both reads are identities for every 3x3
-matrix, not facts about A, so this route shares nothing with ``seqcore``'s
-ladder but the definition of A.
+and, at each set bit, one product by A or A^-1, written out here as six
+additions (``_times_a``, ``_times_a_inv``).  A single value off A^m
+(m = n, or -n for C) is read off two half powers X = A^(m//2) and Y = X,
+or Y = X*A when m is odd: tr(XY) costs 9 big products, 6 when Y is X, and
+(XY)_12 costs 3, where forming A^m = XY costs 18 or more.  The squaring
+and both reads are identities for every 3x3 matrix, not facts about A, and
+the two steps are A's and A^-1's columns, so this route shares no
+arithmetic with ``seqcore``'s ladder or its compiled passes: only the
+definition of A.
 
 A range (``range_text``) forms A^m once, lifts it to Decimal and then
-steps it in ``seqcore._EXACT``, each row one product by A or A^-1
-compiled from the constant (``_times``) as ``seqcore._pass`` compiles a
-recurrence: six additions in plain operators, no products.  So each
-printed row after the first costs time linear in its digits, where
-CPython's int-to-str is quadratic.
+steps it in ``seqcore._EXACT``, each row one ``_times_a`` or
+``_times_a_inv`` step, which are written in plain operators and so run
+on ints or Decimals alike.  So each printed row after the first costs
+time linear in its digits, where CPython's int-to-str is quadratic.
 """
 from __future__ import annotations
 
 import decimal
-import functools
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from decimal import Decimal
 from itertools import islice
 from typing import NamedTuple
@@ -89,9 +89,9 @@ def mat_pow(n: int) -> Matrix3:
     """A^n for any integer n (A^0 = I): left-to-right binary powering on |n|.
 
     Each bit squares the running power; each set bit then multiplies it by
-    A, or by A^-1 when n < 0, in the compiled step ``_times``: six additions.
+    A (``_times_a``), or by A^-1 when n < 0 (``_times_a_inv``): six additions.
     """
-    times_base = _times(_A if n >= 0 else _A_INV)
+    times_base = _times_a if n >= 0 else _times_a_inv
     result = _I
     for bit in bin(abs(n))[2:]:
         result = _square(result)
@@ -180,21 +180,20 @@ def _entry_12_of_product(x: Matrix3, y: Matrix3) -> int:
     return x[0][0] * y[0][1] + x[0][1] * y[1][1] + x[0][2] * y[2][1]
 
 
-@functools.cache
-def _times(constant: Matrix3) -> Callable[[Matrix3], Matrix3]:
-    """m -> m*constant for any 3x3 matrix m of ints or Decimals, compiled
-    once per constant in plain operators, as ``seqcore._pass`` compiles a
-    recurrence: each entry is a row of m against a column of the constant,
-    leaving out its 0s and adding or subtracting at its +-1s.  By A or A^-1
-    that is six additions, where ``mat_mul`` makes 27 products."""
-    rows = [[f"m{i}{j}" for j in range(3)] for i in range(3)]
-    unpack = ", ".join(f"({', '.join(row)})" for row in rows)
-    product = ", ".join(
-        f"({', '.join(seqcore._linear(column, row) for column in zip(*constant))})"
-        for row in rows)
-    namespace: dict[str, Callable[[Matrix3], Matrix3]] = {}
-    exec(f"def _times(m):\n    {unpack} = m\n    return {product}\n", {}, namespace)
-    return namespace["_times"]
+def _times_a(m: Matrix3) -> Matrix3:
+    """m*A for any 3x3 matrix m of ints or Decimals: A's columns are
+    (1, 1, 1), (1, 0, 0) and (0, 1, 0), so each row (a, b, c) of m becomes
+    (a + b + c, a, b), two additions where ``mat_mul`` makes nine products."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return ((a + b + c, a, b), (d + e + f, d, e), (g + h + i, g, h))
+
+
+def _times_a_inv(m: Matrix3) -> Matrix3:
+    """m*A^-1 for any 3x3 matrix m of ints or Decimals: A^-1's columns are
+    (0, 1, 0), (0, 0, 1) and (1, -1, -1), so each row (a, b, c) of m becomes
+    (b, c, a - (b + c)), two additions or subtractions."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return ((b, c, a - (b + c)), (e, f, d - (e + f)), (h, i, g - (h + i)))
 
 
 def _walk(kind: SequenceKind, lo: int) -> Iterator:
@@ -204,18 +203,17 @@ def _walk(kind: SequenceKind, lo: int) -> Iterator:
     The first value is read off the half powers X = A^(m//2) and Y = X, or
     Y = X*A when m is odd, so A^m is not formed for it.  Only a second value
     forms A^m, as X squared (times A when m is odd), and lifts it to Decimal
-    entry by entry; then each value costs one compiled step (``_times``), by
-    A, or by A^-1 for C, in the caller's context, which must be exact."""
-    m, constant = (-lo, _A_INV) if kind is SequenceKind.MINOR_SUM else (lo, _A)
-    times_a = _times(_A)
+    entry by entry; then each value costs one step of six additions, by A
+    (``_times_a``), or by A^-1 for C (``_times_a_inv``), in the caller's
+    context, which must be exact."""
+    m, step = (-lo, _times_a_inv) if kind is SequenceKind.MINOR_SUM else (lo, _times_a)
     half = mat_pow(m // 2)
-    other = times_a(half) if m % 2 else half
+    other = _times_a(half) if m % 2 else half
     tribonacci_kind = kind is SequenceKind.TRIBONACCI
     yield (_entry_12_of_product if tribonacci_kind else _trace_of_product)(half, other)
-    power = times_a(_square(half)) if m % 2 else _square(half)
+    power = _times_a(_square(half)) if m % 2 else _square(half)
     power = tuple(tuple(map(Decimal, row)) for row in power)
     read = (lambda power: power[0][1]) if tribonacci_kind else trace
-    step = _times(constant)
     while True:
         power = step(power)
         yield read(power)

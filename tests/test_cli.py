@@ -1102,6 +1102,23 @@ def test_work_past_a_budget_is_refused_with_its_estimate_without_the_limit(argv,
     assert (code, out) == (2, "") and _BUDGET_LINE.fullmatch(err), err
 
 
+@pytest.mark.parametrize("n, reps", [("1000", "1000000000"), ("10", "1000000000"), ("10", "1001")])
+def test_bench_refuses_more_repetitions_than_its_bound_before_any_evaluation(n, reps, monkeypatch,
+                                                                              capsys):
+    # bench reports its fastest repetition, so counts past a thousand buy nothing.
+    _evaluating_raises(monkeypatch)
+    start = time.perf_counter()
+    assert run(capsys, "bench", "S", n, reps) == (
+        2, "", f"tribokit: bench: repetitions must be <= 1,000, got {int(reps):,}\n")
+    assert time.perf_counter() - start < 0.5
+
+
+def test_bench_runs_its_largest_repetition_count(capsys):
+    code, out, _ = run(capsys, "bench", "S", "10", str(cli.MAX_REPETITIONS))
+    assert cli.MAX_REPETITIONS == 1000
+    assert code == 0 and out.startswith("bench S n=10 repetitions=1000\n")
+
+
 # A single C at n > 0 has no certain lower bound, so under the limit too the
 # budget refuses it.  A^n prints nine entries and the trace at about S(n)'s
 # digits, and three minors and their total at C(n)'s.
@@ -1321,17 +1338,16 @@ def test_cold_start_loads_only_the_commands_own_layer(argv, layers):
 
 
 def test_eval_matrix_strategy_multiplies_once_between_rows(monkeypatch, capsys):
-    # Each row after the first is one call of the compiled step by a constant
-    # matrix, and no general product.
+    # Each row after the first is one step by A or A^-1, and no general product.
     steps, products = [], []
-    original_times, original_mul = tribomatrix._times, tribomatrix.mat_mul
+    original_mul = tribomatrix.mat_mul
 
-    def counting_times(constant):
-        step = original_times(constant)
+    def counting(name):
+        original = getattr(tribomatrix, name)
 
         def counted(m):
-            steps.append((constant, type(m[0][0])))
-            return step(m)
+            steps.append((name, type(m[0][0])))
+            return original(m)
 
         return counted
 
@@ -1339,17 +1355,18 @@ def test_eval_matrix_strategy_multiplies_once_between_rows(monkeypatch, capsys):
         products.append(b)
         return original_mul(a, b)
 
-    monkeypatch.setattr(tribomatrix, "_times", counting_times)
+    for name in ("_times_a", "_times_a_inv"):
+        monkeypatch.setattr(tribomatrix, name, counting(name))
     monkeypatch.setattr(tribomatrix, "mat_mul", counting_mul)
     # S steps by A, C by A^-1, in exact decimal: six steps for seven rows.
-    for kind, oracle, constant in (("S", oracle_s, tribomatrix.mat_pow(1)),
-                                   ("C", oracle_c, tribomatrix.mat_pow(-1))):
+    for kind, oracle, step in (("S", oracle_s, "_times_a"), ("C", oracle_c, "_times_a_inv")):
         steps.clear()
         products.clear()
         code, out, _ = run(capsys, "eval", kind, "0", "6", "--strategy", "matrix")
         assert code == 0
         assert out.splitlines() == [f"{n} {v}" for n, v in oracle(0, 6).items()]
-        assert (steps, products) == ([(constant, Decimal)] * 6, [])
+        # The half powers of A^0 need no step, nor does forming A^0 from them.
+        assert (steps, products) == ([(step, Decimal)] * 6, [])
 
 
 @pytest.mark.parametrize("n", [3001, 3000, -3001, -3000, 1, 0])

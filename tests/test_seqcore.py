@@ -258,8 +258,8 @@ def _kernel_results(coeffs, r, s, x, y) -> dict[str, object]:
         "tribomatrix._trace_of_product, y is x": m._trace_of_product(x, x),
         "tribomatrix._trace_of_product": m._trace_of_product(x, y),
         "tribomatrix._entry_12_of_product": m._entry_12_of_product(x, y),
-        "tribomatrix._times(_A)": m._times(m._A)(x),
-        "tribomatrix._times(_A_INV)": m._times(m._A_INV)(x),
+        "tribomatrix._times_a": m._times_a(x),
+        "tribomatrix._times_a_inv": m._times_a_inv(x),
     }
 
 

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import decimal
+import json
+import os
+import subprocess
 import sys
 from decimal import Decimal
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import oracle_c, oracle_s, oracle_t
 from tribokit import tribomatrix as tribomatrix_module
 from tribokit import seqcore
 from tribokit.seqcore import SequenceKind, c_seq, s_lucas, sequence_range
@@ -92,18 +96,23 @@ def test_mat_pow_matches_entries_formula_at_large_n(n):
     assert mat_pow(n) == entries_from_tribonacci(n)
 
 
+@given(m=st.tuples(_ROW, _ROW, _ROW))
+def test_steps_are_the_products_by_a_and_its_inverse_for_any_matrix(m):
+    assert tribomatrix_module._times_a(m) == mat_mul(m, A)
+    assert tribomatrix_module._times_a_inv(m) == mat_mul(m, mat_pow_naive(-1))
+
+
 @pytest.mark.parametrize("n", [0, 1, -1, 2**10, -(2**10), 2**10 - 1, -(2**10 - 1), 12345, -12345])
 def test_mat_pow_multiplies_by_the_base_once_per_set_bit(monkeypatch, n):
-    expected, base = mat_pow_naive(n), mat_pow_naive(1 if n >= 0 else -1)
     steps, products = [], []
-    original_times, original_mul = tribomatrix_module._times, tribomatrix_module.mat_mul
+    original_mul = tribomatrix_module.mat_mul
 
-    def counting_times(constant):
-        step = original_times(constant)
+    def counting(name):
+        original = getattr(tribomatrix_module, name)
 
         def counted(m):
-            steps.append((constant, type(m[0][0])))
-            return step(m)
+            steps.append((name, type(m[0][0])))
+            return original(m)
 
         return counted
 
@@ -111,13 +120,53 @@ def test_mat_pow_multiplies_by_the_base_once_per_set_bit(monkeypatch, n):
         products.append(b)
         return original_mul(a, b)
 
-    monkeypatch.setattr(tribomatrix_module, "_times", counting_times)
+    expected = mat_pow_naive(n)
+    for name in ("_times_a", "_times_a_inv"):
+        monkeypatch.setattr(tribomatrix_module, name, counting(name))
     monkeypatch.setattr(tribomatrix_module, "mat_mul", counting_mul)
     assert mat_pow(n) == expected
-    # Squarings go through _square; every product is one compiled step on
-    # ints by A or A^-1 itself, and none is a general product.
-    assert steps == [(base, int)] * abs(n).bit_count()
+    # Squarings go through _square; every product is one step on ints by A,
+    # or by A^-1 when n < 0, and none is a general product.
+    step = "_times_a" if n >= 0 else "_times_a_inv"
+    assert steps == [(step, int)] * abs(n).bit_count()
     assert products == []
+
+
+# A fresh interpreter injects a sign fault at the source of seqcore._linear,
+# the generator of the recurrence's compiled passes, before any pass or
+# matrix step has run, and prints what both routes give after it.
+_SIGN_FAULT = """
+import inspect, json
+from tribokit import seqcore, tribomatrix
+from tribokit.seqcore import SequenceKind
+
+source = inspect.getsource(seqcore._linear)
+assert source.count(" - ") == 1
+exec(source.replace(" - ", " + "), vars(seqcore))
+seqcore._pass.cache_clear()
+print(json.dumps({
+    "matrix": [tribomatrix.range_text(kind, -8, 8) for kind in SequenceKind],
+    "mat_pow": tribomatrix.mat_pow(-7),
+    "recurrence": seqcore.range_text(SequenceKind.MINOR_SUM, -8, 8),
+}))
+"""
+
+
+def test_a_sign_fault_in_the_recurrences_generator_leaves_the_matrix_route_alone():
+    package_root = os.path.dirname(os.path.dirname(tribomatrix_module.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _SIGN_FAULT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    faulted = json.loads(done.stdout)
+    texts = [[str(values[n]) for n in range(-8, 9)]
+             for values in (oracle_t(-8, 8), oracle_s(-8, 8), oracle_c(-8, 8))]
+    # The recurrence's C pass subtracts, so the fault shows there ...
+    assert faulted["recurrence"] != texts[2]
+    # ... and the matrix route, which computes with none of its code, is unchanged.
+    assert faulted["matrix"] == texts
+    assert faulted["mat_pow"] == [list(row) for row in mat_pow_naive(-7)]
 
 
 @given(a=st.integers(min_value=-32, max_value=32), b=st.integers(min_value=-32, max_value=32))
