@@ -350,8 +350,7 @@ def cmd_expand(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
     from . import genfunc
 
     if args.source is not None:
-        ogf = genfunc.builtin_ogf(args.source)
-        kind, step = genfunc.builtin_rows(args.source)
+        ogf, kind, step = genfunc.builtin(args.source)
         _printable("expand", *seqcore.digit_bounds(kind, 0, step * (args.count - 1), step))
     elif args.num and args.den:
         ogf = genfunc.RationalOGF(_parse_coeffs(args.num, "--num"), _parse_coeffs(args.den, "--den"))
@@ -524,7 +523,7 @@ def bench_strategies(
     """Time each strategy at index n; returns (rows, whether every value
     they print agrees).  A row past its strategy's cap prints no value."""
     if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+        raise ValueError(f"bench: repetitions must be >= 1, got {repetitions}")
     if repetitions > MAX_REPETITIONS:
         raise ValueError(f"bench: repetitions must be <= {MAX_REPETITIONS:,}, got {repetitions:,}")
 

@@ -8,16 +8,14 @@ convolution
     a(n) = num(n) - sum_{k>=1} den(k) * a(n-k)
 
 entirely in exact integer arithmetic.  ``expand_text`` prints the
-expansion in one pass of ``seqcore``'s range kernel: the seed window
-through str(), every later term by the recurrence in decimal radix,
+expansion by one call to ``seqcore``'s range builder: the seed window
+through str(), every later term by the recurrence in exact decimal,
 linear in the digits of each term.  The builtin S, C and CEven functions
 are read off ``seqcore``'s recurrence table, not restated.
 """
 from __future__ import annotations
 
-import decimal
 import operator
-from itertools import islice
 from typing import NamedTuple
 
 from . import seqcore
@@ -83,7 +81,8 @@ _BUILTINS: dict[str, tuple[RationalOGF, seqcore.SequenceKind, int]] = {
 }
 
 
-def _builtin(name: str) -> tuple[RationalOGF, seqcore.SequenceKind, int]:
+def builtin(name: str) -> tuple[RationalOGF, seqcore.SequenceKind, int]:
+    """The ``_BUILTINS`` entry of S, C or CEven, its name in any case."""
     try:
         return _BUILTINS[name.strip().upper()]
     except KeyError:
@@ -94,12 +93,7 @@ def _builtin(name: str) -> tuple[RationalOGF, seqcore.SequenceKind, int]:
 
 def builtin_ogf(name: str) -> RationalOGF:
     """The generating function of S, C, or CEven (C at even indices)."""
-    return _builtin(name)[0]
-
-
-def builtin_rows(name: str) -> tuple[seqcore.SequenceKind, int]:
-    """The sequence a builtin expands and its index step: coefficient k is a(step*k)."""
-    return _builtin(name)[1:]
+    return builtin(name)[0]
 
 
 def expand(ogf: RationalOGF, count: int) -> list[int]:
@@ -131,9 +125,8 @@ def recurrence_of(ogf: RationalOGF) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def expand_text(ogf: RationalOGF, count: int) -> list[str]:
     """Decimal text of the first ``count`` coefficients, equal to str() of
-    each value of ``expand``, from one decimal pass over the seeds, in
-    ``seqcore._EXACT``."""
+    each value of ``expand``: the seeds, then one decimal pass over them
+    (``seqcore._text_terms``)."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    with decimal.localcontext(seqcore._EXACT):
-        return list(islice(seqcore._text_terms(*recurrence_of(ogf)), count))
+    return seqcore._text_terms(*recurrence_of(ogf), count)

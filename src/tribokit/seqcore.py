@@ -25,7 +25,10 @@ from (``Recurrence.window``).  Every linear pass -- range rows, identity
 sweeps, printed ranges and expansions -- is one generator compiled per
 coefficient tuple (``_pass``) in plain operators, so its arithmetic is its
 operands': int, or Decimal, where a printed row costs O(digits) and
-CPython's int-to-str is quadratic.  Only compiled passes outlive a call.
+CPython's int-to-str is quadratic.  Every decimal row, here, off the
+Tribomatrix and in an expansion, is printed by one list builder
+(``_decimal_texts``), the only code that enters the exact context
+``_EXACT``.  Only compiled passes outlive a call.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ import decimal
 import functools
 import operator
 import sys
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from decimal import Decimal
 from enum import Enum, unique
 from itertools import islice
@@ -127,35 +130,12 @@ def _dot(r: Coeffs, seeds: Coeffs) -> int:
 
 
 # Exact decimal arithmetic: integer sums and small multiples never round,
-# and any inexact step would raise.  The three callers that build decimal
-# rows (``range_text`` here, ``tribomatrix.range_text`` and
-# ``genfunc.expand_text``) build their whole list in it, so Decimal operators
-# read it; no generator enters it, as a context entered in a generator would
-# leak to its caller between yields.
+# and any inexact step would raise.  Only ``_decimal_texts`` enters it.
 _EXACT = decimal.Context(
     prec=decimal.MAX_PREC, rounding=decimal.ROUND_HALF_EVEN,
     Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
     traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow],
 )
-
-
-def _pairwise(xs: list[str]) -> str:
-    """xs summed pairwise, log2(len(xs)) deep, within the parser's nesting limit."""
-    while len(xs) > 1:
-        xs = [f"({a} + {b})" for a, b in zip(xs[::2], xs[1::2])] + xs[len(xs) - len(xs) % 2:]
-    return xs[0]
-
-
-def _linear(coeffs: Iterable[int], names: Iterable[str]) -> str:
-    """Source of the sum of coeffs[k]*names[k] in plain operators: a name of
-    coefficient +-1 is added or subtracted, one of 0 left out, and only the
-    others are multiplied; the sums nest pairwise."""
-    plus, minus = [], []
-    for c, x in zip(map(operator.index, coeffs), names):
-        if c:
-            (plus if c > 0 else minus).append(x if abs(c) == 1 else f"{abs(c)} * {x}")
-    step = _pairwise(plus or ["0"])
-    return f"({step} - {_pairwise(minus)})" if minus else step
 
 
 @functools.lru_cache(maxsize=256)
@@ -164,11 +144,21 @@ def _pass(coeffs: tuple[int, ...]) -> Callable[..., Iterator]:
     yield a(n), a(n+1), ... without end, each later a(k) = coeffs[0]*a(k-1)
     + ... + coeffs[d-1]*a(k-d) as one expression that adds or subtracts a
     neighbour of coefficient +-1, leaves out one of 0 and multiplies only by
-    the others, its sums nested pairwise.  Its operators follow the window's
-    type: int, or Decimal in the caller's context (``_EXACT``).  At most 256
-    are cached, as ``expand --num/--den`` brings coefficients from outside."""
+    the others, its sums nested pairwise, log2(d) deep, within the parser's
+    nesting limit.  Its operators follow the window's type: int, or Decimal,
+    exact in ``_EXACT`` (``_decimal_texts``).  At most 256 are cached, as
+    ``expand --num/--den`` brings coefficients from outside."""
     names = [f"x{k}" for k in range(len(coeffs))]  # x0 holds a(k-d), the last a(k-1)
-    step = _linear(coeffs, reversed(names))
+    plus, minus = [], []
+    for c, x in zip(map(operator.index, coeffs), reversed(names)):
+        if c:
+            (plus if c > 0 else minus).append(x if abs(c) == 1 else f"{abs(c)} * {x}")
+    plus = plus or ["0"]
+    for xs in plus, minus:
+        while len(xs) > 1:
+            odd = xs[len(xs) - len(xs) % 2:]
+            xs[:] = [f"({a} + {b})" for a, b in zip(xs[::2], xs[1::2])] + odd
+    step = f"({plus[0]} - {minus[0]})" if minus else plus[0]
     window = ", ".join(names)
     source = (f"def _pass({window}):\n    yield from ({window},)[:-1]\n    while True:\n"
               f"        yield {names[-1]}\n        {window} = {', '.join([*names[1:], step])}\n")
@@ -421,42 +411,50 @@ def _str_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
-def _decimal_texts(values: Iterable[Decimal]) -> Iterator[str]:
-    """Text of each exact decimal integer, equal to str() of the int, in
-    O(digits) each; past the digit limit of str(int) (sign not counted) it
-    raises str(int)'s ValueError, with its message, at the value it meets."""
+def _decimal_texts(values: Iterator[Decimal], count: int) -> list[str]:
+    """Text of the next ``count`` exact decimal integers of ``values``, each
+    equal to str() of the int, in O(digits) each; past the digit limit of
+    str(int) (sign not counted) it raises str(int)'s ValueError, with its
+    message, at the value it meets.
+
+    The one place that enters ``_EXACT``: ``values`` is drawn inside it, so
+    the Decimal operators of the generator behind it are exact and trap any
+    rounding, and the caller's context is back on return or raise.  A plain
+    function, not a generator, as a context entered in a generator would
+    leak to its caller between yields."""
     limit = _str_limit()
-    for value in values:
-        if limit and value.adjusted() >= limit:
-            raise ValueError(_STR_LIMIT_MESSAGE.format(limit))
-        yield _EXACT.to_sci_string(value)
-
-
-def _text_terms(coeffs: tuple[int, ...], window: Sequence[int]) -> Iterator[str]:
-    """Decimal text of the window values, then of each later term
-    a(n) = coeffs[0]*a(n-1) + ... + coeffs[d-1]*a(n-d), d = len(coeffs) <= len(window),
-    without end.
-
-    Window values go through str(int) one at a time, as they are asked for;
-    later terms run the pass over Decimals, O(digits) each to compute and to
-    print (``_decimal_texts``), so the caller asks for them in ``_EXACT``.
-    """
     texts = []
-    for text in map(str, window):
-        yield text
-        texts.append(text)
-    d = len(coeffs)
-    yield from _decimal_texts(islice(_pass(coeffs)(*map(Decimal, texts[-d:])), d, None))
+    with decimal.localcontext(_EXACT):
+        for value in islice(values, count):
+            if limit and value.adjusted() >= limit:
+                raise ValueError(_STR_LIMIT_MESSAGE.format(limit))
+            texts.append(_EXACT.to_sci_string(value))
+    return texts
+
+
+def _text_terms(coeffs: tuple[int, ...], window: Sequence[int], count: int) -> list[str]:
+    """Decimal text of the first ``count`` of the window values, then of
+    each later term a(n) = coeffs[0]*a(n-1) + ... + coeffs[d-1]*a(n-d),
+    d = len(coeffs) <= len(window).
+
+    Window values go through str(int); a pass over Decimals, O(digits) each
+    to compute and to print (``_decimal_texts``), runs only when ``count``
+    goes past the window."""
+    texts = list(map(str, window[:count]))
+    if count > len(window):
+        d = len(coeffs)
+        terms = islice(_pass(coeffs)(*map(Decimal, texts[-d:])), d, None)
+        texts += _decimal_texts(terms, count - len(window))
+    return texts
 
 
 def range_text(kind: SequenceKind, lo: int, hi: int) -> list[str]:
     """Decimal text of a(lo)..a(hi), equal to str() of each value of
-    ``sequence_range``: one ladder call, then one decimal pass in ``_EXACT``."""
+    ``sequence_range``: one ladder call, then one decimal pass (``_text_terms``)."""
     if lo > hi:
         raise ValueError(f"empty range: lo={lo} exceeds hi={hi}")
     recurrence = RECURRENCES[kind]
-    with decimal.localcontext(_EXACT):
-        return list(islice(_text_terms(recurrence.coeffs, recurrence.window(lo)), hi - lo + 1))
+    return _text_terms(recurrence.coeffs, recurrence.window(lo), hi - lo + 1)
 
 
 @functools.cache

@@ -25,17 +25,16 @@ arithmetic with ``seqcore``'s ladder or its compiled passes: only the
 definition of A.
 
 A range (``range_text``) forms A^m once, lifts it to Decimal and then
-steps it in ``seqcore._EXACT``, each row one ``_times_a`` or
-``_times_a_inv`` step, which are written in plain operators and so run
-on ints or Decimals alike.  So each printed row after the first costs
-time linear in its digits, where CPython's int-to-str is quadratic.
+steps it, each row one ``_times_a`` or ``_times_a_inv`` step, which are
+written in plain operators and so run on ints or Decimals alike; the rows
+print through ``seqcore._decimal_texts``, whose exact context the steps
+run in.  So each printed row after the first costs time linear in its
+digits, where CPython's int-to-str is quadratic.
 """
 from __future__ import annotations
 
-import decimal
 from collections.abc import Iterator
 from decimal import Decimal
-from itertools import islice
 from typing import NamedTuple
 
 from . import seqcore
@@ -205,7 +204,7 @@ def _walk(kind: SequenceKind, lo: int) -> Iterator:
     forms A^m, as X squared (times A when m is odd), and lifts it to Decimal
     entry by entry; then each value costs one step of six additions, by A
     (``_times_a``), or by A^-1 for C (``_times_a_inv``), in the caller's
-    context, which must be exact."""
+    context, which must be exact (``seqcore._decimal_texts``)."""
     m, step = (-lo, _times_a_inv) if kind is SequenceKind.MINOR_SUM else (lo, _times_a)
     half = mat_pow(m // 2)
     other = _times_a(half) if m % 2 else half
@@ -228,11 +227,9 @@ def range_text(kind: SequenceKind, lo: int, hi: int) -> list[str]:
     """Decimal text of a(lo)..a(hi), equal to str() of each value.
 
     The first value is str() of the half-power read; the rest step A^m in
-    Decimal (``_walk``), in ``seqcore._EXACT``, and print in O(digits) each,
-    under the digit limit of str(int) with its message
-    (``seqcore._decimal_texts``)."""
+    Decimal (``_walk``) and print in O(digits) each, under the digit limit
+    of str(int) with its message (``seqcore._decimal_texts``)."""
     if lo > hi:
         raise ValueError(f"empty range: lo={lo} exceeds hi={hi}")
     values = _walk(kind, lo)
-    with decimal.localcontext(seqcore._EXACT):
-        return [str(next(values)), *islice(seqcore._decimal_texts(values), hi - lo)]
+    return [str(next(values)), *seqcore._decimal_texts(values, hi - lo)]

@@ -690,7 +690,7 @@ _REFUSALS = [
     (["crosscheck", "T", "--rows", "0"], "rows must be >= 1, got 0"),
     (["eval", "--strategy", "matrix", "--format", "bfile", "S", "--", "-1", "2"],
      "bfile format requires lo >= 0"),
-    (["bench", "S", "10", "0"], "repetitions must be >= 1, got 0"),
+    (["bench", "S", "10", "0"], "bench: repetitions must be >= 1, got 0"),
 ]
 
 

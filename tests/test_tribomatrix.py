@@ -132,17 +132,18 @@ def test_mat_pow_multiplies_by_the_base_once_per_set_bit(monkeypatch, n):
     assert products == []
 
 
-# A fresh interpreter injects a sign fault at the source of seqcore._linear,
-# the generator of the recurrence's compiled passes, before any pass or
-# matrix step has run, and prints what both routes give after it.
+# A fresh interpreter injects a sign fault at the source of seqcore._pass,
+# which writes the step of the recurrence's compiled passes, before any pass
+# or matrix step has run, and prints what both routes give after it.  The
+# marker is the f-string that writes the subtraction.
 _SIGN_FAULT = """
 import inspect, json
 from tribokit import seqcore, tribomatrix
 from tribokit.seqcore import SequenceKind
 
-source = inspect.getsource(seqcore._linear)
-assert source.count(" - ") == 1
-exec(source.replace(" - ", " + "), vars(seqcore))
+source = inspect.getsource(seqcore._pass)
+assert source.count("} - {") == 1
+exec(source.replace("} - {", "} + {"), vars(seqcore))
 seqcore._pass.cache_clear()
 print(json.dumps({
     "matrix": [tribomatrix.range_text(kind, -8, 8) for kind in SequenceKind],
