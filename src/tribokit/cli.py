@@ -3,7 +3,7 @@
 Each ``cmd_*`` returns ``(exit status, output)`` and writes nothing: text
 for plain, csv and bfile, or a json payload dict.  ``main`` is the one
 place that writes stdout.  In json it adds the ``command`` key and writes
-each ``JSONText`` value (rows that ``render_rows`` rendered already)
+each ``JSONText`` value (rows that ``seqcore.render_rows`` rendered already)
 between the pieces of the ``json.dumps`` envelope, so megabytes of digits
 never pass through ``json.dumps``.  Every row is rendered, or refused,
 before the first byte is written.
@@ -18,7 +18,8 @@ SWEEP_BUDGET, and bench repetitions past MAX_REPETITIONS, are refused so
 before any evaluation.
 
 The module level imports only ``seqcore`` from the package; each command
-imports its own layer, and ``json`` or ``csv``, where it runs.
+imports its own layer, and ``json`` or ``csv``, where it runs.  No module
+of the package imports this one.
 ``STRATEGIES`` is the one list of the ways ``eval`` and ``bench`` reach a(n).
 """
 from __future__ import annotations
@@ -182,10 +183,6 @@ class Strategy(NamedTuple):
         return importlib.import_module(f"{__package__}.{self.layer}")
 
 
-def _binet_texts(analytic: Any, kind: SequenceKind, lo: int, hi: int, precision: int) -> list[str]:
-    return list(map(str, analytic.binet_range(kind, lo, hi, precision)))
-
-
 def _binet_point(analytic: Any, kind: SequenceKind, n: int, precision: int,
                  timed: Callable) -> dict[str, Any]:
     try:
@@ -224,45 +221,12 @@ STRATEGIES: dict[str, Strategy] = {
         point=lambda tribomatrix, kind, n, precision, timed:
             timed(lambda: tribomatrix.term(kind, n))),
     "binet": Strategy(
-        "analytic", _binet_texts, _binet_point,
+        "analytic",
+        texts=lambda analytic, kind, lo, hi, precision:
+            list(map(str, analytic.binet_range(kind, lo, hi, precision))),
+        point=_binet_point,
         cap=lambda analytic, precision: analytic.binet_index_cap(precision)),
 }
-
-
-def render_rows(fmt: str, header: str, start: int | None, texts: list[str]) -> str:
-    """Rows of consecutive indices and the decimal texts of their values,
-    built in one join: the one rendering of ``eval`` and ``expand`` rows and
-    of ``oeis.format_bfile``.
-
-    ``header`` is the csv header, ``index,value``.  plain and bfile give
-    ``n text`` lines, csv gives ``n,text`` lines under the header, and json
-    gives the array text ``[{"n": 0, "value": "3"}, ...]``, keyed by the
-    header's names.  With ``start`` None the rows are a bare list: the text
-    formats number them from 0, and json gives ``["3", ...]``.  A text is
-    ASCII digits with an optional minus sign, which csv never quotes and
-    json never escapes.
-    """
-    if fmt == "json" and not texts:
-        return "[]"
-    count = len(texts)
-    first = start or 0
-    indices = map(str, range(first, first + count))
-    if fmt != "json":
-        head = header + "\n" if fmt == "csv" else ""
-        columns = [indices, ["," if fmt == "csv" else " "] * count, texts, ["\n"] * count]
-    elif start is None:
-        head = '["'
-        columns = [texts, ['", "'] * (count - 1) + ['"]']]
-    else:
-        index_key, value_key = header.split(",")
-        head = f'[{{"{index_key}": '
-        columns = [indices, [f', "{value_key}": "'] * count, texts,
-                   [f'"}}, {{"{index_key}": '] * (count - 1) + ['"}]']]
-    width = len(columns)
-    pieces = [head] + [""] * (width * count)
-    for offset, column in enumerate(columns, 1):
-        pieces[offset::width] = column
-    return "".join(pieces)
 
 
 def cmd_eval(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
@@ -276,7 +240,8 @@ def cmd_eval(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
     if max(abs(args.lo), abs(args.hi)) > (cap := strategy.cap(layer, precision)):
         raise ValueError(f"{name} strategy is certified only for |n| <= {cap} at precision {precision}")
     _printable("eval", *seqcore.digit_bounds(kind, args.lo, args.hi))
-    rows = render_rows(fmt, "n,value", args.lo, strategy.texts(layer, kind, args.lo, args.hi, precision))
+    texts = strategy.texts(layer, kind, args.lo, args.hi, precision)
+    rows = seqcore.render_rows(fmt, "n,value", args.lo, texts)
     if fmt == "json":
         return EXIT_OK, {"kind": kind.value, "strategy": args.strategy, "values": JSONText(rows)}
     return EXIT_OK, rows
@@ -356,7 +321,7 @@ def cmd_expand(args: argparse.Namespace, config: CliConfig, fmt: str) -> Output:
         ogf = genfunc.RationalOGF(_parse_coeffs(args.num, "--num"), _parse_coeffs(args.den, "--den"))
     else:
         raise ValueError("expand needs a builtin name (S, C, CEven) or both --num and --den")
-    rows = render_rows(fmt, "n,coefficient", None, genfunc.expand_text(ogf, args.count))
+    rows = seqcore.render_rows(fmt, "n,coefficient", None, genfunc.expand_text(ogf, args.count))
     if fmt == "json":
         return EXIT_OK, {
             "numerator": list(ogf.numerator),

@@ -120,12 +120,10 @@ def parse_bfile(text: str, sequence_id: str) -> BFile:
 def format_bfile(kind: SequenceKind, lo: int, hi: int) -> str:
     """Render sequence terms in b-file format; indices must be >= 0.  The
     rows are those of ``tribokit eval --format bfile``, from the same
-    renderer, ``cli.render_rows``."""
+    renderer, ``seqcore.render_rows``, so no CLI code loads."""
     if lo < 0:
         raise ValueError(f"b-file indices must be >= 0, got lo={lo}")
-    from .cli import render_rows
-
-    return render_rows("bfile", "n,value", lo, seqcore.range_text(kind, lo, hi))
+    return seqcore.render_rows("bfile", "n,value", lo, seqcore.range_text(kind, lo, hi))
 
 
 def crosscheck(kind: SequenceKind, bfile: BFile, max_rows: int) -> CrosscheckReport:

@@ -28,7 +28,9 @@ operands': int, or Decimal, where a printed row costs O(digits) and
 CPython's int-to-str is quadratic.  Every decimal row, here, off the
 Tribomatrix and in an expansion, is printed by one list builder
 (``_decimal_texts``), the only code that enters the exact context
-``_EXACT``.  Only compiled passes outlive a call.
+``_EXACT``.  One renderer (``render_rows``) lays out every printed row,
+of ``eval``, ``expand`` and ``oeis.format_bfile``.  Only compiled passes
+outlive a call.
 """
 from __future__ import annotations
 
@@ -53,22 +55,17 @@ class SequenceKind(Enum):
 
     @classmethod
     def from_string(cls, text: str) -> "SequenceKind":
-        """Accept the single letters T/S/C or spelled-out names."""
+        """Accept a member's letter or name, or LUCAS or MINORSUM, in any case,
+        with ``-`` for ``_``."""
         key = text.strip().upper().replace("-", "_")
-        aliases = {
-            "T": cls.TRIBONACCI,
-            "TRIBONACCI": cls.TRIBONACCI,
-            "S": cls.GENERALIZED_LUCAS,
-            "LUCAS": cls.GENERALIZED_LUCAS,
-            "GENERALIZED_LUCAS": cls.GENERALIZED_LUCAS,
-            "C": cls.MINOR_SUM,
-            "MINOR_SUM": cls.MINOR_SUM,
-            "MINORSUM": cls.MINOR_SUM,
-        }
         try:
-            return aliases[key]
-        except KeyError:
+            return cls.__members__.get(key) or cls(_KIND_ALIASES.get(key, key))
+        except ValueError:
             raise ValueError(f"unknown sequence kind: {text!r} (expected T, S or C)") from None
+
+
+# The spellings of a kind that are neither its letter nor its name.
+_KIND_ALIASES = {"LUCAS": "S", "MINORSUM": "C"}
 
 
 @unique
@@ -455,6 +452,42 @@ def range_text(kind: SequenceKind, lo: int, hi: int) -> list[str]:
         raise ValueError(f"empty range: lo={lo} exceeds hi={hi}")
     recurrence = RECURRENCES[kind]
     return _text_terms(recurrence.coeffs, recurrence.window(lo), hi - lo + 1)
+
+
+def render_rows(fmt: str, header: str, start: int | None, texts: list[str]) -> str:
+    """Rows of consecutive indices and the decimal texts of their values,
+    built in one join: the one rendering of ``eval`` and ``expand`` rows and
+    of ``oeis.format_bfile``.
+
+    ``header`` is the csv header, ``index,value``.  plain and bfile give
+    ``n text`` lines, csv gives ``n,text`` lines under the header, and json
+    gives the array text ``[{"n": 0, "value": "3"}, ...]``, keyed by the
+    header's names.  With ``start`` None the rows are a bare list: the text
+    formats number them from 0, and json gives ``["3", ...]``.  A text is
+    ASCII digits with an optional minus sign, which csv never quotes and
+    json never escapes.
+    """
+    if fmt == "json" and not texts:
+        return "[]"
+    count = len(texts)
+    first = start or 0
+    indices = map(str, range(first, first + count))
+    if fmt != "json":
+        head = header + "\n" if fmt == "csv" else ""
+        columns = [indices, ["," if fmt == "csv" else " "] * count, texts, ["\n"] * count]
+    elif start is None:
+        head = '["'
+        columns = [texts, ['", "'] * (count - 1) + ['"]']]
+    else:
+        index_key, value_key = header.split(",")
+        head = f'[{{"{index_key}": '
+        columns = [indices, [f', "{value_key}": "'] * count, texts,
+                   [f'"}}, {{"{index_key}": '] * (count - 1) + ['"}]']]
+    width = len(columns)
+    pieces = [head] + [""] * (width * count)
+    for offset, column in enumerate(columns, 1):
+        pieces[offset::width] = column
+    return "".join(pieces)
 
 
 @functools.cache

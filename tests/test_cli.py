@@ -1337,6 +1337,21 @@ def test_cold_start_loads_only_the_commands_own_layer(argv, layers):
     assert done.stdout.split() == ["0", *sorted(layers)]
 
 
+_LIBRARY_LOADS = """
+import sys
+from tribokit import oeis, seqcore
+text = oeis.format_bfile(seqcore.SequenceKind.TRIBONACCI, 0, 3)
+print(repr(text), *sorted({"tribokit.cli", "argparse"} & set(sys.modules)))
+"""
+
+
+def test_formatting_a_bfile_from_the_library_loads_no_cli():
+    done = subprocess.run([sys.executable, "-S", "-c", _LIBRARY_LOADS],
+                          env=_module_env(), capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == repr("0 0\n1 1\n2 1\n3 2\n") + "\n"
+
+
 def test_eval_matrix_strategy_multiplies_once_between_rows(monkeypatch, capsys):
     # Each row after the first is one step by A or A^-1, and no general product.
     steps, products = [], []

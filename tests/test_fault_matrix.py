@@ -9,16 +9,17 @@ through ``cli.main`` in process.  A cell is
 * refused: exit 2;
 * silent: exit 0 with changed output, a wrong answer printed as right.
 
-The silent cells are written out below.  A change that closes one
-deletes it from ``_SILENT``; a change under which a cell turns silent
-fails the test.
+The silent cells are written out below, and the count of each kind.  A
+change that closes one deletes it from ``_SILENT``; a change under which
+a cell turns silent, or a caught one goes unnoticed, fails the test.
 """
 from __future__ import annotations
 
 import inspect
 import re
+from collections import Counter
 
-from tribokit import analytic, cli, seqcore, tribomatrix
+from tribokit import analytic, cli, genfunc, seqcore, tribomatrix
 
 _COMMANDS = [
     ["eval", "--strategy", "recurrence", "C", "40", "50"],
@@ -31,8 +32,11 @@ _COMMANDS = [
     ["matrix", "--", "-7"],
     ["expand", "S", "8"],
     ["expand", "CEven", "8"],
+    ["eval", "--format", "bfile", "S", "0", "8"],
+    ["expand", "--num", "1,2", "--den", "1,0,0,2,-3", "12"],
     ["bench", "S", "50", "1"],
     ["bench", "C", "50", "1"],
+    ["bench", "T", "--", "-50", "1"],
     ["crosscheck", "S"],
     ["verify", "all", "--range", "0:30"],
 ]
@@ -45,19 +49,25 @@ def _plus_one(value):
     return value + 1
 
 
-def _returns_plus_one(module, name):
+def _returns(module, name, change=_plus_one):
     def inject(mp):
         original = getattr(module, name)
-        mp.setattr(module, name, lambda *args: _plus_one(original(*args)))
+        mp.setattr(module, name, lambda *args: change(original(*args)))
     return inject
 
 
-def _last_digit_changed(mp):
-    original = seqcore._decimal_texts
+def _power_plus_one_unit(mp):
+    # a ball's midpoint counts units of 2^-f, so one unit of value is 1 << f
+    original = analytic._power
 
-    def texts(values, count):
-        return [text[:-1] + str((int(text[-1]) + 1) % 10) for text in original(values, count)]
-    mp.setattr(seqcore, "_decimal_texts", texts)
+    def power(z, m, f):
+        x, y, r = original(z, m, f)
+        return x + (1 << f), y, r
+    mp.setattr(analytic, "_power", power)
+
+
+def _last_digit_changed(text):
+    return re.sub(r"\d(?=\D*\Z)", lambda digit: str((int(digit[0]) + 1) % 10), text)
 
 
 def _pass_sign_fault(mp):
@@ -70,35 +80,77 @@ def _pass_sign_fault(mp):
 
 
 _FAULTS = {
-    "seqcore._square": _returns_plus_one(seqcore, "_square"),
-    "seqcore._dot": _returns_plus_one(seqcore, "_dot"),
-    "tribomatrix._trace_of_product": _returns_plus_one(tribomatrix, "_trace_of_product"),
-    "tribomatrix.mat_pow": _returns_plus_one(tribomatrix, "mat_pow"),
-    "analytic._rounded": _returns_plus_one(analytic, "_rounded"),
-    "seqcore._decimal_texts": _last_digit_changed,
+    "seqcore._square": _returns(seqcore, "_square"),
+    "seqcore._times_x": _returns(seqcore, "_times_x"),
+    "seqcore._dot": _returns(seqcore, "_dot"),
+    "tribomatrix._square": _returns(tribomatrix, "_square"),
+    "tribomatrix._times_a": _returns(tribomatrix, "_times_a"),
+    "tribomatrix._times_a_inv": _returns(tribomatrix, "_times_a_inv"),
+    "tribomatrix._trace_of_product": _returns(tribomatrix, "_trace_of_product"),
+    "tribomatrix._entry_12_of_product": _returns(tribomatrix, "_entry_12_of_product"),
+    "tribomatrix.mat_pow": _returns(tribomatrix, "mat_pow"),
+    "analytic._power": _power_plus_one_unit,
+    "analytic._rounded": _returns(analytic, "_rounded"),
+    "genfunc.expand": _returns(genfunc, "expand", lambda out: [out[0] + 1, *out[1:]]),
+    "seqcore._decimal_texts": _returns(
+        seqcore, "_decimal_texts", lambda texts: list(map(_last_digit_changed, texts))),
+    "seqcore.render_rows": _returns(seqcore, "render_rows", _last_digit_changed),
     "seqcore._pass": _pass_sign_fault,
 }
 
 _SILENT = {
     ("seqcore._square", "eval --strategy recurrence C 40 50"),
     ("seqcore._square", "eval --strategy recurrence T -- -50 -40"),
+    ("seqcore._square", "eval --format bfile S 0 8"),
+    ("seqcore._times_x", "eval --strategy recurrence C 40 50"),
+    ("seqcore._times_x", "eval --strategy recurrence T -- -50 -40"),
+    ("seqcore._times_x", "eval --format bfile S 0 8"),
     ("seqcore._dot", "eval --strategy recurrence C 40 50"),
     ("seqcore._dot", "eval --strategy recurrence T -- -50 -40"),
+    ("seqcore._dot", "eval --format bfile S 0 8"),
+    ("tribomatrix._square", "eval --strategy matrix C 40 50"),
+    ("tribomatrix._square", "eval --strategy matrix T -- -50 -40"),
+    ("tribomatrix._square", "matrix 7"),
+    ("tribomatrix._square", "matrix -- -7"),
+    ("tribomatrix._times_a", "eval --strategy matrix T -- -50 -40"),
+    ("tribomatrix._times_a", "matrix 7"),
+    ("tribomatrix._times_a_inv", "eval --strategy matrix C 40 50"),
+    ("tribomatrix._times_a_inv", "eval --strategy matrix T -- -50 -40"),
+    ("tribomatrix._times_a_inv", "matrix -- -7"),
     ("tribomatrix._trace_of_product", "eval --strategy matrix C 40 50"),
+    ("tribomatrix._entry_12_of_product", "eval --strategy matrix T -- -50 -40"),
     ("tribomatrix.mat_pow", "eval --strategy matrix C 40 50"),
     ("tribomatrix.mat_pow", "eval --strategy matrix T -- -50 -40"),
     ("tribomatrix.mat_pow", "matrix 7"),
     ("tribomatrix.mat_pow", "matrix -- -7"),
+    ("analytic._power", "eval --strategy binet C 40 50"),
+    ("analytic._power", "bench T -- -50 1"),
     ("analytic._rounded", "eval --strategy binet C 40 50"),
     ("analytic._rounded", "eval --strategy binet T -- -50 -40"),
+    ("genfunc.expand", "expand S 8"),
+    ("genfunc.expand", "expand CEven 8"),
+    ("genfunc.expand", "expand --num 1,2 --den 1,0,0,2,-3 12"),
     ("seqcore._decimal_texts", "eval --strategy recurrence C 40 50"),
     ("seqcore._decimal_texts", "eval --strategy recurrence T -- -50 -40"),
     ("seqcore._decimal_texts", "eval --strategy matrix C 40 50"),
     ("seqcore._decimal_texts", "eval --strategy matrix T -- -50 -40"),
     ("seqcore._decimal_texts", "expand S 8"),
     ("seqcore._decimal_texts", "expand CEven 8"),
+    ("seqcore._decimal_texts", "eval --format bfile S 0 8"),
+    ("seqcore._decimal_texts", "expand --num 1,2 --den 1,0,0,2,-3 12"),
+    ("seqcore.render_rows", "eval --strategy recurrence C 40 50"),
+    ("seqcore.render_rows", "eval --strategy recurrence T -- -50 -40"),
+    ("seqcore.render_rows", "eval --strategy matrix C 40 50"),
+    ("seqcore.render_rows", "eval --strategy matrix T -- -50 -40"),
+    ("seqcore.render_rows", "eval --strategy binet C 40 50"),
+    ("seqcore.render_rows", "eval --strategy binet T -- -50 -40"),
+    ("seqcore.render_rows", "expand S 8"),
+    ("seqcore.render_rows", "expand CEven 8"),
+    ("seqcore.render_rows", "eval --format bfile S 0 8"),
+    ("seqcore.render_rows", "expand --num 1,2 --den 1,0,0,2,-3 12"),
     ("seqcore._pass", "eval --strategy recurrence C 40 50"),
     ("seqcore._pass", "expand CEven 8"),
+    ("seqcore._pass", "expand --num 1,2 --den 1,0,0,2,-3 12"),
 }
 
 
@@ -133,3 +185,4 @@ def test_the_fault_matrix_has_exactly_the_known_silent_cells(monkeypatch, capsys
         for command, output in after.items():
             cells[fault, command] = _cell(before[command], output)
     assert {cell for cell, kind in cells.items() if kind == "silent"} == _SILENT
+    assert Counter(cells.values()) == {"silent": 52, "caught": 30, "unaffected": 173}

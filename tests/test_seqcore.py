@@ -456,12 +456,26 @@ def test_s_and_c_swap_under_negation():
         assert c_seq(-n) == s_lucas(n)
 
 
+_SPELLINGS = {
+    "t": SequenceKind.TRIBONACCI,
+    "Tribonacci": SequenceKind.TRIBONACCI,
+    "S": SequenceKind.GENERALIZED_LUCAS,
+    "lUcAs": SequenceKind.GENERALIZED_LUCAS,
+    "generalized-Lucas": SequenceKind.GENERALIZED_LUCAS,
+    " c ": SequenceKind.MINOR_SUM,
+    "minor-sum": SequenceKind.MINOR_SUM,
+    "MinorSum": SequenceKind.MINOR_SUM,
+}
+
+
 def test_kind_parsing():
-    assert SequenceKind.from_string("t") is SequenceKind.TRIBONACCI
-    assert SequenceKind.from_string("S") is SequenceKind.GENERALIZED_LUCAS
-    assert SequenceKind.from_string("minor-sum") is SequenceKind.MINOR_SUM
-    with pytest.raises(ValueError):
-        SequenceKind.from_string("Q")
+    for text, kind in _SPELLINGS.items():
+        assert SequenceKind.from_string(text) is kind
+        assert SequenceKind.from_string(text.upper().replace("-", "_")) is kind
+    for text in ("Q", "", "SS", "MINOR SUM", "lucas_"):
+        with pytest.raises(ValueError) as refused:
+            SequenceKind.from_string(text)
+        assert str(refused.value) == f"unknown sequence kind: {text!r} (expected T, S or C)"
 
 
 # ------------------------------------------------ digit bounds before arithmetic
